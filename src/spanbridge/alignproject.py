@@ -58,9 +58,6 @@ def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> Alignment:
     return Alignment(frozenset(links))
 
 
-UNPROJECTABLE = None
-
-
 def project_span_aligned(span_range: tuple[int, int], alignment: Alignment) -> tuple[int, int] | None:
     """Map a [s, e) source token range to the min..max covered target range.
 

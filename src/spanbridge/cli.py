@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-unmatched", action="store_true",
                    help="drop sentences with no confident fuzzy match instead of "
                         "falling back to positional assignment")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="batches in flight")
 
     p = sub.add_parser("align-project", help="word-alignment baseline projection")
     _add_input_flags(p)

@@ -10,7 +10,6 @@ translated mentions (brackets, quotes).
 from __future__ import annotations
 
 import unicodedata
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink
@@ -19,12 +18,13 @@ from .markers import (
     SQUARE_BRACKET,
     VALID,
     XML_INDEXED,
+    MarkedText,
     MarkerScheme,
     PreexistingMarkerError,
     extract_markers,
     insert_markers,
 )
-from .translate import TranslateRequest, translate
+from .translate import TranslatedItem, TranslateRequest, translate
 
 MATCH_FUZZY = "fuzzy"
 MATCH_SEQUENTIAL = "sequential"
@@ -200,40 +200,31 @@ class ProjectionReport:
         }
 
 
-def _needs_candidates(scheme: MarkerScheme, cfg: MatcherConfig) -> bool:
-    # XML/placeholder markers carry label identity; sequential matching is positional
-    return scheme.kind not in (XML_INDEXED, PLACEHOLDER) and cfg.mode == MATCH_FUZZY
-
-
-def project_sentence(
-    sentence: AnnotatedSentence,
-    backend,
-    scheme: MarkerScheme,
-    cfg: MatcherConfig | None = None,
-    src_lang: str = "src",
-    tgt_lang: str = "tgt",
-) -> ProjectionOutcome:
-    """Project one sentence's annotations onto its translation."""
-    cfg = cfg or MatcherConfig()
+def _plan(sentence: AnnotatedSentence, scheme: MarkerScheme, cfg: MatcherConfig
+          ) -> tuple[ProjectionOutcome | None, MarkedText | None, tuple[str, ...]]:
+    """(outcome, marked, items) of one sentence: its outcome if decided before
+    translation, else its marked text and the items to translate."""
     if not sentence.text:
-        return ProjectionOutcome(PROJECTED, sentence=sentence)
+        return ProjectionOutcome(PROJECTED, sentence=sentence), None, ()
     try:
         marked = insert_markers(sentence, scheme)
     except PreexistingMarkerError as e:
-        return ProjectionOutcome(FILTERED, "PreexistingMarker", diagnostics=(str(e),))
+        return ProjectionOutcome(FILTERED, "PreexistingMarker", diagnostics=(str(e),)), None, ()
+    # XML/placeholder markers carry label identity; sequential matching is positional
+    if scheme.kind not in (XML_INDEXED, PLACEHOLDER) and cfg.mode == MATCH_FUZZY:
+        return None, marked, (marked.text, *sentence.span_texts())
+    return None, marked, (marked.text,)
 
-    span_texts = sentence.span_texts()
-    items = [marked.text]
-    if _needs_candidates(scheme, cfg) and span_texts:
-        items.extend(span_texts)
-    response = translate(TranslateRequest(tuple(items), src_lang, tgt_lang), backend)
-    bad = [it.status for it in response.items if not it.ok]
+
+def _resolve(sentence: AnnotatedSentence, marked: MarkedText, items: tuple[TranslatedItem, ...],
+             scheme: MarkerScheme, cfg: MatcherConfig) -> ProjectionOutcome:
+    """Outcome of one planned sentence from the translations of its items."""
+    bad = [it.status for it in items if not it.ok]
     if bad:
         return ProjectionOutcome(FAILED, "BackendError", diagnostics=tuple(bad))
-    translated = response.items[0].output
-    candidate_mentions = [it.output for it in response.items[1:]]
+    candidate_mentions = [it.output for it in items[1:]]
 
-    result = extract_markers(translated, scheme, marked.marker_map)
+    result = extract_markers(items[0].output, scheme, marked.marker_map)
     if result.status != VALID:
         return ProjectionOutcome(FILTERED, result.status, diagnostics=(result.diagnostic,))
 
@@ -274,6 +265,23 @@ def project_sentence(
     )
 
 
+def project_sentence(
+    sentence: AnnotatedSentence,
+    backend,
+    scheme: MarkerScheme,
+    cfg: MatcherConfig | None = None,
+    src_lang: str = "src",
+    tgt_lang: str = "tgt",
+) -> ProjectionOutcome:
+    """Project one sentence's annotations onto its translation."""
+    cfg = cfg or MatcherConfig()
+    outcome, marked, items = _plan(sentence, scheme, cfg)
+    if outcome is not None:
+        return outcome
+    response = translate(TranslateRequest(items, src_lang, tgt_lang), backend)
+    return _resolve(sentence, marked, response.items, scheme, cfg)
+
+
 def project_corpus(
     sentences: list[AnnotatedSentence],
     backend,
@@ -284,21 +292,23 @@ def project_corpus(
     jobs: int = 1,
 ) -> tuple[list[AnnotatedSentence], ProjectionReport]:
     """Project a corpus; returns projected sentences in input order plus a
-    report tallying projected/filtered/failed counts per reason."""
+    report tallying projected/filtered/failed counts per reason. All items go
+    through one translate() call with `jobs` batches in flight; a backend fault
+    fails every sentence with an item in the faulted batch."""
     cfg = cfg or MatcherConfig()
-
-    def work(s: AnnotatedSentence) -> ProjectionOutcome:
-        return project_sentence(s, backend, scheme, cfg, src_lang, tgt_lang)
-
-    if jobs > 1 and len(sentences) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(work, sentences))
-    else:
-        outcomes = [work(s) for s in sentences]
+    plans = [_plan(s, scheme, cfg) for s in sentences]
+    items = tuple(item for _, _, sentence_items in plans for item in sentence_items)
+    response = translate(TranslateRequest(items, src_lang, tgt_lang), backend,
+                         max_in_flight=jobs)
 
     report = ProjectionReport()
     projected: list[AnnotatedSentence] = []
-    for outcome in outcomes:
+    cursor = 0
+    for sentence, (outcome, marked, sentence_items) in zip(sentences, plans):
+        if outcome is None:
+            n = len(sentence_items)
+            outcome = _resolve(sentence, marked, response.items[cursor:cursor + n], scheme, cfg)
+            cursor += n
         report.add(outcome)
         if outcome.status == PROJECTED:
             assert outcome.sentence is not None
@@ -317,27 +327,14 @@ def project_qa(
     (markers in) and the question (no markers) are translated together, and
     the answer offsets are recomputed in the clean translated context."""
     context = AnnotatedSentence(example.context, (example.answer,))
-    try:
-        marked = insert_markers(context, scheme)
-    except PreexistingMarkerError as e:
-        return ProjectionOutcome(FILTERED, "PreexistingMarker", diagnostics=(str(e),))
-    response = translate(
-        TranslateRequest((marked.text, example.question), src_lang, tgt_lang), backend
-    )
-    bad = [it.status for it in response.items if not it.ok]
-    if bad:
-        return ProjectionOutcome(FAILED, "BackendError", diagnostics=tuple(bad))
-    result = extract_markers(response.items[0].output, scheme, marked.marker_map)
-    if result.status != VALID:
-        return ProjectionOutcome(FILTERED, result.status, diagnostics=(result.diagnostic,))
-    _, start, end = result.found_spans[0]
-    try:
-        out = QaExample(
-            id=example.id,
-            question=response.items[1].output,
-            context=result.clean_text,
-            answer=LabeledSpan(0, start, end, "ANSWER"),
-        )
-    except ValueError as e:
-        return ProjectionOutcome(FILTERED, "InvalidTargetSpans", diagnostics=(str(e),))
-    return ProjectionOutcome(PROJECTED, qa=out)
+    cfg = MatcherConfig(mode=MATCH_SEQUENTIAL)  # a single span needs no matching
+    outcome, marked, items = _plan(context, scheme, cfg)
+    if outcome is not None:
+        return outcome
+    response = translate(TranslateRequest((*items, example.question), src_lang, tgt_lang), backend)
+    outcome = _resolve(context, marked, response.items, scheme, cfg)
+    if outcome.status != PROJECTED:
+        return outcome
+    out = outcome.sentence
+    return ProjectionOutcome(
+        PROJECTED, qa=QaExample(example.id, response.items[1].output, out.text, out.spans[0]))

@@ -85,12 +85,8 @@ def build_ft_pairs(
     cfg = cfg or FtDataConfig()
     scheme = MarkerScheme(SQUARE_BRACKET)
 
-    # translate all entity mentions in one batch
-    mentions = [text for pair in pairs for text in pair.src.span_texts()]
-    translated: list = []
-    if mentions:
-        response = translate(TranslateRequest(tuple(mentions), src_lang, tgt_lang), backend)
-        translated = list(response.items)
+    mentions = tuple(text for pair in pairs for text in pair.src.span_texts())
+    translated = translate(TranslateRequest(mentions, src_lang, tgt_lang), backend).items
 
     multi: list[tuple[str, str]] = []
     single: list[tuple[int, str, str]] = []  # (src_len, marked_src, marked_tgt)

@@ -302,10 +302,10 @@ def strip_markers(text: str, scheme: MarkerScheme) -> str:
     Text containing no markers is returned unchanged.
     """
     if scheme.kind == PLACEHOLDER:
-        # placeholder tokens are content words in the output; derive a loose
-        # pattern from the template and drop matching tokens
+        # placeholder tokens are content words in the output; drop the tokens that
+        # fit the template, taking any word that starts with a letter as a label
         pattern = re.escape(scheme.placeholder_format).replace(
-            re.escape("{label}"), r"[A-Z]+").replace(re.escape("{i}"), r"\d+")
+            re.escape("{label}"), r"[^\W\d]\w*?").replace(re.escape("{i}"), r"\d+")
         stripped = re.sub(rf"(?<![\w]){pattern}(?![\w])", "", text)
     elif scheme.kind == SQUARE_BRACKET:
         stripped = re.sub(r"[\[\]]", "", text)

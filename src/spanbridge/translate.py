@@ -158,21 +158,30 @@ class TranslationCache:
     """Append-only JSONL cache; records {"src_lang","tgt_lang","input","output"}.
 
     Single writer, concurrent readers. Lookups are deterministic: the first
-    record for a key wins.
+    record for a key wins. A torn final line (no newline, does not parse) is
+    skipped and cut off before the next append; a corrupt earlier line raises.
     """
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], str] = {}
+        self._torn_at: int | None = None  # byte offset of a torn final line
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as f:
-                for line in f:
-                    if not line.strip():
-                        continue
+            with open(path, "rb") as f:
+                data = f.read()
+            lines = data.split(b"\n")
+            for lineno, line in enumerate(lines, 1):
+                if not line.strip():
+                    continue
+                try:
                     rec = json.loads(line)
                     key = _cache_key(rec["src_lang"], rec["tgt_lang"], rec["input"])
                     self._entries.setdefault(key, rec["output"])
+                except (ValueError, KeyError, TypeError) as e:
+                    if lineno < len(lines):  # not the final line, which has no newline
+                        raise ValueError(f"{path}: line {lineno}: corrupt record: {e}") from None
+                    self._torn_at = len(data) - len(line)
 
     def get(self, src_lang: str, tgt_lang: str, text: str) -> str | None:
         return self._entries.get(_cache_key(src_lang, tgt_lang, text))
@@ -186,6 +195,9 @@ class TranslationCache:
             self._entries[key] = output
             rec = {"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text, "output": output}
             with open(self.path, "a", encoding="utf-8") as f:
+                if self._torn_at is not None:
+                    f.truncate(self._torn_at)
+                    self._torn_at = None
                 f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
         return True
 
@@ -256,13 +268,20 @@ class HttpBackend:
             except requests.RequestException as e:
                 last_error = str(e)
                 continue
-            if 200 <= resp.status_code < 300:
+            if not 200 <= resp.status_code < 300:
+                last_error = f"HTTP {resp.status_code}"
+                continue
+            try:
                 translations = resp.json()["translations"]
-                if len(translations) != len(request.items):
-                    last_error = "response length mismatch"
-                    continue
+            except (ValueError, KeyError, TypeError):  # not JSON, or no "translations" key
+                translations = None
+            if not isinstance(translations, list) or \
+                    not all(isinstance(t, str) for t in translations):
+                last_error = "malformed response body"
+            elif len(translations) != len(request.items):
+                last_error = "response length mismatch"
+            else:
                 return TranslateResponse(tuple(TranslatedItem(t) for t in translations))
-            last_error = f"HTTP {resp.status_code}"
         return TranslateResponse(
             tuple(backend_error(last_error) for _ in request.items)
         )
@@ -271,45 +290,33 @@ class HttpBackend:
 def translate(request: TranslateRequest, backend,
               batch_size: int = DEFAULT_BATCH_SIZE,
               max_in_flight: int = DEFAULT_MAX_IN_FLIGHT) -> TranslateResponse:
-    """Translate a request in batches, preserving item order and length."""
-    items = request.items
-    if not items:
-        return TranslateResponse(())
+    """Translate a request in batches, preserving item order and length.
+    Each distinct item is sent once, in first-seen order."""
+    unique = tuple(dict.fromkeys(request.items))
     batches = [
-        TranslateRequest(items[i:i + batch_size], request.src_lang, request.tgt_lang)
-        for i in range(0, len(items), batch_size)
+        TranslateRequest(unique[i:i + batch_size], request.src_lang, request.tgt_lang)
+        for i in range(0, len(unique), batch_size)
     ]
-    if len(batches) == 1 or max_in_flight <= 1:
+    if len(batches) <= 1 or max_in_flight <= 1:
         responses = [backend.translate(b) for b in batches]
     else:
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             responses = list(pool.map(backend.translate, batches))
-    merged: list[TranslatedItem] = []
-    for r in responses:
-        merged.extend(r.items)
-    return TranslateResponse(tuple(merged))
+    result_of = dict(zip(unique, (item for r in responses for item in r.items)))
+    return TranslateResponse(tuple(result_of[t] for t in request.items))
 
 
 def warm_cache(requests_list: list[TranslateRequest], backend,
                cache_path: str) -> tuple[int, int]:
-    """Fill a JSONL cache from a live backend.
+    """Fill a JSONL cache from a live backend, one batch at a time through
+    translate(), so each distinct uncached item is sent once.
 
     Returns (new_entries, errors). Idempotent: rerunning adds zero entries.
     Items the backend fails on are skipped and counted as errors.
     """
     cache = TranslationCache(cache_path)
-    new = 0
-    errors = 0
-    for req in requests_list:
-        todo = [t for t in req.items
-                if cache.get(req.src_lang, req.tgt_lang, t) is None]
-        if not todo:
-            continue
-        resp = backend.translate(TranslateRequest(tuple(todo), req.src_lang, req.tgt_lang))
-        for text, item in zip(todo, resp.items):
-            if item.ok:
-                if cache.put(req.src_lang, req.tgt_lang, text, item.output):
-                    new += 1
-            else:
-                errors += 1
-    return new, errors
+    before = len(cache._entries)
+    cached = CacheBackend(cache, backend)
+    errors = sum(not item.ok for req in requests_list
+                 for item in translate(req, cached, max_in_flight=1).items)
+    return len(cache._entries) - before, errors

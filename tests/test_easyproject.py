@@ -1,4 +1,5 @@
 import difflib
+import math
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from spanbridge.easyproject import (
     project_qa,
     project_sentence,
 )
-from spanbridge.markers import MarkerScheme
+from spanbridge.markers import MarkerScheme, insert_markers
 from spanbridge.translate import (
     IdentityBackend,
     LexiconBackend,
@@ -181,10 +182,13 @@ class TestProjectSentence:
                 s.label for s in sent.spans)
 
 
+def _items(sentence, scheme):
+    """What a brackets + fuzzy projection translates for one sentence."""
+    return [insert_markers(sentence, scheme).text, *sentence.span_texts()]
+
+
 class TestProjectCorpus:
     def test_report_arithmetic(self):
-        from spanbridge.markers import insert_markers
-
         corpus = make_corpus(40, seed=1)
         # corrupt every 4th sentence (drop a "]") — only those with spans qualify
         scheme = MarkerScheme("brackets")
@@ -229,11 +233,48 @@ class TestProjectCorpus:
             assert out.spans[rel.tail_span_id].label == "L1"
 
     def test_jobs_order_stable(self):
-        corpus = make_corpus(50, seed=33)
-        seq, rep1 = project_corpus(corpus, IdentityBackend(), MarkerScheme("brackets"), jobs=1)
-        par, rep8 = project_corpus(corpus, IdentityBackend(), MarkerScheme("brackets"), jobs=8)
-        assert seq == par
-        assert rep1.to_json() == rep8.to_json()
+        corpus = make_corpus(300, seed=33)
+        for backend in (IdentityBackend(),
+                        LexiconBackend(LexiconBackendConfig({}, reorder="seed:4"))):
+            seq, rep1 = project_corpus(corpus, backend, MarkerScheme("brackets"), jobs=1)
+            par, rep8 = project_corpus(corpus, backend, MarkerScheme("brackets"), jobs=8)
+            assert seq == par
+            assert rep1.to_json() == rep8.to_json()
+
+    def test_one_request_per_batch_of_distinct_items(self):
+        corpus = make_corpus(200, seed=8)
+        scheme = MarkerScheme("brackets")
+        distinct = {item for s in corpus for item in _items(s, scheme)}
+        assert len(distinct) < sum(len(_items(s, scheme)) for s in corpus)  # mentions repeat
+
+        class Counting:
+            requests = 0
+
+            def translate(self, request):
+                type(self).requests += 1
+                return IdentityBackend().translate(request)
+
+        projected, report = project_corpus(corpus, Counting(), scheme, jobs=3)
+        assert Counting.requests == math.ceil(len(distinct) / 32)
+        assert report.projected == len(corpus)
+
+    def test_faulted_batch_fails_exactly_its_sentences(self):
+        corpus = make_corpus(200, seed=8)
+        scheme = MarkerScheme("brackets")
+        unique = list(dict.fromkeys(item for s in corpus for item in _items(s, scheme)))
+        faulted = tuple(unique[32:64])
+
+        class FailOneBatch:
+            def translate(self, request):
+                if request.items == faulted:
+                    return TranslateResponse(tuple(backend_error("down") for _ in faulted))
+                return IdentityBackend().translate(request)
+
+        projected, report = project_corpus(corpus, FailOneBatch(), scheme, jobs=2)
+        hit = [bool(set(_items(s, scheme)) & set(faulted)) for s in corpus]
+        assert report.failed == sum(hit) > 0
+        assert report.reasons == {"BackendError": sum(hit)}
+        assert projected == [s for s, h in zip(corpus, hit) if not h]
 
 
 class TestProjectQa:
@@ -242,9 +283,10 @@ class TestProjectQa:
                    LabeledSpan(0, 22, 29, "ANSWER"))
 
     def test_identity(self):
-        outcome = project_qa(self.QA, IdentityBackend(), MarkerScheme("quotes"))
-        assert outcome.status == PROJECTED
-        assert outcome.qa == self.QA
+        for kind in ("brackets", "xml", "quotes", "placeholder"):
+            outcome = project_qa(self.QA, IdentityBackend(), MarkerScheme(kind))
+            assert outcome.status == PROJECTED
+            assert outcome.qa == self.QA
 
     def test_lexicon_offsets_recomputed(self):
         token_map = {"Churchill": "Черчилль", "was": "был", "born": "рожд",

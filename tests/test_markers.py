@@ -156,6 +156,11 @@ class TestStrip:
     def test_quotes_with_variants(self):
         assert strip_markers("« a » b", MarkerScheme("quotes")) == "a b"
 
+    def test_placeholder_any_case_label(self):
+        scheme = MarkerScheme("placeholder")
+        assert strip_markers("PER0 met per1", scheme) == "met"
+        assert strip_markers("Loc_2 in 2020 .", scheme) == "in 2020 ."
+
 
 SENT = st.builds(
     lambda tokens, span_positions: _build_sentence(tokens, span_positions),

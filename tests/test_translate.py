@@ -10,8 +10,11 @@ from spanbridge.translate import (
     IdentityBackend,
     LexiconBackend,
     LexiconBackendConfig,
+    TranslatedItem,
     TranslateRequest,
+    TranslateResponse,
     TranslationCache,
+    backend_error,
     translate,
     warm_cache,
 )
@@ -96,6 +99,37 @@ class TestCache:
         rec = json.loads(open(path, encoding="utf-8").read().strip())
         assert set(rec) == {"src_lang", "tgt_lang", "input", "output"}
 
+    def test_torn_final_line_skipped_and_cut_before_append(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        warm_cache([TranslateRequest(("one", "two"), "en", "de")], IdentityBackend(), str(path))
+        with open(path, "a", encoding="utf-8") as f:
+            f.write('{"input": "thr')  # an append interrupted mid-record
+        cache = TranslationCache(str(path))
+        assert cache.get("en", "de", "two") == "two"
+        assert cache.put("en", "de", "three", "drei")
+        reloaded = TranslationCache(str(path))
+        assert [reloaded.get("en", "de", t) for t in ("one", "two", "three")] == \
+            ["one", "two", "drei"]
+        assert path.read_text(encoding="utf-8").count("\n") == 3
+
+    def test_corrupt_line_before_the_last_raises_with_line_number(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = '{"src_lang": "en", "tgt_lang": "de", "input": "one", "output": "eins"}\n'
+        path.write_text(record + '{"input": "thr\n' + record, encoding="utf-8")
+        with pytest.raises(ValueError, match="line 2"):
+            TranslationCache(str(path))
+
+    def test_warm_sends_distinct_uncached_items_once_in_batches(self, tmp_path):
+        path = str(tmp_path / "c.jsonl")
+        warm_cache([TranslateRequest(("t0", "t1"), "en", "de")], IdentityBackend(), path)
+        backend = CountingBackend()
+        texts = tuple(f"t{i % 50}" for i in range(200))
+        assert warm_cache([TranslateRequest(texts, "en", "de")], backend, path) == (48, 0)
+        # batches of 32 distinct items; t0 and t1 are answered from the cache
+        assert [len(items) for items in backend.requests] == [30, 18]
+        assert sorted(t for items in backend.requests for t in items) == \
+            sorted(f"t{i}" for i in range(2, 50))
+
     def test_warm_skips_backend_errors(self, tmp_path):
         class FlakyBackend:
             def translate(self, request):
@@ -114,16 +148,19 @@ class TestCache:
 class _Handler(BaseHTTPRequestHandler):
     fail_times = 0
     calls = 0
+    bad_body = None  # when set, failing calls answer 200 with this body instead of 500
 
     def do_POST(self):
         cls = type(self)
         cls.calls += 1
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if cls.calls <= cls.fail_times:
+        if cls.calls <= cls.fail_times and cls.bad_body is None:
             self.send_response(500)
             self.end_headers()
             return
         out = json.dumps({"translations": [t.upper() for t in body["texts"]]}).encode()
+        if cls.calls <= cls.fail_times:
+            out = cls.bad_body
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(out)))
@@ -139,10 +176,12 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     _Handler.calls = 0
     _Handler.fail_times = 0
+    _Handler.bad_body = None
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttp:
@@ -165,6 +204,30 @@ class TestHttp:
         assert len(resp.items) == 2
         assert all(not i.ok and "HTTP 500" in i.status for i in resp.items)
 
+    @pytest.mark.parametrize("body", [
+        b"not json",
+        b'{"result": ["A", "B"]}',
+        b'{"translations": [1, 2]}',
+        b'{"translations": "AB"}',
+        b'["A", "B"]',
+    ])
+    def test_malformed_2xx_retried_then_error_per_item(self, http_server, body):
+        _Handler.fail_times = 99
+        _Handler.bad_body = body
+        backend = HttpBackend(http_server, timeout_ms=5000, retries=2, backoff_ms=10)
+        resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
+        assert _Handler.calls == 2
+        assert len(resp.items) == 2
+        assert all(not i.ok and "malformed response body" in i.status for i in resp.items)
+
+    def test_malformed_2xx_then_succeed(self, http_server):
+        _Handler.fail_times = 1
+        _Handler.bad_body = b"not json"
+        backend = HttpBackend(http_server, timeout_ms=5000, retries=3, backoff_ms=10)
+        resp = backend.translate(TranslateRequest(("ab",), "en", "de"))
+        assert resp.outputs() == ["AB"]
+        assert _Handler.calls == 2
+
 
 class TestBatching:
     def test_order_preserved_across_batches(self):
@@ -176,3 +239,38 @@ class TestBatching:
     def test_empty_request(self):
         resp = translate(TranslateRequest((), "en", "de"), IdentityBackend())
         assert resp.items == ()
+
+
+class CountingBackend:
+    """Identity backend recording every request it is sent."""
+
+    def __init__(self):
+        self.requests = []
+
+    def translate(self, request):
+        self.requests.append(request.items)
+        return IdentityBackend().translate(request)
+
+
+class TestDeduplication:
+    def test_each_distinct_item_sent_once_in_first_seen_order(self):
+        texts = tuple(f"t{i % 40}" for i in range(100))
+        backend = CountingBackend()
+        resp = translate(TranslateRequest(texts, "en", "de"), backend, batch_size=32)
+        sent = [t for items in backend.requests for t in items]
+        assert sent == [f"t{i}" for i in range(40)]
+        assert [len(items) for items in backend.requests] == [32, 8]
+        assert resp.outputs() == list(texts)
+
+    def test_results_follow_the_item_across_batches(self):
+        class Tagging:
+            def translate(self, request):
+                return TranslateResponse(tuple(
+                    TranslatedItem(f"{t}@{len(request.items)}") if t != "bad"
+                    else backend_error("boom") for t in request.items))
+
+        # "a" is in the first batch, "c" and "bad" in the second
+        texts = ("a", "b", "c", "a", "bad", "c", "a")
+        resp = translate(TranslateRequest(texts, "en", "de"), Tagging(), batch_size=2)
+        assert resp.outputs() == ["a@2", "b@2", "c@2", "a@2", "", "c@2", "a@2"]
+        assert [i.ok for i in resp.items] == [True, True, True, True, False, True, True]
