@@ -23,9 +23,6 @@ class Alignment:
     def __post_init__(self):
         object.__setattr__(self, "links", frozenset(self.links))
 
-    def targets_of(self, src_index: int) -> set[int]:
-        return {j for i, j in self.links if i == src_index}
-
 
 @dataclass(frozen=True)
 class AlignedPair:
@@ -93,6 +90,7 @@ def project_sentence_aligned(
     src_bounds = _token_bounds(pair.src_tokens)
     starts = {s: i for i, (s, _) in enumerate(src_bounds)}
     ends = {e: i for i, (_, e) in enumerate(src_bounds)}
+    aligned = {i for i, _ in pair.alignment.links}
 
     diagnostics: list[str] = []
     projected_ranges: list[tuple[int, int, str]] = []
@@ -106,9 +104,7 @@ def project_sentence_aligned(
                 FILTERED, "Unprojectable",
                 diagnostics=(f"span {span.id} has no aligned target tokens",),
             )
-        unaligned = [
-            i for i in range(*tok_range) if not pair.alignment.targets_of(i)
-        ]
+        unaligned = [i for i in range(*tok_range) if i not in aligned]
         if unaligned:
             diagnostics.append(
                 f"boundary-risk: span {span.id} has unaligned source tokens {unaligned}; "

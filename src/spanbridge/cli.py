@@ -21,14 +21,6 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_FATAL = 3
 
-SCHEME_BY_FLAG = {
-    "brackets": markers.SQUARE_BRACKET,
-    "xml": markers.XML_INDEXED,
-    "quotes": markers.DOUBLE_QUOTE,
-    "placeholder": markers.PLACEHOLDER,
-}
-
-
 class UsageError(Exception):
     pass
 
@@ -60,12 +52,11 @@ def _load_corpus(path: str, fmt: str, lenient: bool) -> list[core.AnnotatedSente
 
 
 def _scheme_from_args(args) -> markers.MarkerScheme:
-    return markers.MarkerScheme(SCHEME_BY_FLAG[args.scheme], pad_with_space=not args.no_pad)
+    return markers.MarkerScheme(args.scheme, pad_with_space=not args.no_pad)
 
 
-def _matcher_from_args(args) -> easyproject.MatcherConfig:
-    scheme = SCHEME_BY_FLAG[args.scheme]
-    if args.matcher is not None and scheme in (markers.XML_INDEXED, markers.PLACEHOLDER):
+def _matcher_from_args(args, scheme: markers.MarkerScheme) -> easyproject.MatcherConfig:
+    if args.matcher is not None and markers.carries_identity(scheme):
         raise UsageError(
             f"--matcher cannot be combined with --scheme {args.scheme}: "
             f"{args.scheme} markers carry label identity, so no matching is needed"
@@ -119,7 +110,7 @@ def _add_backend_flags(p: argparse.ArgumentParser):
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser):
-    p.add_argument("--scheme", default="brackets", choices=sorted(SCHEME_BY_FLAG))
+    p.add_argument("--scheme", default="brackets", choices=sorted(markers.SCHEME_KINDS))
     p.add_argument("--no-pad", action="store_true",
                    help="do not pad markers with spaces (unsegmented scripts)")
 
@@ -180,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bleu", help="corpus BLEU (optionally stripping markers)")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--strip-scheme", choices=sorted(SCHEME_BY_FLAG))
+    p.add_argument("--strip-scheme", choices=sorted(markers.SCHEME_KINDS))
     p.add_argument("--max-n", type=int, default=4)
 
     p = sub.add_parser("rate", help="projection rate from a report JSON")
@@ -238,7 +229,7 @@ def _cmd_mark(args) -> int:
 
 def _cmd_project(args) -> int:
     scheme = _scheme_from_args(args)
-    cfg = _matcher_from_args(args)
+    cfg = _matcher_from_args(args, scheme)
     backend = _backend_from_args(args)
     sentences = _load_corpus(args.infile, args.format, args.lenient_bio)
     projected, report = easyproject.project_corpus(
@@ -307,7 +298,7 @@ def _cmd_bleu(args) -> int:
     hyp_lines = _read(args.hyp).splitlines()
     ref_lines = _read(args.ref).splitlines()
     if args.strip_scheme:
-        scheme = markers.MarkerScheme(SCHEME_BY_FLAG[args.strip_scheme])
+        scheme = markers.MarkerScheme(args.strip_scheme)
         hyp_lines = [markers.strip_markers(h, scheme) for h in hyp_lines]
     score = metrics.corpus_bleu(
         [h.split() for h in hyp_lines],
@@ -363,6 +354,9 @@ def run(argv: list[str]) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except tr.CorruptCacheError as e:  # an unreadable file, not a usage error
+        print(f"fatal: {e}", file=sys.stderr)
+        return EXIT_FATAL
     except ValueError as e:  # includes FormatError from parsers
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

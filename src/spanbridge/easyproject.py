@@ -9,18 +9,15 @@ translated mentions (brackets, quotes).
 
 from __future__ import annotations
 
-import unicodedata
 from dataclasses import dataclass, field
 
 from .core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink
 from .markers import (
-    PLACEHOLDER,
-    SQUARE_BRACKET,
     VALID,
-    XML_INDEXED,
     MarkedText,
     MarkerScheme,
     PreexistingMarkerError,
+    carries_identity,
     extract_markers,
     insert_markers,
 )
@@ -92,7 +89,6 @@ class MatcherConfig:
     mode: str = MATCH_FUZZY
     threshold: float = 0.5
     on_no_match: str = FALLBACK_POSITIONAL
-    nfc_normalize: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
@@ -129,14 +125,10 @@ def assign_labels_fuzzy(
     if cfg.mode == MATCH_SEQUENTIAL:
         return Assignment(tuple(range(n)), False)
 
-    def norm(s: str) -> str:
-        return unicodedata.normalize("NFC", s) if cfg.nfc_normalize else s
-
-    spans = [norm(t) for t in bracketed_texts]
-    cands = [norm(t) for t in candidate_mentions]
     # sort by descending ratio; ties broken by source span (candidate) order
     scored = sorted(
-        ((fuzzy_ratio(spans[t], cands[c]), c, t) for t in range(n) for c in range(n)),
+        ((fuzzy_ratio(bracketed_texts[t], candidate_mentions[c]), c, t)
+         for t in range(n) for c in range(n)),
         key=lambda x: (-x[0], x[1], x[2]),
     )
     cand_for: list[int | None] = [None] * n
@@ -210,8 +202,8 @@ def _plan(sentence: AnnotatedSentence, scheme: MarkerScheme, cfg: MatcherConfig
         marked = insert_markers(sentence, scheme)
     except PreexistingMarkerError as e:
         return ProjectionOutcome(FILTERED, "PreexistingMarker", diagnostics=(str(e),)), None, ()
-    # XML/placeholder markers carry label identity; sequential matching is positional
-    if scheme.kind not in (XML_INDEXED, PLACEHOLDER) and cfg.mode == MATCH_FUZZY:
+    # identity-carrying markers need no matching; sequential matching is positional
+    if not carries_identity(scheme) and cfg.mode == MATCH_FUZZY:
         return None, marked, (marked.text, *sentence.span_texts())
     return None, marked, (marked.text,)
 
@@ -232,7 +224,7 @@ def _resolve(sentence: AnnotatedSentence, marked: MarkedText, items: tuple[Trans
     diagnostics: list[str] = []
     low_confidence = False
     # source span id for each found span, in found (target) order
-    if scheme.kind in (XML_INDEXED, PLACEHOLDER):
+    if carries_identity(scheme):
         source_for = [marker_id for marker_id, _, _ in result.found_spans]
     elif cfg.mode == MATCH_FUZZY:
         found_texts = [result.clean_text[s:e] for _, s, e in result.found_spans]

@@ -3,12 +3,17 @@
 Two halves: deterministic insertion of markers around annotated spans, and
 extraction/validation of markers from translated text. All functions are
 pure and thread-safe.
+
+Brackets, xml and quotes wrap each span in an open and a close token; what
+sets them apart is one entry each in `_SYNTAX`. Placeholder replaces each
+span with a `{label}{id}` word and has its own replace-and-exact-match path.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import AnnotatedSentence
 
@@ -23,15 +28,11 @@ VALID = "Valid"
 COUNT_MISMATCH = "CountMismatch"
 STRUCTURE_ERROR = "StructureError"
 
-# locale quote variants folded back to straight quotes before extraction
-_QUOTE_VARIANTS = {
-    "«": '"', "»": '"',   # « »
-    "“": '"', "”": '"',   # “ ”
-    "„": '"', "‟": '"',   # „ ‟
-    "‹": '"', "›": '"',   # ‹ ›
-    "「": '"', "」": '"',   # 「 」
-    "『": '"', "』": '"',   # 『 』
-}
+# locale quote variants folded back to straight quotes: « » “ ” „ ‟ ‹ › 「 」 『 』
+_QUOTE_FOLD = str.maketrans(dict.fromkeys("«»“”„‟‹›「」『』", '"'))
+
+# placeholder tokens as they may come back: any word starting with a letter, then digits
+_PLACEHOLDER_RE = re.compile(r"(?<![\w])[^\W\d]\w*?\d+(?![\w])")
 
 
 class PreexistingMarkerError(ValueError):
@@ -43,17 +44,10 @@ class PreexistingMarkerError(ValueError):
 class MarkerScheme:
     kind: str = SQUARE_BRACKET
     pad_with_space: bool = True
-    placeholder_format: str = "{label}{i}"
 
     def __post_init__(self):
         if self.kind not in SCHEME_KINDS:
             raise ValueError(f"unknown marker scheme {self.kind!r}")
-
-    def placeholder_token(self, span_id: int, label: str) -> str:
-        token = self.placeholder_format.format(label=label, i=span_id)
-        if any(c.isspace() for c in token):
-            raise ValueError(f"placeholder token {token!r} contains whitespace")
-        return token
 
 
 @dataclass(frozen=True)
@@ -92,21 +86,36 @@ def _xml_tag_name(i: int) -> str:
     return name
 
 
-def _marker_tokens(sentence: AnnotatedSentence, scheme: MarkerScheme) -> list[tuple[int, str, str]]:
-    """(span_id, open_token, close_token) per span; Placeholder gets
-    (span_id, placeholder_token, original_span_text)."""
-    out = []
-    for span in sentence.spans:
-        if scheme.kind == SQUARE_BRACKET:
-            out.append((span.id, "[", "]"))
-        elif scheme.kind == XML_INDEXED:
-            tag = _xml_tag_name(span.id)
-            out.append((span.id, f"<{tag}>", f"</{tag}>"))
-        elif scheme.kind == DOUBLE_QUOTE:
-            out.append((span.id, '"', '"'))
-        else:
-            out.append((span.id, scheme.placeholder_token(span.id, span.label), span.slice(sentence.text)))
-    return out
+def _xml_tags(i: int) -> tuple[str, str]:
+    tag = _xml_tag_name(i)
+    return f"<{tag}>", f"</{tag}>"
+
+
+@dataclass(frozen=True)
+class _Syntax:
+    """How a wrapping scheme writes and reads its markers."""
+
+    tokens: Callable[[int], tuple[str, str]]  # span id -> (open, close)
+    token_re: re.Pattern  # every marker token, known or not (extraction and stripping)
+    close_prefix: str | None  # a token starting with this closes a pair; None: tokens alternate
+    probe: str  # characters a source with spans may not contain
+    identity: bool = False  # tokens name their span, so a pair's span id is read back
+    fold_quotes: bool = False
+
+    def fold(self, text: str) -> str:
+        return text.translate(_QUOTE_FOLD) if self.fold_quotes else text
+
+
+_SYNTAX = {
+    SQUARE_BRACKET: _Syntax(lambda i: ("[", "]"), re.compile(r"[\[\]]"), "]", "[]"),
+    XML_INDEXED: _Syntax(_xml_tags, re.compile(r"</?[a-zA-Z]+>"), "</", "", identity=True),
+    DOUBLE_QUOTE: _Syntax(lambda i: ('"', '"'), re.compile('"'), None, '"', fold_quotes=True),
+}
+
+
+def carries_identity(scheme: MarkerScheme) -> bool:
+    """True if the markers name their span, so labels need no matching."""
+    return scheme.kind == PLACEHOLDER or _SYNTAX[scheme.kind].identity
 
 
 def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedText:
@@ -116,45 +125,55 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
     PreexistingMarkerError if the source text already contains the marker
     tokens this call would insert.
     """
-    marker_map = _marker_tokens(sentence, scheme)
+    text = sentence.text
+    if scheme.kind == PLACEHOLDER:
+        marker_map = tuple((s.id, f"{s.label}{s.id}", s.slice(text)) for s in sentence.spans)
+        for _, token, _ in marker_map:
+            if token in text:
+                raise PreexistingMarkerError(f"source text already contains marker token {token!r}")
+        for span, (_, token, _) in zip(reversed(sentence.spans), reversed(marker_map)):
+            text = text[: span.start] + token + text[span.end:]
+        return MarkedText(text, marker_map, scheme)
+
+    syntax = _SYNTAX[scheme.kind]
+    marker_map = tuple((s.id, *syntax.tokens(s.id)) for s in sentence.spans)
     for _, open_tok, close_tok in marker_map:
-        if open_tok in sentence.text or (scheme.kind != PLACEHOLDER and close_tok in sentence.text):
-            raise PreexistingMarkerError(
-                f"source text already contains marker token {open_tok!r}"
-            )
-    if scheme.kind != PLACEHOLDER and sentence.spans:
-        # bare bracket/quote characters anywhere in the text break extraction
-        probe = "[]" if scheme.kind == SQUARE_BRACKET else '"' if scheme.kind == DOUBLE_QUOTE else ""
-        for ch in probe:
-            if ch in sentence.text:
+        if open_tok in text or close_tok in text:
+            raise PreexistingMarkerError(f"source text already contains marker token {open_tok!r}")
+    if marker_map:
+        # bare marker characters anywhere in the text break extraction
+        probed = syntax.fold(text)
+        for ch in syntax.probe:
+            if ch in probed:
                 raise PreexistingMarkerError(f"source text already contains {ch!r}")
     pad = " " if scheme.pad_with_space else ""
-    text = sentence.text
     for span, (_, open_tok, close_tok) in zip(reversed(sentence.spans), reversed(marker_map)):
-        if scheme.kind == PLACEHOLDER:
-            text = text[: span.start] + open_tok + text[span.end:]
-        else:
-            text = (
-                text[: span.start]
-                + open_tok + pad + text[span.start:span.end] + pad + close_tok
-                + text[span.end:]
-            )
-    return MarkedText(text, tuple(marker_map), scheme)
+        text = (
+            text[: span.start]
+            + open_tok + pad + text[span.start:span.end] + pad + close_tok
+            + text[span.end:]
+        )
+    return MarkedText(text, marker_map, scheme)
 
 
-def _fold_quotes(text: str) -> str:
-    return "".join(_QUOTE_VARIANTS.get(c, c) for c in text)
-
-
-def _scan_tokens(text: str, scheme: MarkerScheme) -> list[tuple[int, int, str]]:
-    """All marker-token occurrences as (start, end, token), left to right."""
-    if scheme.kind == SQUARE_BRACKET:
-        pattern = r"[\[\]]"
-    elif scheme.kind == DOUBLE_QUOTE:
-        pattern = '"'
-    else:  # XML_INDEXED: any xml-ish tag, known or not
-        pattern = r"</?[a-zA-Z]+>"
-    return [(m.start(), m.end(), m.group()) for m in re.finditer(pattern, text)]
+def _tag_damage(
+    text: str, tokens: list[tuple[int, int, str]], known: set[str],
+    expected: tuple[tuple[int, str, str], ...],
+) -> ExtractionResult | None:
+    """An unknown tag, or a garbled fragment of an expected tag such as "<e，"
+    or a bare "/e>"; None if the tags are intact."""
+    for _, _, tok in tokens:
+        if tok not in known:
+            return ExtractionResult(text, (), COUNT_MISMATCH, f"unknown tag {tok}")
+    for _, open_tok, _ in expected:
+        name = re.escape(open_tok[1:-1])
+        for pattern in (rf"</?{name}(?![a-zA-Z>])", rf"(?<!<)/{name}>"):
+            m = re.search(pattern, text)
+            if m:
+                return ExtractionResult(
+                    text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {m.start()}"
+                )
+    return None
 
 
 def extract_markers(
@@ -165,60 +184,45 @@ def extract_markers(
     Valid iff the number (and, for identity-carrying schemes, the identity)
     of markers matches `expected`, every pair opens before it closes, and no
     two pairs nest or interleave. Padding whitespace immediately inside
-    markers is stripped along with them.
+    markers is stripped along with them. With nothing expected the
+    translation is Valid and unchanged, whatever marker characters it holds.
     """
     if scheme.kind == PLACEHOLDER:
         return _extract_placeholders(translated, expected)
-    text = _fold_quotes(translated) if scheme.kind == DOUBLE_QUOTE else translated
-    tokens = _scan_tokens(text, scheme)
+    if not expected:  # a sentence without spans was sent unmarked
+        return ExtractionResult(translated, (), VALID)
+    syntax = _SYNTAX[scheme.kind]
+    text = syntax.fold(translated)
+    tokens = [(m.start(), m.end(), m.group()) for m in syntax.token_re.finditer(text)]
 
-    open_for = {}
-    close_for = {}
-    for span_id, open_tok, close_tok in expected:
-        open_for[open_tok] = span_id
-        close_for[close_tok] = span_id
+    # anonymous markers map to no id, so every pair reads back as None
+    open_for: dict[str, int] = {}
+    close_for: dict[str, int] = {}
+    if syntax.identity:
+        open_for = {open_tok: span_id for span_id, open_tok, _ in expected}
+        close_for = {close_tok: span_id for span_id, _, close_tok in expected}
+        damage = _tag_damage(text, tokens, open_for.keys() | close_for.keys(), expected)
+        if damage is not None:
+            return damage
 
-    if scheme.kind == XML_INDEXED:
-        for _, _, tok in tokens:
-            if tok not in open_for and tok not in close_for:
-                return ExtractionResult(text, (), COUNT_MISMATCH, f"unknown tag {tok}")
-        # garbled tag fragments like "<e，" or a bare "/e>" are structural damage
-        well_formed = {(s, e) for s, e, _ in tokens}
-        for _, open_tok, close_tok in expected:
-            name = open_tok[1:-1]
-            for m in re.finditer(rf"</?{re.escape(name)}(?![a-zA-Z>])", text):
-                return ExtractionResult(
-                    text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {m.start()}"
-                )
-            for m in re.finditer(rf"(?<!<)/{re.escape(name)}>", text):
-                return ExtractionResult(
-                    text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {m.start()}"
-                )
-
-    # pair up tokens; quotes alternate open/close, brackets/xml are distinct
     pairs: list[tuple[int | None, int, int, int, int]] = []  # (id, o_start, o_end, c_start, c_end)
     pending: tuple[int | None, int, int] | None = None  # (id, start, end) of open token
+    close_prefix = syntax.close_prefix
     for start, end, tok in tokens:
-        if scheme.kind == DOUBLE_QUOTE:
-            is_open = pending is None
-        elif scheme.kind == SQUARE_BRACKET:
-            is_open = tok == "["
-        else:
-            is_open = not tok.startswith("</")
+        is_open = pending is None if close_prefix is None else not tok.startswith(close_prefix)
         if is_open:
             if pending is not None:
                 return ExtractionResult(
                     text, (), STRUCTURE_ERROR, f"marker {tok!r} opened inside another pair"
                 )
-            marker_id = open_for.get(tok) if scheme.kind == XML_INDEXED else None
-            pending = (marker_id, start, end)
+            pending = (open_for.get(tok), start, end)
         else:
             if pending is None:
                 return ExtractionResult(
                     text, (), STRUCTURE_ERROR, f"closing marker {tok!r} without open"
                 )
             marker_id, o_start, o_end = pending
-            if scheme.kind == XML_INDEXED and close_for.get(tok) != marker_id:
+            if close_for.get(tok) != marker_id:
                 return ExtractionResult(
                     text, (), STRUCTURE_ERROR, f"close tag {tok} does not match open tag"
                 )
@@ -233,7 +237,7 @@ def extract_markers(
             f"expected {2 * n_expected} markers forming {n_expected} pairs, found {found} markers"
             f" ({len(pairs)} complete pairs)",
         )
-    if scheme.kind == XML_INDEXED:
+    if syntax.identity:
         ids = [p[0] for p in pairs]
         if sorted(ids) != sorted(span_id for span_id, _, _ in expected):
             return ExtractionResult(text, (), COUNT_MISMATCH, "tag identities do not match")
@@ -302,20 +306,11 @@ def strip_markers(text: str, scheme: MarkerScheme) -> str:
     Text containing no markers is returned unchanged.
     """
     if scheme.kind == PLACEHOLDER:
-        # placeholder tokens are content words in the output; drop the tokens that
-        # fit the template, taking any word that starts with a letter as a label
-        pattern = re.escape(scheme.placeholder_format).replace(
-            re.escape("{label}"), r"[^\W\d]\w*?").replace(re.escape("{i}"), r"\d+")
-        stripped = re.sub(rf"(?<![\w]){pattern}(?![\w])", "", text)
-    elif scheme.kind == SQUARE_BRACKET:
-        stripped = re.sub(r"[\[\]]", "", text)
-    elif scheme.kind == DOUBLE_QUOTE:
-        folded = _fold_quotes(text)
-        stripped = folded.replace('"', "")
-        if stripped == folded == text:
-            return text
+        # placeholder tokens are content words in the output
+        stripped = _PLACEHOLDER_RE.sub("", text)
     else:
-        stripped = re.sub(r"</?[a-zA-Z]+>", "", text)
+        syntax = _SYNTAX[scheme.kind]
+        stripped = syntax.token_re.sub("", syntax.fold(text))
     if stripped == text:
         return text
     return re.sub(r" {2,}", " ", stripped).strip()

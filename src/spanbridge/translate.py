@@ -79,7 +79,6 @@ _MARKER_TOKEN_RE = re.compile(r'^(\[|\]|"|</?[a-zA-Z]+>)$')
 class LexiconBackendConfig:
     token_map: tuple[tuple[str, str], ...]
     reorder: str = REORDER_NONE  # none | reverse | seed:<int>
-    passthrough_markers: bool = True
 
     def __post_init__(self):
         if isinstance(self.token_map, dict):
@@ -107,7 +106,7 @@ class LexiconBackend:
         pending: list[str] | None = None
         quote_open = False
         for tok in tokens:
-            is_marker = self.config.passthrough_markers and bool(_MARKER_TOKEN_RE.match(tok))
+            is_marker = bool(_MARKER_TOKEN_RE.match(tok))
             mapped = tok if is_marker else self._map.get(tok, tok)
             if is_marker:
                 if tok == '"':
@@ -150,6 +149,10 @@ class LexiconBackend:
         )
 
 
+class CorruptCacheError(ValueError):
+    """A cache record before the final line does not parse."""
+
+
 def _cache_key(src_lang: str, tgt_lang: str, text: str) -> tuple[str, str, str]:
     return (src_lang, tgt_lang, hashlib.sha256(text.encode("utf-8")).hexdigest())
 
@@ -180,7 +183,8 @@ class TranslationCache:
                     self._entries.setdefault(key, rec["output"])
                 except (ValueError, KeyError, TypeError) as e:
                     if lineno < len(lines):  # not the final line, which has no newline
-                        raise ValueError(f"{path}: line {lineno}: corrupt record: {e}") from None
+                        raise CorruptCacheError(
+                            f"{path}: line {lineno}: corrupt record: {e}") from None
                     self._torn_at = len(data) - len(line)
 
     def get(self, src_lang: str, tgt_lang: str, text: str) -> str | None:

@@ -55,6 +55,27 @@ class TestProjectCommand:
         assert code == EXIT_USAGE
         assert "label identity" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["xml", "placeholder"])
+    @pytest.mark.parametrize("matcher", ["fuzzy", "sequential"])
+    def test_any_matcher_rejected_with_identity_markers(self, corpus_file, tmp_path, capsys,
+                                                         scheme, matcher):
+        path, _ = corpus_file
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--scheme", scheme, "--matcher", matcher])
+        assert code == EXIT_USAGE
+        assert "label identity" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["brackets", "quotes"])
+    @pytest.mark.parametrize("matcher", ["fuzzy", "sequential"])
+    def test_anonymous_markers_accept_either_matcher(self, corpus_file, tmp_path, scheme,
+                                                     matcher):
+        path, corpus = corpus_file
+        out = tmp_path / "o"
+        code = run(["project", "--in", str(path), "--out", str(out),
+                    "--scheme", scheme, "--matcher", matcher])
+        assert code == EXIT_OK
+        assert parse_jsonl(out.read_text(encoding="utf-8")) == corpus
+
     def test_missing_input_exit_3(self, tmp_path):
         code = run(["project", "--in", str(tmp_path / "missing.jsonl"),
                     "--out", str(tmp_path / "o")])
@@ -196,6 +217,32 @@ class TestWarmCacheAndOffline:
         code = run(["warm-cache", "--in", str(texts), "--backend", "identity",
                     "--cache-out", str(cache)])
         assert json.loads(capsys.readouterr().out)["new_entries"] == 0
+
+
+class TestCorruptCache:
+    """A cache with a corrupt line before the last is an unreadable file: exit 3."""
+
+    @pytest.fixture
+    def bad_cache(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        record = '{"src_lang": "src", "tgt_lang": "tgt", "input": "one", "output": "eins"}\n'
+        path.write_text(record + '{"inp\n' + record, encoding="utf-8")
+        return path
+
+    def test_warm_cache_exit_3(self, tmp_path, bad_cache, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("hello\n", encoding="utf-8")
+        code = run(["warm-cache", "--in", str(texts), "--backend", "identity",
+                    "--cache-out", str(bad_cache)])
+        assert code == EXIT_FATAL
+        assert "line 2: corrupt record" in capsys.readouterr().err
+
+    def test_project_exit_3(self, tmp_path, corpus_file, bad_cache, capsys):
+        path, _ = corpus_file
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--backend", "cache", "--cache", str(bad_cache), "--offline"])
+        assert code == EXIT_FATAL
+        assert "line 2: corrupt record" in capsys.readouterr().err
 
 
 class TestConfigFile:

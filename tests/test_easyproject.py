@@ -166,6 +166,23 @@ class TestProjectSentence:
         assert outcome.status == FILTERED
         assert outcome.reason == "PreexistingMarker"
 
+    def test_locale_quotes_filtered_before_translation(self):
+        sent = AnnotatedSentence("he said «hi» to Anna", (LabeledSpan(0, 16, 20, "PER"),))
+        _, report = project_corpus([sent], IdentityBackend(), MarkerScheme("quotes"))
+        assert report.reasons == {"PreexistingMarker": 1}
+
+    @pytest.mark.parametrize("kind, text", [
+        ("brackets", "a [b] c"),
+        ("xml", "a <b>x</b> c"),
+        ("quotes", 'a "b" c'),
+        ("quotes", "«hi»"),
+    ])
+    def test_sentence_without_spans_never_filtered(self, kind, text):
+        sent = AnnotatedSentence(text, ())
+        projected, report = project_corpus([sent], IdentityBackend(), MarkerScheme(kind))
+        assert projected == [sent]
+        assert report.projected == 1
+
     def test_projected_span_count_equals_source(self):
         for sent in make_corpus(100, seed=3):
             outcome = project_sentence(sent, IdentityBackend(), MarkerScheme("brackets"))

@@ -5,7 +5,9 @@ from spanbridge.core import AnnotatedSentence, LabeledSpan
 from spanbridge.markers import (
     COUNT_MISMATCH,
     STRUCTURE_ERROR,
+    SCHEME_KINDS,
     VALID,
+    ExtractionResult,
     MarkerScheme,
     PreexistingMarkerError,
     extract_markers,
@@ -62,6 +64,10 @@ class TestInsert:
         quoted = AnnotatedSentence('he said " hi "', (LabeledSpan(0, 0, 2, "X"),))
         with pytest.raises(PreexistingMarkerError):
             insert_markers(quoted, MarkerScheme("quotes"))
+        # locale quotes fold to '"' on extraction, so the probe folds them too
+        guillemets = AnnotatedSentence("he said «hi» to Anna", (LabeledSpan(0, 16, 20, "PER"),))
+        with pytest.raises(PreexistingMarkerError):
+            insert_markers(guillemets, MarkerScheme("quotes"))
 
     def test_xml_tag_alphabet_past_z(self):
         spans = tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(28))
@@ -132,6 +138,17 @@ class TestExtract:
         expected = ((0, "PER0", "Churchill"), (1, "LOC1", "England"))
         result = extract_markers("PER0 was born .", scheme, expected)
         assert result.status == COUNT_MISMATCH
+
+    @pytest.mark.parametrize("kind, text", [
+        ("brackets", "a [b] c"),
+        ("xml", "a <b>x</b> c"),
+        ("quotes", 'a "b" c'),
+        ("quotes", "«hi»"),
+        ("placeholder", "a PER0 c"),
+    ])
+    def test_nothing_expected_is_valid_and_unchanged(self, kind, text):
+        result = extract_markers(text, MarkerScheme(kind), ())
+        assert result == ExtractionResult(text, (), VALID)
 
     def test_placeholder_decode(self):
         scheme = MarkerScheme("placeholder")
@@ -214,3 +231,32 @@ class TestRoundTripProperties:
             assert idx >= 0
             text = text[:idx] + original + text[idx + len(token):]
         assert text == sentence.text
+
+
+# translations rich in every scheme's marker characters and in placeholder-like words
+DAMAGED = st.lists(
+    st.one_of(
+        st.text(alphabet='[]"«»“”<>/ abe中', max_size=6),
+        st.sampled_from(["<a>", "</a>", "<b>", "</b>", "<a", "/a>", "PER0", "LOC1", "X2", " "]),
+    ),
+    max_size=12,
+).map("".join)
+
+
+class TestExtractNeverRaises:
+    @given(DAMAGED, st.sampled_from(SCHEME_KINDS), st.integers(0, 3), st.booleans())
+    @settings(max_examples=300)
+    def test_arbitrary_text(self, translated, kind, n_spans, pad):
+        scheme = MarkerScheme(kind, pad_with_space=pad)
+        labels = ["PER", "LOC", "X"]
+        source = AnnotatedSentence(
+            " ".join("w" for _ in range(n_spans)),
+            tuple(LabeledSpan(i, 2 * i, 2 * i + 1, labels[i]) for i in range(n_spans)),
+        )
+        result = extract_markers(translated, scheme, insert_markers(source, scheme).marker_map)
+        if result.status != VALID:
+            return
+        bounds = [(s, e) for _, s, e in result.found_spans]
+        assert len(bounds) == n_spans
+        assert all(0 <= s <= e <= len(result.clean_text) for s, e in bounds)
+        assert all(e <= s for (_, e), (s, _) in zip(bounds, bounds[1:]))
