@@ -77,19 +77,16 @@ def _backend_from_args(args):
         if args.lexicon:
             token_map = json.loads(_read(args.lexicon))
         return tr.LexiconBackend(tr.LexiconBackendConfig(token_map, reorder=args.reorder))
+    url = os.environ.get("SPANBRIDGE_MT_URL", args.mt_url)
+    http = tr.HttpBackend(url, timeout_ms=args.timeout_ms, retries=args.retries) if url else None
     if args.backend == "cache":
         if not args.cache:
             raise UsageError("--backend cache requires --cache PATH")
-        upstream = None
-        url = os.environ.get("SPANBRIDGE_MT_URL", args.mt_url)
-        if url and not args.offline:
-            upstream = tr.HttpBackend(url, timeout_ms=args.timeout_ms, retries=args.retries)
-        return tr.CacheBackend(tr.TranslationCache(args.cache), upstream, offline=args.offline)
+        return tr.CacheBackend(tr.TranslationCache(args.cache), None if args.offline else http)
     if args.backend == "http":
-        url = os.environ.get("SPANBRIDGE_MT_URL", args.mt_url)
-        if not url:
+        if http is None:
             raise UsageError("--backend http requires --mt-url or SPANBRIDGE_MT_URL")
-        return tr.HttpBackend(url, timeout_ms=args.timeout_ms, retries=args.retries)
+        return http
     raise UsageError(f"unknown backend {args.backend!r}")
 
 

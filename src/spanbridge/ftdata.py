@@ -118,15 +118,3 @@ def build_ft_pairs(
     out = multi + [(s, t) for _, s, t in single]
     return out[: cfg.k]
 
-
-def annotate_with_gazetteer(text: str, gazetteer: dict[str, str]) -> AnnotatedSentence:
-    """Tiny whitespace-token gazetteer annotator (test fixture helper)."""
-    tokens = text.split(" ")
-    offset = 0
-    spans = []
-    for token in tokens:
-        label = gazetteer.get(token)
-        if label is not None:
-            spans.append(LabeledSpan(len(spans), offset, offset + len(token), label))
-        offset += len(token) + 1
-    return AnnotatedSentence(text, tuple(spans))

@@ -98,7 +98,6 @@ class _Syntax:
     tokens: Callable[[int], tuple[str, str]]  # span id -> (open, close)
     token_re: re.Pattern  # every marker token, known or not (extraction and stripping)
     close_prefix: str | None  # a token starting with this closes a pair; None: tokens alternate
-    probe: str  # characters a source with spans may not contain
     identity: bool = False  # tokens name their span, so a pair's span id is read back
     fold_quotes: bool = False
 
@@ -107,9 +106,9 @@ class _Syntax:
 
 
 _SYNTAX = {
-    SQUARE_BRACKET: _Syntax(lambda i: ("[", "]"), re.compile(r"[\[\]]"), "]", "[]"),
-    XML_INDEXED: _Syntax(_xml_tags, re.compile(r"</?[a-zA-Z]+>"), "</", "", identity=True),
-    DOUBLE_QUOTE: _Syntax(lambda i: ('"', '"'), re.compile('"'), None, '"', fold_quotes=True),
+    SQUARE_BRACKET: _Syntax(lambda i: ("[", "]"), re.compile(r"[\[\]]"), "]"),
+    XML_INDEXED: _Syntax(_xml_tags, re.compile(r"</?[a-zA-Z]+>"), "</", identity=True),
+    DOUBLE_QUOTE: _Syntax(lambda i: ('"', '"'), re.compile('"'), None, fold_quotes=True),
 }
 
 
@@ -122,8 +121,8 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
     """Wrap each annotated span in scheme markers (Placeholder: replace it).
 
     Insertion proceeds right to left so earlier offsets stay valid. Raises
-    PreexistingMarkerError if the source text already contains the marker
-    tokens this call would insert.
+    PreexistingMarkerError if a source with spans already contains any
+    marker token of the scheme, known or not.
     """
     text = sentence.text
     if scheme.kind == PLACEHOLDER:
@@ -137,15 +136,12 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
 
     syntax = _SYNTAX[scheme.kind]
     marker_map = tuple((s.id, *syntax.tokens(s.id)) for s in sentence.spans)
-    for _, open_tok, close_tok in marker_map:
-        if open_tok in text or close_tok in text:
-            raise PreexistingMarkerError(f"source text already contains marker token {open_tok!r}")
     if marker_map:
-        # bare marker characters anywhere in the text break extraction
-        probed = syntax.fold(text)
-        for ch in syntax.probe:
-            if ch in probed:
-                raise PreexistingMarkerError(f"source text already contains {ch!r}")
+        # any marker token in the source breaks extraction
+        found = syntax.token_re.search(syntax.fold(text))
+        if found:
+            raise PreexistingMarkerError(
+                f"source text already contains marker token {found.group()!r}")
     pad = " " if scheme.pad_with_space else ""
     for span, (_, open_tok, close_tok) in zip(reversed(sentence.spans), reversed(marker_map)):
         text = (

@@ -71,8 +71,12 @@ class IdentityBackend:
         return TranslateResponse(tuple(TranslatedItem(t) for t in request.items))
 
 
-# marker tokens the lexicon backend passes through and keeps paired
-_MARKER_TOKEN_RE = re.compile(r'^(\[|\]|"|</?[a-zA-Z]+>)$')
+# a marker pair with everything it wraps, padded or glued; split() also
+# returns the xml tag name, so its parts come in threes
+_PAIR_RE = re.compile(r'(\[[^\]]*\]|"[^"]*"|<([a-zA-Z]+)>.*?</\2>)')
+# a word: a run of characters outside whitespace and marker tokens; the
+# lookbehind keeps the names in xml tags from being read as words
+_WORD_RE = re.compile(r'(?<![^\s\[\]">])[^\s\[\]"<>]+')
 
 
 @dataclass(frozen=True)
@@ -84,56 +88,36 @@ class LexiconBackendConfig:
         if isinstance(self.token_map, dict):
             object.__setattr__(self, "token_map", tuple(sorted(self.token_map.items())))
         for key, _ in self.token_map:
-            if _MARKER_TOKEN_RE.match(key):
-                raise ValueError(f"marker token {key!r} may not be a lexicon key")
+            if not _WORD_RE.fullmatch(key):
+                raise ValueError(
+                    f"lexicon key {key!r} must be one word, without whitespace or a marker token")
 
 
 class LexiconBackend:
     """Deterministic word-for-word test double.
 
-    Splits on whitespace, maps known tokens (unknown tokens pass through)
-    and reorders the sentence units. A marker pair and the span tokens it
-    wraps move as one unit, so markers stay wrapped around their spans.
+    Maps known words (unknown words pass through) and reorders the sentence
+    units. A unit is a whitespace token, or a marker pair with all it wraps,
+    so markers stay wrapped around their spans. A pair glued to the text
+    beside it (unpadded markers in unspaced scripts) is its own unit, so a
+    space is inserted there: `[丘吉尔]出生于英格兰` comes back `出生于英格兰 [丘吉尔]`
+    under reverse.
     """
 
     def __init__(self, config: LexiconBackendConfig):
         self.config = config
         self._map = dict(config.token_map)
 
+    def _map_word(self, m: re.Match) -> str:
+        return self._map.get(m[0], m[0])
+
     def _translate_one(self, text: str) -> str:
-        tokens = text.split()
-        units: list[list[str]] = []
-        pending: list[str] | None = None
-        quote_open = False
-        for tok in tokens:
-            is_marker = bool(_MARKER_TOKEN_RE.match(tok))
-            mapped = tok if is_marker else self._map.get(tok, tok)
-            if is_marker:
-                if tok == '"':
-                    if quote_open:
-                        pending.append(mapped)
-                        units.append(pending)
-                        pending = None
-                        quote_open = False
-                    else:
-                        pending = [mapped]
-                        quote_open = True
-                elif tok in ("[",) or (tok.startswith("<") and not tok.startswith("</")):
-                    pending = [mapped]
-                else:  # closing marker
-                    if pending is None:
-                        units.append([mapped])
-                    else:
-                        pending.append(mapped)
-                        units.append(pending)
-                        pending = None
-            else:
-                if pending is not None:
-                    pending.append(mapped)
-                else:
-                    units.append([mapped])
-        if pending is not None:
-            units.append(pending)
+        get = self._map.get
+        parts = _PAIR_RE.split(text)  # outside, pair, tag name, outside, ...
+        units = [get(tok, tok) for tok in parts[0].split()]
+        for i in range(1, len(parts), 3):
+            units.append(_WORD_RE.sub(self._map_word, parts[i]))
+            units += [get(tok, tok) for tok in parts[i + 2].split()]
 
         reorder = self.config.reorder
         if reorder == REORDER_REVERSE:
@@ -141,7 +125,7 @@ class LexiconBackend:
         elif reorder.startswith("seed:"):
             rng = random.Random(int(reorder.split(":", 1)[1]))
             rng.shuffle(units)
-        return " ".join(tok for unit in units for tok in unit)
+        return " ".join(units)
 
     def translate(self, request: TranslateRequest) -> TranslateResponse:
         return TranslateResponse(
@@ -208,12 +192,11 @@ class TranslationCache:
 
 class CacheBackend:
     """Answers from a JSONL cache; misses go to the upstream backend (and are
-    recorded) or fail with "uncached" in offline mode."""
+    recorded) or, without an upstream, fail with "uncached"."""
 
-    def __init__(self, cache: TranslationCache, upstream=None, offline: bool = False):
+    def __init__(self, cache: TranslationCache, upstream=None):
         self.cache = cache
         self.upstream = upstream
-        self.offline = offline
 
     def translate(self, request: TranslateRequest) -> TranslateResponse:
         results: list[TranslatedItem | None] = []
@@ -226,7 +209,7 @@ class CacheBackend:
                 results.append(None)
                 miss_indices.append(i)
         if miss_indices:
-            if self.offline or self.upstream is None:
+            if self.upstream is None:
                 for i in miss_indices:
                     results[i] = backend_error("uncached")
             else:

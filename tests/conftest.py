@@ -53,6 +53,19 @@ def make_corpus(n: int, seed: int, max_spans: int = 3,
     return [make_sentence(rng, max_spans, with_relations) for _ in range(n)]
 
 
+def annotate_with_gazetteer(text: str, gazetteer: dict[str, str]) -> AnnotatedSentence:
+    """Tiny whitespace-token gazetteer annotator."""
+    tokens = text.split(" ")
+    offset = 0
+    spans = []
+    for token in tokens:
+        label = gazetteer.get(token)
+        if label is not None:
+            spans.append(LabeledSpan(len(spans), offset, offset + len(token), label))
+        offset += len(token) + 1
+    return AnnotatedSentence(text, tuple(spans))
+
+
 def make_entity_corpus(n: int, seed: int):
     """Sentences with 2..5 distinct single-token entities, each with a unique
     label, plus the token map sending every entity to a unique target token.

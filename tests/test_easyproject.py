@@ -258,6 +258,15 @@ class TestProjectCorpus:
             assert seq == par
             assert rep1.to_json() == rep8.to_json()
 
+    @pytest.mark.parametrize("kind", ["brackets", "xml", "quotes"])
+    def test_glued_markers_survive_lexicon_shuffle(self, kind):
+        # without padding each marker is glued to its span, and a shuffle must not split them
+        corpus = make_corpus(800, seed=5, with_relations=True)
+        backend = LexiconBackend(LexiconBackendConfig({}, reorder="seed:3"))
+        _, report = project_corpus(corpus, backend, MarkerScheme(kind, pad_with_space=False))
+        assert report.reasons == {}
+        assert report.projected == len(corpus)
+
     def test_one_request_per_batch_of_distinct_items(self):
         corpus = make_corpus(200, seed=8)
         scheme = MarkerScheme("brackets")

@@ -1,9 +1,8 @@
-from conftest import make_corpus
+from conftest import annotate_with_gazetteer, make_corpus
 from spanbridge.core import AnnotatedSentence, LabeledSpan
 from spanbridge.ftdata import (
     FtDataConfig,
     ParallelPair,
-    annotate_with_gazetteer,
     build_ft_pairs,
     match_entity_in_target,
 )

@@ -68,6 +68,11 @@ class TestInsert:
         guillemets = AnnotatedSentence("he said «hi» to Anna", (LabeledSpan(0, 16, 20, "PER"),))
         with pytest.raises(PreexistingMarkerError):
             insert_markers(guillemets, MarkerScheme("quotes"))
+        # any tag, not only the ones this sentence would insert
+        for text in ("Anna met <q> Bob", "Anna met <b> Bob"):
+            tagged = AnnotatedSentence(text, (LabeledSpan(0, 0, 4, "PER"),))
+            with pytest.raises(PreexistingMarkerError):
+                insert_markers(tagged, MarkerScheme("xml"))
 
     def test_xml_tag_alphabet_past_z(self):
         spans = tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(28))

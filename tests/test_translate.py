@@ -1,9 +1,14 @@
 import json
+import re
 import threading
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from spanbridge.core import AnnotatedSentence, LabeledSpan
+from spanbridge.markers import VALID, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
     CacheBackend,
     HttpBackend,
@@ -25,6 +30,29 @@ class TestIdentity:
         resp = IdentityBackend().translate(TranslateRequest(("a [ b ] c",), "en", "de"))
         assert resp.outputs() == ["a [ b ] c"]
         assert all(i.ok for i in resp.items)
+
+
+_ROTATE = str.maketrans("abcd", "bcda")  # mapped words are often keys too, so a second mapping shows
+
+
+def _words(text: str) -> list[str]:
+    """Words of a marked text: what lies between whitespace and marker tokens."""
+    return [w for w in re.split(r'\s|[\[\]"]|</?[a-z]+>', text) if w]
+
+
+@st.composite
+def _spanned_sentence(draw):
+    """A sentence with spans cut at any character, so unpadded markers may be
+    glued to the text beside them as well as to the span."""
+    tokens = draw(st.lists(st.text(alphabet="abcd中文ж", min_size=1, max_size=4),
+                           min_size=1, max_size=8))
+    text = " ".join(tokens)
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=8)))
+    spans = []
+    for start, end in zip(cuts[::2], cuts[1::2]):
+        if text[start:end].strip() == text[start:end]:
+            spans.append(LabeledSpan(len(spans), start, end, "X"))
+    return AnnotatedSentence(text, tuple(spans))
 
 
 class TestLexicon:
@@ -56,11 +84,40 @@ class TestLexicon:
         with pytest.raises(ValueError, match="marker token"):
             LexiconBackendConfig({"[": "x"})
 
+    def test_unclosed_marker_keeps_every_word(self):
+        cfg = LexiconBackendConfig({"a": "A", "b": "B", "c": "C"})
+        resp = LexiconBackend(cfg).translate(TranslateRequest(("[ a [ b ] c",), "en", "de"))
+        assert resp.outputs() == ["[ A [ B ] C"]
+
+    @given(_spanned_sentence(), st.sampled_from(["brackets", "xml", "quotes"]), st.booleans(),
+           st.one_of(st.sampled_from(["none", "reverse"]),
+                     st.integers(0, 99).map(lambda n: f"seed:{n}")), st.data())
+    @settings(max_examples=300)
+    def test_words_mapped_once_and_spans_stay_wrapped(self, sentence, kind, pad, reorder, data):
+        scheme = MarkerScheme(kind, pad_with_space=pad)
+        marked = insert_markers(sentence, scheme)
+        words = _words(marked.text)
+        keys = data.draw(st.sets(st.sampled_from(words))) if words else set()
+        token_map = {w: w.translate(_ROTATE) for w in keys}
+        out = LexiconBackend(LexiconBackendConfig(token_map, reorder=reorder))._translate_one(
+            marked.text)
+
+        def mapped(text):
+            return re.sub(r"\S+", lambda m: token_map.get(m[0], m[0]), text)
+
+        assert Counter(_words(out)) == Counter(token_map.get(w, w) for w in words)
+        result = extract_markers(out, scheme, marked.marker_map)
+        assert result.status == VALID
+        found = [(i, result.clean_text[s:e]) for i, s, e in result.found_spans]
+        expected = [(s.id if kind == "xml" else None, mapped(s.slice(sentence.text)))
+                    for s in sentence.spans]
+        assert sorted(found, key=str) == sorted(expected, key=str)
+
 
 class TestCache:
     def test_offline_miss_is_uncached_error(self, tmp_path):
         cache = TranslationCache(str(tmp_path / "c.jsonl"))
-        backend = CacheBackend(cache, offline=True)
+        backend = CacheBackend(cache)
         resp = backend.translate(TranslateRequest(("hello",), "en", "de"))
         assert not resp.items[0].ok
         assert "uncached" in resp.items[0].status
@@ -70,7 +127,7 @@ class TestCache:
         reqs = [TranslateRequest(("one", "two", "three"), "en", "de")]
         new, errors = warm_cache(reqs, IdentityBackend(), path)
         assert (new, errors) == (3, 0)
-        backend = CacheBackend(TranslationCache(path), offline=True)
+        backend = CacheBackend(TranslationCache(path))
         resp = backend.translate(TranslateRequest(("two", "three"), "en", "de"))
         assert resp.outputs() == ["two", "three"]
 
@@ -89,7 +146,7 @@ class TestCache:
     def test_keying_includes_languages(self, tmp_path):
         path = str(tmp_path / "c.jsonl")
         warm_cache([TranslateRequest(("hello",), "en", "de")], IdentityBackend(), path)
-        backend = CacheBackend(TranslationCache(path), offline=True)
+        backend = CacheBackend(TranslationCache(path))
         miss = backend.translate(TranslateRequest(("hello",), "en", "fr"))
         assert not miss.items[0].ok
 
