@@ -124,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spanbridge",
         description="Span annotation projection toolkit (mark-then-translate "
                     "and word-alignment baselines).",
+        allow_abbrev=False,  # `--conf FILE` would parse, but no file would be applied
     )
     parser.add_argument("--config", help="key=value file pre-setting any flag (flags win)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -182,12 +183,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Prepend defaults from a key=value config file; explicit flags win
-    because argparse takes the last occurrence."""
-    if "--config" not in argv:
+    """Prepend defaults from a key=value config file given as `--config FILE`
+    or `--config=FILE`; explicit flags win because argparse takes the last
+    occurrence."""
+    for idx, arg in enumerate(argv):
+        if arg == "--config":
+            if idx + 1 == len(argv):
+                raise UsageError("--config requires a FILE")
+            path, rest = argv[idx + 1], argv[:idx] + argv[idx + 2:]
+            break
+        if arg.startswith("--config="):
+            path, rest = arg[len("--config="):], argv[:idx] + argv[idx + 1:]
+            break
+    else:
         return argv
-    idx = argv.index("--config")
-    path = argv[idx + 1]
     pre: list[str] = []
     for line in _read(path).splitlines():
         line = line.strip()
@@ -200,7 +209,6 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             pre.append(flag)
         elif value.lower() != "false":
             pre.extend([flag, value])
-    rest = argv[:idx] + argv[idx + 2:]
     # subcommand must stay first; insert config defaults right after it
     return rest[:1] + pre + rest[1:]
 
@@ -341,6 +349,9 @@ def run(argv: list[str]) -> int:
         argv = _apply_config_file(list(argv))
     except OSError as e:
         print(f"error: cannot read config file: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
         args = parser.parse_args(argv)

@@ -118,6 +118,9 @@ def assign_labels_fuzzy(
     the threshold are confident. Leftovers are matched left-to-right with
     the low-confidence flag, or the whole sentence is dropped (None),
     depending on cfg.on_no_match.
+
+    Equal strings are exactly the pairs with ratio 1.0, so they are settled
+    first without scoring; ratios are computed only for the pairs left.
     """
     n = len(bracketed_texts)
     if n != len(candidate_mentions):
@@ -125,20 +128,32 @@ def assign_labels_fuzzy(
     if cfg.mode == MATCH_SEQUENTIAL:
         return Assignment(tuple(range(n)), False)
 
-    # sort by descending ratio; ties broken by source span (candidate) order
-    scored = sorted(
-        ((fuzzy_ratio(bracketed_texts[t], candidate_mentions[c]), c, t)
-         for t in range(n) for c in range(n)),
-        key=lambda x: (-x[0], x[1], x[2]),
-    )
     cand_for: list[int | None] = [None] * n
     used_cand = [False] * n
-    for ratio, c, t in scored:
-        if ratio <= cfg.threshold:
-            break
-        if cand_for[t] is None and not used_cand[c]:
-            cand_for[t] = c
-            used_cand[c] = True
+    # at threshold 1.0 no ratio is strictly above it, so nothing is confident
+    if cfg.threshold < 1.0:
+        # ratio-1.0 pairs head the greedy order in (candidate, span) order
+        unassigned: dict[str, list[int]] = {}
+        for t, text in enumerate(bracketed_texts):
+            unassigned.setdefault(text, []).append(t)
+        for c, mention in enumerate(candidate_mentions):
+            equal = unassigned.get(mention)
+            if equal:
+                cand_for[equal.pop(0)] = c
+                used_cand[c] = True
+        # sort by descending ratio; ties broken by source span (candidate) order
+        scored = sorted(
+            ((fuzzy_ratio(bracketed_texts[t], candidate_mentions[c]), c, t)
+             for t in range(n) if cand_for[t] is None
+             for c in range(n) if not used_cand[c]),
+            key=lambda x: (-x[0], x[1], x[2]),
+        )
+        for ratio, c, t in scored:
+            if ratio <= cfg.threshold:
+                break
+            if cand_for[t] is None and not used_cand[c]:
+                cand_for[t] = c
+                used_cand[c] = True
     leftovers_t = [t for t in range(n) if cand_for[t] is None]
     if leftovers_t:
         if cfg.on_no_match == FALLBACK_DROP:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import AnnotatedSentence, LabeledSpan
-from .markers import SQUARE_BRACKET, MarkerScheme, insert_markers
+from .markers import SQUARE_BRACKET, MarkerScheme, PreexistingMarkerError, insert_markers
 from .translate import TranslateRequest, translate
 
 SORT_DESCENDING = "descending"
@@ -45,21 +45,40 @@ def match_entity_in_target(
     taken: list[tuple[int, int]] | None = None,
 ) -> tuple[int, int] | None:
     """Leftmost occurrence of the translated entity in the target sentence,
-    skipping occurrences that overlap an already-bracketed range."""
+    skipping occurrences that overlap an already-bracketed range.
+
+    Offsets index `tgt`. With case folding, a character may fold to several
+    ("ß" to "ss"); an occurrence that starts or ends inside such a fold is
+    not a match.
+    """
     if not entity_translation:
         return None
     haystack = tgt.casefold() if cfg.match_case_fold else tgt
     needle = entity_translation.casefold() if cfg.match_case_fold else entity_translation
+    # folded offset -> tgt offset, at character boundaries; needed only when
+    # folding changed the length (casefold maps each character on its own)
+    to_tgt: dict[int, int] | None = None
+    if len(haystack) != len(tgt):
+        to_tgt = {}
+        folded = 0
+        for i, ch in enumerate(tgt):
+            to_tgt[folded] = i
+            folded += len(ch.casefold())
+        to_tgt[folded] = len(tgt)
     taken = taken or []
     pos = 0
     while True:
         found = haystack.find(needle, pos)
         if found < 0:
             return None
-        end = found + len(needle)
-        if not any(found < t_end and t_start < end for t_start, t_end in taken):
-            return (found, end)
         pos = found + 1
+        start, end = found, found + len(needle)
+        if to_tgt is not None:
+            if start not in to_tgt or end not in to_tgt:
+                continue
+            start, end = to_tgt[start], to_tgt[end]
+        if not any(start < t_end and t_start < end for t_start, t_end in taken):
+            return (start, end)
 
 
 def _bracket(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) -> str:
@@ -80,7 +99,9 @@ def build_ft_pairs(
 
     Pairs with >= 2 bracketed entities come first (in input order); pairs
     with exactly one follow, sorted by source length per cfg.length_sort.
-    Backend failures on an entity just skip that entity.
+    Backend failures on an entity just skip that entity. A pair whose source
+    or target already holds a bracket is skipped, like a pair with no
+    matched entity, since its markers could not be told apart.
     """
     cfg = cfg or FtDataConfig()
     scheme = MarkerScheme(SQUARE_BRACKET)
@@ -107,8 +128,11 @@ def build_ft_pairs(
             tgt_ranges.append(hit)
         if not src_ranges:
             continue
-        marked = (_bracket(pair.src.text, src_ranges, scheme),
-                  _bracket(pair.tgt, tgt_ranges, scheme))
+        try:
+            marked = (_bracket(pair.src.text, src_ranges, scheme),
+                      _bracket(pair.tgt, tgt_ranges, scheme))
+        except PreexistingMarkerError:
+            continue
         if len(src_ranges) >= 2:
             multi.append(marked)
         else:

@@ -256,3 +256,26 @@ class TestConfigFile:
                     "--out", str(out), "--scheme", "brackets"])
         assert code == EXIT_OK
         assert parse_jsonl(out.read_text(encoding="utf-8")) == corpus
+
+    def test_config_equals_form_applies_file(self, tmp_path, corpus_file):
+        path, corpus = corpus_file
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("scheme=xml\n", encoding="utf-8")
+        out = tmp_path / "marked.jsonl"
+        assert run(["mark", f"--config={cfg}", "--in", str(path), "--out", str(out)]) == EXIT_OK
+        first = json.loads(out.read_text(encoding="utf-8").splitlines()[0])
+        assert first["text"] == insert_markers(corpus[0], MarkerScheme("xml")).text
+
+    def test_trailing_config_without_file_is_usage_error(self, tmp_path, corpus_file, capsys):
+        path, _ = corpus_file
+        code = run(["mark", "--in", str(path), "--out", str(tmp_path / "m.jsonl"), "--config"])
+        assert code == EXIT_USAGE
+        assert "--config requires a FILE" in capsys.readouterr().err
+
+    def test_abbreviated_config_is_usage_error(self, tmp_path, corpus_file):
+        path, _ = corpus_file
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("scheme=xml\n", encoding="utf-8")
+        out = tmp_path / "m.jsonl"
+        assert run(["--conf", str(cfg), "mark", "--in", str(path), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MarkerDropBackend, make_corpus, make_entity_corpus
+from spanbridge import easyproject
 from spanbridge.core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink
 from spanbridge.easyproject import (
     FAILED,
@@ -33,6 +34,29 @@ from spanbridge.translate import (
 def oracle_ratio(a: str, b: str) -> float:
     """Independent gestalt-matching oracle (stdlib difflib, junk disabled)."""
     return difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()
+
+
+def reference_assignment(texts: list[str], mentions: list[str], cfg: MatcherConfig):
+    """All-pairs greedy assignment: score every pair, take them in
+    (-ratio, candidate, span) order while strictly above the threshold, then
+    assign leftovers positionally or drop the sentence."""
+    n = len(texts)
+    scored = sorted(((fuzzy_ratio(texts[t], mentions[c]), c, t)
+                     for t in range(n) for c in range(n)),
+                    key=lambda x: (-x[0], x[1], x[2]))
+    cand_for = [None] * n
+    for ratio, c, t in scored:
+        if ratio <= cfg.threshold:
+            break
+        if cand_for[t] is None and c not in cand_for:
+            cand_for[t] = c
+    leftovers_t = [t for t in range(n) if cand_for[t] is None]
+    if leftovers_t and cfg.on_no_match == "drop":
+        return None
+    leftovers_c = [c for c in range(n) if c not in cand_for]
+    for t, c in zip(leftovers_t, leftovers_c):
+        cand_for[t] = c
+    return tuple(cand_for), bool(leftovers_t)
 
 
 class TestFuzzyRatio:
@@ -99,6 +123,34 @@ class TestAssignLabels:
     def test_length_mismatch_is_contract_violation(self):
         with pytest.raises(ValueError):
             assign_labels_fuzzy(["a"], ["a", "b"], MatcherConfig())
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+               st.lists(st.sampled_from(["", "a", "ab", "ba", "abc", "b"]), min_size=n, max_size=n),
+               st.lists(st.sampled_from(["", "a", "ab", "ba", "abc", "c"]), min_size=n, max_size=n))),
+           st.sampled_from([0.0, 0.5, 0.99, 1.0]),
+           st.sampled_from(["positional", "drop"]))
+    @settings(max_examples=500)
+    def test_matches_all_pairs_reference(self, texts_and_mentions, threshold, on_no_match):
+        texts, mentions = texts_and_mentions
+        cfg = MatcherConfig(threshold=threshold, on_no_match=on_no_match)
+        result = assign_labels_fuzzy(texts, mentions, cfg)
+        got = None if result is None else (result.candidate_for, result.low_confidence)
+        assert got == reference_assignment(texts, mentions, cfg)
+
+    def test_threshold_one_is_never_confident(self):
+        result = assign_labels_fuzzy(["a", "b"], ["b", "a"], MatcherConfig(threshold=1.0))
+        assert result.candidate_for == (0, 1)
+        assert result.low_confidence
+
+    def test_equal_spans_need_no_ratio(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(easyproject, "fuzzy_ratio",
+                            lambda a, b: calls.append((a, b)) or fuzzy_ratio(a, b))
+        result = assign_labels_fuzzy(["York", "Anna", "Anna"], ["Anna", "York", "Anna"],
+                                     MatcherConfig())
+        assert result.candidate_for == (1, 0, 2)
+        assert not result.low_confidence
+        assert calls == []
 
     def test_permutation_recovery_exhaustive_oracle(self):
         # greedy assignment recovers the max-total-ratio assignment when

@@ -1,3 +1,5 @@
+import pytest
+
 from conftest import annotate_with_gazetteer, make_corpus
 from spanbridge.core import AnnotatedSentence, LabeledSpan
 from spanbridge.ftdata import (
@@ -39,6 +41,17 @@ class TestMatchEntity:
     def test_skips_taken_ranges(self):
         assert match_entity_in_target("a", "bab a", CFG, taken=[(1, 2)]) == (4, 5)
 
+    @pytest.mark.parametrize("entity, tgt, expected", [
+        ("Berlin", "Straße Berlin", (7, 13)),
+        ("Ankara", "İzmir Ankara", (6, 12)),
+        ("İzmir", "İzmir Ankara", (0, 5)),
+        ("s", "ßs", (1, 2)),  # the "s" inside the fold of "ß" is no match
+    ])
+    def test_offsets_index_target_when_folding_grows_it(self, entity, tgt, expected):
+        start, end = match_entity_in_target(entity, tgt, CFG)
+        assert (start, end) == expected
+        assert tgt[start:end].casefold() == entity.casefold()
+
 
 def _pair(src_text, entities, tgt):
     spans = []
@@ -73,6 +86,18 @@ class TestBuildFtPairs:
         pair = _pair("Anna met Bob", ["Anna", "Bob"], "only Anna here")
         out = build_ft_pairs([pair], IdentityBackend(), CFG)
         assert out == [("[ Anna ] met Bob", "only [ Anna ] here")]
+
+    def test_target_folding_to_more_characters(self):
+        pair = _pair("Berlin is big", ["Berlin"], "Große Straße in Berlin")
+        out = build_ft_pairs([pair], IdentityBackend(), CFG)
+        assert out == [("[ Berlin ] is big", "Große Straße in [ Berlin ]")]
+
+    def test_pair_already_holding_brackets_skipped(self):
+        pairs = [_pair("Berlin is big", ["Berlin"], "Berlin [ist] groß"),
+                 _pair("Berlin [is] big", ["Berlin"], "Berlin ist groß"),
+                 _pair("Anna met Bob", ["Anna", "Bob"], "Anna trifft Bob")]
+        out = build_ft_pairs(pairs, IdentityBackend(), CFG)
+        assert out == [("[ Anna ] met [ Bob ]", "[ Anna ] trifft [ Bob ]")]
 
     def test_zero_matches_pair_excluded(self):
         pair = _pair("Anna met Bob", ["Anna", "Bob"], "nichts passendes")

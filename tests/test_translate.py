@@ -153,7 +153,8 @@ class TestCache:
     def test_records_are_expected_schema(self, tmp_path):
         path = str(tmp_path / "c.jsonl")
         warm_cache([TranslateRequest(("hi",), "en", "de")], IdentityBackend(), path)
-        rec = json.loads(open(path, encoding="utf-8").read().strip())
+        with open(path, encoding="utf-8") as f:
+            rec = json.loads(f.read().strip())
         assert set(rec) == {"src_lang", "tgt_lang", "input", "output"}
 
     def test_torn_final_line_skipped_and_cut_before_append(self, tmp_path):
