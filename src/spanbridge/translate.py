@@ -7,7 +7,6 @@ is always external; the lexicon backend is a deterministic test double.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import random
@@ -137,10 +136,6 @@ class CorruptCacheError(ValueError):
     """A cache record before the final line does not parse."""
 
 
-def _cache_key(src_lang: str, tgt_lang: str, text: str) -> tuple[str, str, str]:
-    return (src_lang, tgt_lang, hashlib.sha256(text.encode("utf-8")).hexdigest())
-
-
 class TranslationCache:
     """Append-only JSONL cache; records {"src_lang","tgt_lang","input","output"}.
 
@@ -163,7 +158,7 @@ class TranslationCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    key = _cache_key(rec["src_lang"], rec["tgt_lang"], rec["input"])
+                    key = (rec["src_lang"], rec["tgt_lang"], rec["input"])
                     self._entries.setdefault(key, rec["output"])
                 except (ValueError, KeyError, TypeError) as e:
                     if lineno < len(lines):  # not the final line, which has no newline
@@ -171,59 +166,60 @@ class TranslationCache:
                             f"{path}: line {lineno}: corrupt record: {e}") from None
                     self._torn_at = len(data) - len(line)
 
-    def get(self, src_lang: str, tgt_lang: str, text: str) -> str | None:
-        return self._entries.get(_cache_key(src_lang, tgt_lang, text))
+    def __len__(self) -> int:
+        return len(self._entries)
 
-    def put(self, src_lang: str, tgt_lang: str, text: str, output: str) -> bool:
-        """Store an entry; returns False if the key was already cached."""
-        key = _cache_key(src_lang, tgt_lang, text)
+    def get(self, src_lang: str, tgt_lang: str, text: str) -> str | None:
+        return self._entries.get((src_lang, tgt_lang, text))
+
+    def put(self, src_lang: str, tgt_lang: str, records: list[tuple[str, str]]) -> int:
+        """Store the (input, output) pairs not cached yet, appending their
+        records in order with one write; returns how many were new."""
         with self._lock:
-            if key in self._entries:
-                return False
-            self._entries[key] = output
-            rec = {"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text, "output": output}
-            with open(self.path, "a", encoding="utf-8") as f:
-                if self._torn_at is not None:
-                    f.truncate(self._torn_at)
-                    self._torn_at = None
-                f.write(json.dumps(rec, ensure_ascii=False, sort_keys=True) + "\n")
-        return True
+            new: dict[str, str] = {}
+            for text, output in records:
+                if (src_lang, tgt_lang, text) not in self._entries:
+                    new.setdefault(text, output)
+            if new:
+                lines = "".join(
+                    json.dumps({"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text,
+                                "output": output}, ensure_ascii=False, sort_keys=True) + "\n"
+                    for text, output in new.items())
+                with open(self.path, "a", encoding="utf-8") as f:
+                    if self._torn_at is not None:
+                        f.truncate(self._torn_at)
+                        self._torn_at = None
+                    f.write(lines)
+                self._entries.update(((src_lang, tgt_lang, t), o) for t, o in new.items())
+        return len(new)
 
 
 class CacheBackend:
     """Answers from a JSONL cache; misses go to the upstream backend (and are
-    recorded) or, without an upstream, fail with "uncached"."""
+    recorded, one append per batch) or, without an upstream, fail with
+    "uncached". An upstream reply of the wrong length fails every miss and
+    records nothing."""
 
     def __init__(self, cache: TranslationCache, upstream=None):
         self.cache = cache
         self.upstream = upstream
 
     def translate(self, request: TranslateRequest) -> TranslateResponse:
-        results: list[TranslatedItem | None] = []
-        miss_indices: list[int] = []
-        for i, text in enumerate(request.items):
-            hit = self.cache.get(request.src_lang, request.tgt_lang, text)
-            if hit is not None:
-                results.append(TranslatedItem(hit))
+        src, tgt = request.src_lang, request.tgt_lang
+        hits = [self.cache.get(src, tgt, text) for text in request.items]
+        misses = tuple(text for text, hit in zip(request.items, hits) if hit is None)
+        answers: tuple[TranslatedItem, ...] = ()
+        if misses and self.upstream is None:
+            answers = (backend_error("uncached"),) * len(misses)
+        elif misses:
+            answers = self.upstream.translate(TranslateRequest(misses, src, tgt)).items
+            if len(answers) != len(misses):
+                answers = (backend_error("response length mismatch"),) * len(misses)
             else:
-                results.append(None)
-                miss_indices.append(i)
-        if miss_indices:
-            if self.upstream is None:
-                for i in miss_indices:
-                    results[i] = backend_error("uncached")
-            else:
-                sub = TranslateRequest(
-                    tuple(request.items[i] for i in miss_indices),
-                    request.src_lang, request.tgt_lang,
-                )
-                upstream_resp = self.upstream.translate(sub)
-                for i, item in zip(miss_indices, upstream_resp.items):
-                    results[i] = item
-                    if item.ok:
-                        self.cache.put(request.src_lang, request.tgt_lang,
-                                       request.items[i], item.output)
-        return TranslateResponse(tuple(results))
+                self.cache.put(src, tgt, [(t, a.output) for t, a in zip(misses, answers) if a.ok])
+        missed = iter(answers)
+        return TranslateResponse(tuple(
+            next(missed) if hit is None else TranslatedItem(hit) for hit in hits))
 
 
 class HttpBackend:
@@ -302,8 +298,8 @@ def warm_cache(requests_list: list[TranslateRequest], backend,
     Items the backend fails on are skipped and counted as errors.
     """
     cache = TranslationCache(cache_path)
-    before = len(cache._entries)
+    before = len(cache)
     cached = CacheBackend(cache, backend)
     errors = sum(not item.ok for req in requests_list
                  for item in translate(req, cached, max_in_flight=1).items)
-    return len(cache._entries) - before, errors
+    return len(cache) - before, errors

@@ -8,9 +8,9 @@ import os
 import pytest
 
 from conftest import make_entity_corpus
-from spanbridge import easyproject
+from spanbridge import easyproject, translate
 from spanbridge.markers import MarkerScheme
-from spanbridge.translate import LexiconBackend, LexiconBackendConfig
+from spanbridge.translate import LexiconBackend, LexiconBackendConfig, TranslateRequest
 
 BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -34,3 +34,34 @@ def test_instrument_enters_records_and_exits(spans):
     names = {span[1] for span in rec.spans}
     assert {"easyproject.project_corpus", "markers.insert", "translate.call",
             "markers.extract", "easyproject.assign"} <= names
+
+
+def test_instrument_counts_cache_hits_misses_and_appends(spans, tmp_path):
+    sentences, token_map = make_entity_corpus(20, seed=3)
+    backend = LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse"))
+    scheme = MarkerScheme("brackets")
+
+    class Recording:  # translate() sends each distinct item once
+        def __init__(self):
+            self.items = []
+
+        def translate(self, request):
+            self.items += request.items
+            return backend.translate(request)
+
+    recording = Recording()
+    easyproject.project_corpus(sentences, recording, scheme)
+    path = str(tmp_path / "c.jsonl")
+    prewarm = recording.items[::2]
+    translate.warm_cache([TranslateRequest(tuple(prewarm), "src", "tgt")], backend, path)
+    rec = spans.SpanRecorder()
+    with spans.instrument(rec):
+        cached = translate.CacheBackend(translate.TranslationCache(path), backend)
+        _, report = easyproject.project_corpus(sentences, cached, scheme)
+    assert report.projected == 20
+    misses = len(recording.items) - len(prewarm)
+    assert misses > 32  # appended over more than one batch
+    assert rec.counts["translate.cache_hits"] == len(prewarm)
+    assert rec.counts["translate.cache_misses"] == misses
+    assert rec.counts["translate.cache_appends"] == misses
+    assert len(translate.TranslationCache(path)) == len(recording.items)

@@ -218,6 +218,14 @@ class TestWarmCacheAndOffline:
                     "--cache-out", str(cache)])
         assert json.loads(capsys.readouterr().out)["new_entries"] == 0
 
+    def test_warm_cache_unwritable_exit_3(self, tmp_path, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("hello\nworld\n", encoding="utf-8")
+        code = run(["warm-cache", "--in", str(texts), "--backend", "identity",
+                    "--cache-out", str(tmp_path / "no-such-dir" / "c.jsonl")])
+        assert code == EXIT_FATAL
+        assert capsys.readouterr().err.startswith("fatal:")
+
 
 class TestCorruptCache:
     """A cache with a corrupt line before the last is an unreadable file: exit 3."""

@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -7,7 +8,10 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_entity_corpus
+from spanbridge import translate as translate_module
 from spanbridge.core import AnnotatedSentence, LabeledSpan
+from spanbridge.easyproject import project_corpus
 from spanbridge.markers import VALID, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
     CacheBackend,
@@ -114,6 +118,13 @@ class TestLexicon:
         assert sorted(found, key=str) == sorted(expected, key=str)
 
 
+class _DropsFirst:
+    """An upstream whose reply is one item short."""
+
+    def translate(self, request):
+        return TranslateResponse(tuple(TranslatedItem(t) for t in request.items[1:]))
+
+
 class TestCache:
     def test_offline_miss_is_uncached_error(self, tmp_path):
         cache = TranslationCache(str(tmp_path / "c.jsonl"))
@@ -164,11 +175,109 @@ class TestCache:
             f.write('{"input": "thr')  # an append interrupted mid-record
         cache = TranslationCache(str(path))
         assert cache.get("en", "de", "two") == "two"
-        assert cache.put("en", "de", "three", "drei")
+        assert cache.put("en", "de", [("three", "drei")]) == 1
         reloaded = TranslationCache(str(path))
         assert [reloaded.get("en", "de", t) for t in ("one", "two", "three")] == \
             ["one", "two", "drei"]
         assert path.read_text(encoding="utf-8").count("\n") == 3
+
+    def test_batch_of_misses_opens_the_file_once(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        path = str(tmp_path / "c.jsonl")
+        backend = CacheBackend(TranslationCache(path), IdentityBackend())
+        monkeypatch.setattr(translate_module, "open", counting_open, raising=False)
+        texts = tuple(f"t{i}" for i in range(32))
+        assert backend.translate(TranslateRequest(texts, "en", "de")).outputs() == list(texts)
+        assert opened == [path]
+        assert len(TranslationCache(path)) == 32
+
+    def test_put_skips_cached_and_repeated_inputs(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = TranslationCache(str(path))
+        assert cache.put("en", "de", [("a", "A"), ("b", "B"), ("a", "A2")]) == 2
+        assert cache.put("en", "de", [("b", "B2"), ("c", "C")]) == 1
+        assert cache.put("en", "de", []) == 0
+        assert [cache.get("en", "de", t) for t in "abc"] == ["A", "B", "C"]
+        assert len(cache) == 3
+        assert path.read_text(encoding="utf-8").count("\n") == 3
+
+    def test_concurrent_puts_append_each_record_once(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = TranslationCache(str(path))
+        batches = [[(f"t{(w * 7 + i) % 60}", f"o{(w * 7 + i) % 60}") for i in range(20)]
+                   for w in range(16)]
+        added = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda b=b: added.append(cache.put("en", "de", b)))
+                       for b in batches]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        inputs = [json.loads(line)["input"] for line in lines]
+        assert sorted(inputs) == sorted({t for b in batches for t, _ in b})
+        assert sum(added) == len(inputs) == len(cache) == len(TranslationCache(str(path)))
+
+    def test_warm_cache_file_bytes(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        texts = ("Anna lebt", "丘吉尔 [ 出生 ]", "Zoë \"sagt\"")
+        assert warm_cache([TranslateRequest(texts, "en", "de")], IdentityBackend(),
+                          str(path)) == (3, 0)
+        assert path.read_bytes() == (
+            '{"input": "Anna lebt", "output": "Anna lebt", "src_lang": "en", "tgt_lang": "de"}\n'
+            '{"input": "丘吉尔 [ 出生 ]", "output": "丘吉尔 [ 出生 ]", '
+            '"src_lang": "en", "tgt_lang": "de"}\n'
+            '{"input": "Zoë \\"sagt\\"", "output": "Zoë \\"sagt\\"", '
+            '"src_lang": "en", "tgt_lang": "de"}\n'
+        ).encode("utf-8")
+
+    def test_torn_record_after_a_batch_loads_the_batch_and_is_cut(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        texts = tuple(f"t{i}" for i in range(5))
+        warm_cache([TranslateRequest(texts, "en", "de")], IdentityBackend(), str(path))
+        complete = path.read_bytes()
+        path.write_bytes(complete + b'{"input": "t5", "output": "t5", "src_l')
+        cache = TranslationCache(str(path))
+        assert len(cache) == 5
+        assert [cache.get("en", "de", t) for t in texts] == list(texts)
+        assert cache.put("en", "de", [("t5", "five"), ("t6", "six")]) == 2
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert "".join(lines[:5]).encode("utf-8") == complete
+        assert [json.loads(line)["output"] for line in lines[5:]] == ["five", "six"]
+        assert all(line.endswith("\n") for line in lines)
+
+    def test_short_upstream_reply_fails_every_miss_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        warm_cache([TranslateRequest(("one",), "en", "de")], IdentityBackend(), str(path))
+        before = path.read_bytes()
+        backend = CacheBackend(TranslationCache(str(path)), _DropsFirst())
+        resp = backend.translate(TranslateRequest(("two", "one", "three"), "en", "de"))
+        assert [i.status for i in resp.items] == [
+            "BackendError: response length mismatch", "Ok",
+            "BackendError: response length mismatch"]
+        assert resp.items[1].output == "one"
+        assert path.read_bytes() == before
+
+    def test_short_upstream_reply_fails_sentences_without_raising(self, tmp_path):
+        sentences, _ = make_entity_corpus(3, seed=4)
+        path = tmp_path / "c.jsonl"
+        path.write_text("", encoding="utf-8")
+        backend = CacheBackend(TranslationCache(str(path)), _DropsFirst())
+        projected, report = project_corpus(sentences, backend, MarkerScheme("brackets"))
+        assert projected == []
+        assert (report.failed, report.reasons) == (3, {"BackendError": 3})
+        assert path.read_bytes() == b""
 
     def test_corrupt_line_before_the_last_raises_with_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
