@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AnnotatedSentence, FormatError, LabeledSpan
+from .core import AnnotatedSentence, FormatError, LabeledSpan, span_token_ranges, token_bounds
 from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport
 
 
@@ -67,15 +67,6 @@ def project_span_aligned(span_range: tuple[int, int], alignment: Alignment) -> t
     return (min(targets), max(targets) + 1)
 
 
-def _token_bounds(tokens: tuple[str, ...]) -> list[tuple[int, int]]:
-    bounds = []
-    offset = 0
-    for t in tokens:
-        bounds.append((offset, offset + len(t)))
-        offset += len(t) + 1
-    return bounds
-
-
 def project_sentence_aligned(
     sentence: AnnotatedSentence, pair: AlignedPair
 ) -> ProjectionOutcome:
@@ -87,17 +78,12 @@ def project_sentence_aligned(
     """
     if tuple(sentence.text.split(" ")) != pair.src_tokens:
         raise FormatError("sentence text does not match the aligned source tokens")
-    src_bounds = _token_bounds(pair.src_tokens)
-    starts = {s: i for i, (s, _) in enumerate(src_bounds)}
-    ends = {e: i for i, (_, e) in enumerate(src_bounds)}
+    tok_ranges = span_token_ranges(pair.src_tokens, sentence.spans)
     aligned = {i for i, _ in pair.alignment.links}
 
     diagnostics: list[str] = []
     projected_ranges: list[tuple[int, int, str]] = []
-    for span in sentence.spans:
-        if span.start not in starts or span.end not in ends:
-            raise FormatError(f"span {span.id} ({span.start},{span.end}) not on token boundary")
-        tok_range = (starts[span.start], ends[span.end] + 1)
+    for span, tok_range in zip(sentence.spans, tok_ranges):
         target = project_span_aligned(tok_range, pair.alignment)
         if target is None:
             return ProjectionOutcome(
@@ -120,7 +106,7 @@ def project_sentence_aligned(
                 diagnostics=("two spans project to overlapping target ranges",),
             )
 
-    tgt_bounds = _token_bounds(pair.tgt_tokens)
+    tgt_bounds = token_bounds(pair.tgt_tokens)
     spans = tuple(
         LabeledSpan(k, tgt_bounds[ts][0], tgt_bounds[te - 1][1], label)
         for k, (ts, te, label) in enumerate(ordered)

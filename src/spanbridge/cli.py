@@ -232,6 +232,18 @@ def _cmd_mark(args) -> int:
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 
+def _write_projection(args, projected, report) -> int:
+    """Write --out and --report; the exit code says whether any sentence was lost."""
+    _atomic_write(args.out, core.emit_jsonl(projected))
+    if args.report:
+        _atomic_write(args.report, json.dumps(report.to_json(), sort_keys=True) + "\n")
+    if report.failed or report.filtered:
+        print(f"projected {report.projected}/{report.total} "
+              f"(filtered {report.filtered}, failed {report.failed})", file=sys.stderr)
+        return EXIT_PARTIAL
+    return EXIT_OK
+
+
 def _cmd_project(args) -> int:
     scheme = _scheme_from_args(args)
     cfg = _matcher_from_args(args, scheme)
@@ -241,14 +253,7 @@ def _cmd_project(args) -> int:
         sentences, backend, scheme, cfg,
         src_lang=args.src_lang, tgt_lang=args.tgt_lang, jobs=args.jobs,
     )
-    _atomic_write(args.out, core.emit_jsonl(projected))
-    if args.report:
-        _atomic_write(args.report, json.dumps(report.to_json(), sort_keys=True) + "\n")
-    if report.failed or report.filtered:
-        print(f"projected {report.projected}/{report.total} "
-              f"(filtered {report.filtered}, failed {report.failed})", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _write_projection(args, projected, report)
 
 
 def _cmd_align_project(args) -> int:
@@ -267,10 +272,7 @@ def _cmd_align_project(args) -> int:
         alignment = alignproject.parse_pharaoh(line, len(src_tokens), len(tgt_tokens))
         pairs.append(alignproject.AlignedPair(src_tokens, tgt_tokens, alignment))
     projected, report = alignproject.project_corpus_aligned(sentences, pairs)
-    _atomic_write(args.out, core.emit_jsonl(projected))
-    if args.report:
-        _atomic_write(args.report, json.dumps(report.to_json(), sort_keys=True) + "\n")
-    return EXIT_PARTIAL if (report.filtered or report.failed) else EXIT_OK
+    return _write_projection(args, projected, report)
 
 
 def _cmd_build_ftdata(args) -> int:
@@ -316,7 +318,10 @@ def _cmd_bleu(args) -> int:
 
 def _cmd_rate(args) -> int:
     report = json.loads(_read(args.report))
-    if report.get("total", 0) < 1:
+    if not (isinstance(report, dict)
+            and all(type(report.get(key)) is int for key in ("total", "projected"))):
+        raise UsageError(f"{args.report}: not a projection report")
+    if report["total"] < 1:
         raise UsageError("projection rate undefined: report has no sentences")
     print(json.dumps({"projection_rate": report["projected"] / report["total"]}))
     return EXIT_OK

@@ -149,22 +149,36 @@ def spans_from_bio(tokens: list[str], tags: list[str], lenient: bool = False) ->
     return spans
 
 
-def bio_from_spans(tokens: list[str], spans: list[LabeledSpan]) -> list[str]:
-    """Inverse of spans_from_bio: spans must align exactly to token boundaries."""
+def token_bounds(tokens) -> list[tuple[int, int]]:
+    """[start, end) codepoint offsets of each token in the single-space-joined text."""
     bounds = []
     offset = 0
     for token in tokens:
         bounds.append((offset, offset + len(token)))
         offset += len(token) + 1
-    tags = ["O"] * len(tokens)
+    return bounds
+
+
+def span_token_ranges(tokens, spans) -> list[tuple[int, int]]:
+    """[first, last + 1) token range of each span over the single-space-joined
+    tokens; every span must start and end on a token boundary."""
+    bounds = token_bounds(tokens)
     starts = {s: i for i, (s, _) in enumerate(bounds)}
-    ends = {e: i for i, (_, e) in enumerate(bounds)}
+    ends = {e: i + 1 for i, (_, e) in enumerate(bounds)}
+    ranges = []
     for span in spans:
         if span.start not in starts or span.end not in ends:
             raise FormatError(f"span {span.id} ({span.start},{span.end}) not on token boundary")
-        first, last = starts[span.start], ends[span.end]
+        ranges.append((starts[span.start], ends[span.end]))
+    return ranges
+
+
+def bio_from_spans(tokens: list[str], spans: list[LabeledSpan]) -> list[str]:
+    """Inverse of spans_from_bio: spans must align exactly to token boundaries."""
+    tags = ["O"] * len(tokens)
+    for span, (first, stop) in zip(spans, span_token_ranges(tokens, spans)):
         tags[first] = f"B-{span.label}"
-        for i in range(first + 1, last + 1):
+        for i in range(first + 1, stop):
             tags[i] = f"I-{span.label}"
     return tags
 

@@ -71,10 +71,6 @@ class ExtractionResult:
     status: str
     diagnostic: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status == VALID
-
 
 def _xml_tag_name(i: int) -> str:
     # bijective base 26: 0 -> a, 25 -> z, 26 -> aa, ...

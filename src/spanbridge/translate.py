@@ -224,38 +224,47 @@ class CacheBackend:
 
 class HttpBackend:
     """POST {base_url}/translate with {"texts","src_lang","tgt_lang"};
-    expects {"translations": [...]}. Retries with exponential backoff."""
+    expects {"translations": [...]}. Retries with exponential backoff.
+    The base URL must start with http:// or https://."""
 
     def __init__(self, base_url: str, timeout_ms: int = 30_000,
                  retries: int = DEFAULT_RETRIES, backoff_ms: int = DEFAULT_BACKOFF_MS):
+        if not base_url.lower().startswith(("http://", "https://")):
+            raise ValueError(f"MT URL {base_url!r} must start with http:// or https://")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout_ms / 1000.0
         self.retries = retries
         self.backoff = backoff_ms / 1000.0
 
     def translate(self, request: TranslateRequest) -> TranslateResponse:
-        import requests
+        # imported here: urllib.request costs every command that never posts
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        body = {
+        body = json.dumps({
             "texts": list(request.items),
             "src_lang": request.src_lang,
             "tgt_lang": request.tgt_lang,
-        }
+        }).encode()
+        post = urllib.request.Request(f"{self.base_url}/translate", data=body,
+                                      headers={"Content-Type": "application/json"})
         last_error = "no attempts made"
         for attempt in range(self.retries):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                resp = requests.post(f"{self.base_url}/translate", json=body,
-                                     timeout=self.timeout)
-            except requests.RequestException as e:
+                with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                    data = resp.read()
+            except urllib.error.HTTPError as e:
+                e.close()  # it holds the response socket
+                last_error = f"HTTP {e.code}"
+                continue
+            except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)
                 continue
-            if not 200 <= resp.status_code < 300:
-                last_error = f"HTTP {resp.status_code}"
-                continue
             try:
-                translations = resp.json()["translations"]
+                translations = json.loads(data)["translations"]
             except (ValueError, KeyError, TypeError):  # not JSON, or no "translations" key
                 translations = None
             if not isinstance(translations, list) or \

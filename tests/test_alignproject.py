@@ -137,6 +137,15 @@ class TestProjectSentenceAligned:
         with pytest.raises(FormatError):
             project_sentence_aligned(sent, pair)
 
+    @pytest.mark.parametrize("links", [{(1, 1), (2, 2)}, {(0, 0), (1, 1), (2, 2)}])
+    def test_off_boundary_span_is_a_contract_error_even_after_a_filtered_span(self, links):
+        # span 0 is unprojectable under the first link set; span 1 ("b ") is
+        # off the token boundaries under both
+        sent = AnnotatedSentence("a b c", (LabeledSpan(0, 0, 1, "X"), LabeledSpan(1, 2, 4, "Y")))
+        pair = AlignedPair(("a", "b", "c"), ("p", "q", "r"), Alignment(frozenset(links)))
+        with pytest.raises(FormatError, match=r"span 1 \(2,4\) not on token boundary"):
+            project_sentence_aligned(sent, pair)
+
     def test_span_count_equality_guarantee(self):
         rng = random.Random(4)
         corpus = make_corpus(150, seed=4)

@@ -4,7 +4,7 @@ import pytest
 
 from conftest import make_corpus, make_entity_corpus
 from spanbridge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
-from spanbridge.core import emit_jsonl, parse_jsonl
+from spanbridge.core import AnnotatedSentence, LabeledSpan, emit_jsonl, parse_jsonl
 from spanbridge.markers import MarkerScheme, insert_markers
 
 
@@ -31,8 +31,6 @@ class TestProjectCommand:
     def test_marker_loss_exit_2(self, tmp_path):
         corpus = make_corpus(30, seed=2)
         # a sentence with a pre-existing bracket gets filtered
-        from spanbridge.core import AnnotatedSentence, LabeledSpan
-
         corpus = [AnnotatedSentence("x [ y ] z", (LabeledSpan(0, 0, 1, "X"),))] + corpus
         path = tmp_path / "in.jsonl"
         path.write_text(emit_jsonl(corpus), encoding="utf-8")
@@ -44,6 +42,14 @@ class TestProjectCommand:
         rep = json.loads(report.read_text())
         assert rep["filtered"] == 1
         assert len(parse_jsonl(out.read_text(encoding="utf-8"))) == 30
+
+    def test_mt_url_without_scheme_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch):
+        monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
+        path, _ = corpus_file
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--backend", "http", "--mt-url", "localhost:9"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: MT URL 'localhost:9'")
 
     def test_unknown_flag_exit_1(self, capsys):
         assert run(["project", "--nope"]) == EXIT_USAGE
@@ -150,6 +156,21 @@ class TestAlignProjectCommand:
         assert [s.text for s in projected] == [s.text for s in corpus]
         assert [s.spans for s in projected] == [s.spans for s in corpus]
 
+    def test_filtered_sentence_exit_2_with_summary(self, tmp_path, capsys):
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl([
+            AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "X"),)),
+            AnnotatedSentence("c d", (LabeledSpan(0, 2, 3, "Y"),)),
+        ]), encoding="utf-8")
+        (tmp_path / "t.txt").write_text("p\nr s\n", encoding="utf-8")
+        (tmp_path / "a.txt").write_text("1-0\n0-0 1-1\n", encoding="utf-8")  # "a" unaligned
+        code = run(["align-project", "--in", str(path),
+                    "--translations", str(tmp_path / "t.txt"),
+                    "--alignments", str(tmp_path / "a.txt"),
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_PARTIAL
+        assert capsys.readouterr().err == "projected 1/2 (filtered 1, failed 0)\n"
+
     def test_index_mismatch_exit_1(self, tmp_path, corpus_file):
         path, _ = corpus_file
         (tmp_path / "t.txt").write_text("one line\n", encoding="utf-8")
@@ -186,6 +207,15 @@ class TestMetricsCommands:
                                       "failed": 0, "reasons": {}}), encoding="utf-8")
         assert run(["rate", "--report", str(report)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["projection_rate"] == 0.75
+
+    @pytest.mark.parametrize("content", [
+        "[]", '{"total": 2}', '{"total": "2", "projected": 1}',
+    ])
+    def test_rate_rejects_a_malformed_report(self, tmp_path, capsys, content):
+        report = tmp_path / "r.json"
+        report.write_text(content, encoding="utf-8")
+        assert run(["rate", "--report", str(report)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {report}: not a projection report\n"
 
 
 class TestWarmCacheAndOffline:

@@ -15,7 +15,9 @@ from spanbridge.core import (
     parse_conll,
     parse_jsonl,
     parse_squad,
+    span_token_ranges,
     spans_from_bio,
+    token_bounds,
 )
 
 CONLL_FIXTURE = (
@@ -100,6 +102,21 @@ class TestBioSpans:
     def test_adjacent_b_tags(self):
         spans = spans_from_bio(["a", "b"], ["B-X", "B-X"])
         assert [(s.start, s.end) for s in spans] == [(0, 1), (2, 3)]
+
+    def test_bio_from_spans_multi_token(self):
+        spans = [LabeledSpan(0, 0, 8, "LOC"), LabeledSpan(1, 13, 16, "PER")]
+        assert bio_from_spans(["New", "York", "and", "Bob"], spans) == \
+            ["B-LOC", "I-LOC", "O", "B-PER"]
+
+    def test_every_span_checked_for_token_boundaries(self):
+        tokens = ["a", "b", "c"]
+        assert token_bounds(tokens) == [(0, 1), (2, 3), (4, 5)]
+        assert span_token_ranges(tokens, [LabeledSpan(0, 0, 1, "X"),
+                                          LabeledSpan(1, 2, 5, "Y")]) == [(0, 1), (1, 3)]
+        off = [LabeledSpan(0, 0, 1, "X"), LabeledSpan(1, 2, 4, "Y")]
+        for convert in (span_token_ranges, bio_from_spans):
+            with pytest.raises(FormatError, match=r"span 1 \(2,4\) not on token boundary"):
+                convert(tokens, off)
 
     @given(st.data())
     def test_inverse_composition(self, data):

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import socket
+import subprocess
 import sys
 import threading
 from collections import Counter
@@ -316,23 +319,31 @@ class _Handler(BaseHTTPRequestHandler):
     fail_times = 0
     calls = 0
     bad_body = None  # when set, failing calls answer 200 with this body instead of 500
+    short_body = False  # when set, failing calls declare a longer body than they send
+    raw_body = content_type = None  # of the last request
 
     def do_POST(self):
         cls = type(self)
         cls.calls += 1
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        if cls.calls <= cls.fail_times and cls.bad_body is None:
+        cls.raw_body = self.rfile.read(int(self.headers["Content-Length"]))
+        cls.content_type = self.headers["Content-Type"]
+        body = json.loads(cls.raw_body)
+        if cls.calls <= cls.fail_times and cls.bad_body is None and not cls.short_body:
             self.send_response(500)
             self.end_headers()
             return
         out = json.dumps({"translations": [t.upper() for t in body["texts"]]}).encode()
-        if cls.calls <= cls.fail_times:
+        length = len(out)
+        if cls.calls <= cls.fail_times and cls.short_body:
+            length += 10
+        elif cls.calls <= cls.fail_times:
             out = cls.bad_body
+            length = len(out)
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(out)))
+        self.send_header("Content-Length", str(length))
         self.end_headers()
-        self.wfile.write(out)
+        self.wfile.write(out)  # HTTP/1.0: the connection closes after the reply
 
     def log_message(self, *args):
         pass
@@ -344,6 +355,7 @@ def http_server():
     _Handler.calls = 0
     _Handler.fail_times = 0
     _Handler.bad_body = None
+    _Handler.short_body = False
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
@@ -394,6 +406,67 @@ class TestHttp:
         resp = backend.translate(TranslateRequest(("ab",), "en", "de"))
         assert resp.outputs() == ["AB"]
         assert _Handler.calls == 2
+
+
+    def test_request_bytes(self, http_server):
+        backend = HttpBackend(http_server, timeout_ms=5000)
+        items = ("café «x»", 'say "hi"', "<a> tab\there \\ </a>", "丘吉尔")
+        assert backend.translate(TranslateRequest(items, "en", "de")).outputs() == \
+            [t.upper() for t in items]
+        assert _Handler.content_type == "application/json"
+        assert _Handler.raw_body == (
+            b'{"texts": ["caf\\u00e9 \\u00abx\\u00bb", "say \\"hi\\"", '
+            b'"<a> tab\\there \\\\ </a>", "\\u4e18\\u5409\\u5c14"], '
+            b'"src_lang": "en", "tgt_lang": "de"}')
+        assert _Handler.raw_body == json.dumps(
+            {"texts": list(items), "src_lang": "en", "tgt_lang": "de"}).encode()
+
+    def test_connection_refused_fails_every_item_after_all_attempts(self, monkeypatch):
+        import urllib.request
+
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        attempts = []
+        urlopen = urllib.request.urlopen
+
+        def counting_urlopen(*args, **kwargs):
+            attempts.append(args[0].full_url)
+            return urlopen(*args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+        backend = HttpBackend(f"http://127.0.0.1:{port}", timeout_ms=5000,
+                              retries=3, backoff_ms=1)
+        resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
+        assert attempts == [f"http://127.0.0.1:{port}/translate"] * 3
+        assert len(resp.items) == 2
+        assert all(i.status.startswith("BackendError: ") and "refused" in i.status
+                   for i in resp.items)
+
+    def test_truncated_body_retried(self, http_server):
+        _Handler.fail_times = 1
+        _Handler.short_body = True
+        backend = HttpBackend(http_server, timeout_ms=5000, retries=2, backoff_ms=10)
+        resp = backend.translate(TranslateRequest(("ab",), "en", "de"))
+        assert resp.outputs() == ["AB"]
+        assert _Handler.calls == 2
+
+    def test_needs_no_third_party_client(self, http_server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        backend = HttpBackend(http_server, timeout_ms=5000)
+        assert backend.translate(TranslateRequest(("ab",), "en", "de")).outputs() == ["AB"]
+
+    @pytest.mark.parametrize("url", ["localhost:9", "127.0.0.1:8080/mt", "ftp://host"])
+    def test_url_without_http_scheme_rejected_when_built(self, url):
+        with pytest.raises(ValueError, match="must start with http:// or https://"):
+            HttpBackend(url)
+
+    def test_import_leaves_the_http_client_unloaded(self):
+        code = ("import spanbridge, spanbridge.cli, sys; "
+                "assert 'urllib.request' not in sys.modules")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(translate_module.__file__)))
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestBatching:
