@@ -2,7 +2,8 @@
 
 Brackets corresponding entities on both sides of a parallel corpus: source
 entities are pre-annotated, their translations are located in the target
-sentence by string matching, and both occurrences get square brackets.
+sentence by string matching, and both occurrences get square brackets,
+spliced in from the offset ranges.
 Pairs with two or more bracketed entities are kept first; the rest are
 length-sorted and the output is truncated to the pair budget.
 """
@@ -11,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AnnotatedSentence, LabeledSpan
-from .markers import SQUARE_BRACKET, MarkerScheme, PreexistingMarkerError, insert_markers
+from .core import AnnotatedSentence
+from .markers import SQUARE_BRACKET, MarkerScheme, PreexistingMarkerError, mark_ranges
 from .translate import TranslateRequest, translate
 
 SORT_DESCENDING = "descending"
@@ -81,13 +82,6 @@ def match_entity_in_target(
             return (start, end)
 
 
-def _bracket(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) -> str:
-    spans = tuple(
-        LabeledSpan(i, s, e, "ENT") for i, (s, e) in enumerate(sorted(ranges))
-    )
-    return insert_markers(AnnotatedSentence(text, spans), scheme).text
-
-
 def build_ft_pairs(
     pairs: list[ParallelPair],
     backend,
@@ -129,8 +123,9 @@ def build_ft_pairs(
         if not src_ranges:
             continue
         try:
-            marked = (_bracket(pair.src.text, src_ranges, scheme),
-                      _bracket(pair.tgt, tgt_ranges, scheme))
+            # source ranges follow the span order; target ones, the match order
+            marked = (mark_ranges(pair.src.text, src_ranges, scheme),
+                      mark_ranges(pair.tgt, sorted(tgt_ranges), scheme))
         except PreexistingMarkerError:
             continue
         if len(src_ranges) >= 2:

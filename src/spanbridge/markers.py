@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from .core import AnnotatedSentence
 
@@ -108,6 +109,9 @@ _SYNTAX = {
 }
 
 
+_bounds = attrgetter("start", "end")  # span -> (start, end), without a Python-level call
+
+
 def carries_identity(scheme: MarkerScheme) -> bool:
     """True if the markers name their span, so labels need no matching."""
     return scheme.kind == PLACEHOLDER or _SYNTAX[scheme.kind].identity
@@ -116,8 +120,7 @@ def carries_identity(scheme: MarkerScheme) -> bool:
 def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedText:
     """Wrap each annotated span in scheme markers (Placeholder: replace it).
 
-    Insertion proceeds right to left so earlier offsets stay valid. Raises
-    PreexistingMarkerError if a source with spans already contains any
+    Raises PreexistingMarkerError if a source with spans already contains any
     marker token of the scheme, known or not.
     """
     text = sentence.text
@@ -131,21 +134,49 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
         return MarkedText(text, marker_map, scheme)
 
     syntax = _SYNTAX[scheme.kind]
-    marker_map = tuple((s.id, *syntax.tokens(s.id)) for s in sentence.spans)
+    # a list comprehension and map() keep short sentences as fast as before
+    marker_map = tuple([(s.id, *syntax.tokens(s.id)) for s in sentence.spans])
+    ranges = map(_bounds, sentence.spans)
+    return MarkedText(_wrap(text, ranges, marker_map, scheme), marker_map, scheme)
+
+
+def mark_ranges(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) -> str:
+    """Wrap the i-th [start, end) range of `text` in the markers insert_markers
+    gives span i, and return the marked text; no spans are built.
+
+    Raises ValueError unless the ranges are ordered, disjoint, non-empty and
+    inside the text, and PreexistingMarkerError as insert_markers does.
+    Placeholder has no wrapping markers, so it is not accepted.
+    """
+    if scheme.kind == PLACEHOLDER:
+        raise ValueError("mark_ranges needs a wrapping scheme, not placeholder")
+    tokens = _SYNTAX[scheme.kind].tokens
+    return _wrap(text, ranges, [(i, *tokens(i)) for i in range(len(ranges))], scheme)
+
+
+def _wrap(text: str, ranges: Iterable[tuple[int, int]],
+          marker_map: Sequence[tuple[int, str, str]], scheme: MarkerScheme) -> str:
+    """Splice each range's (open, close) marker pair from `marker_map` into
+    `text`, left to right."""
     if marker_map:
+        syntax = _SYNTAX[scheme.kind]
         # any marker token in the source breaks extraction
         found = syntax.token_re.search(syntax.fold(text))
         if found:
             raise PreexistingMarkerError(
                 f"source text already contains marker token {found.group()!r}")
     pad = " " if scheme.pad_with_space else ""
-    for span, (_, open_tok, close_tok) in zip(reversed(sentence.spans), reversed(marker_map)):
-        text = (
-            text[: span.start]
-            + open_tok + pad + text[span.start:span.end] + pad + close_tok
-            + text[span.end:]
-        )
-    return MarkedText(text, marker_map, scheme)
+    n = len(text)
+    pieces = []
+    cursor = 0
+    for (start, end), (_, open_tok, close_tok) in zip(ranges, marker_map):
+        if not cursor <= start < end <= n:
+            raise ValueError(f"range ({start}, {end}) is empty, out of order, overlaps "
+                             f"the one before or exceeds text length {n}")
+        pieces.append(f"{text[cursor:start]}{open_tok}{pad}{text[start:end]}{pad}{close_tok}")
+        cursor = end
+    pieces.append(text[cursor:])
+    return "".join(pieces)
 
 
 def _tag_damage(

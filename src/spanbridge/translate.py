@@ -1,12 +1,16 @@
 """Pluggable translation boundary.
 
 Backends take a batched TranslateRequest and return a TranslateResponse of
-the same length and order, including on error paths. The MT system itself
-is always external; the lexicon backend is a deterministic test double.
+the same length and order, including on error paths; translate() checks
+each batch reply, and a backend that raises or breaks that contract fails
+the batch's items. The MT system itself is always external; the lexicon
+backend is a deterministic test double.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import os
 import random
@@ -136,6 +140,11 @@ class CorruptCacheError(ValueError):
     """A cache record before the final line does not parse."""
 
 
+class CacheWriteError(OSError):
+    """The cache file could not be appended to. This is a local I/O failure,
+    not a fault of the MT backend, so translate() lets it through."""
+
+
 class TranslationCache:
     """Append-only JSONL cache; records {"src_lang","tgt_lang","input","output"}.
 
@@ -185,11 +194,14 @@ class TranslationCache:
                     json.dumps({"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text,
                                 "output": output}, ensure_ascii=False, sort_keys=True) + "\n"
                     for text, output in new.items())
-                with open(self.path, "a", encoding="utf-8") as f:
-                    if self._torn_at is not None:
-                        f.truncate(self._torn_at)
-                        self._torn_at = None
-                    f.write(lines)
+                try:
+                    with open(self.path, "a", encoding="utf-8") as f:
+                        if self._torn_at is not None:
+                            f.truncate(self._torn_at)
+                            self._torn_at = None
+                        f.write(lines)
+                except OSError as e:
+                    raise CacheWriteError(str(e)) from e
                 self._entries.update(((src_lang, tgt_lang, t), o) for t, o in new.items())
         return len(new)
 
@@ -197,8 +209,8 @@ class TranslationCache:
 class CacheBackend:
     """Answers from a JSONL cache; misses go to the upstream backend (and are
     recorded, one append per batch) or, without an upstream, fail with
-    "uncached". An upstream reply of the wrong length fails every miss and
-    records nothing."""
+    "uncached". An upstream reply that breaks the batch contract fails every
+    miss and records nothing."""
 
     def __init__(self, cache: TranslationCache, upstream=None):
         self.cache = cache
@@ -212,11 +224,8 @@ class CacheBackend:
         if misses and self.upstream is None:
             answers = (backend_error("uncached"),) * len(misses)
         elif misses:
-            answers = self.upstream.translate(TranslateRequest(misses, src, tgt)).items
-            if len(answers) != len(misses):
-                answers = (backend_error("response length mismatch"),) * len(misses)
-            else:
-                self.cache.put(src, tgt, [(t, a.output) for t, a in zip(misses, answers) if a.ok])
+            answers = _checked_reply(self.upstream, TranslateRequest(misses, src, tgt))
+            self.cache.put(src, tgt, [(t, a.output) for t, a in zip(misses, answers) if a.ok])
         missed = iter(answers)
         return TranslateResponse(tuple(
             next(missed) if hit is None else TranslatedItem(hit) for hit in hits))
@@ -225,19 +234,45 @@ class CacheBackend:
 class HttpBackend:
     """POST {base_url}/translate with {"texts","src_lang","tgt_lang"};
     expects {"translations": [...]}. Retries with exponential backoff.
-    The base URL must start with http:// or https://."""
+    A 307 or 308 redirect is followed with the same POST.
+    The base URL must start with http:// or https://, and at least one
+    attempt with a positive timeout must be allowed."""
 
     def __init__(self, base_url: str, timeout_ms: int = 30_000,
                  retries: int = DEFAULT_RETRIES, backoff_ms: int = DEFAULT_BACKOFF_MS):
         if not base_url.lower().startswith(("http://", "https://")):
             raise ValueError(f"MT URL {base_url!r} must start with http:// or https://")
+        if retries < 1:
+            raise ValueError(f"retries must be at least 1, got {retries}")
+        if timeout_ms <= 0:
+            raise ValueError(f"timeout_ms must be positive, got {timeout_ms}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout_ms / 1000.0
         self.retries = retries
         self.backoff = backoff_ms / 1000.0
 
-    def translate(self, request: TranslateRequest) -> TranslateResponse:
+    @functools.cached_property
+    def _opener(self):
         # imported here: urllib.request costs every command that never posts
+        import urllib.request
+
+        class RepostOnRedirect(urllib.request.HTTPRedirectHandler):
+            """On a 307 or 308, which keep the method, send the same POST to
+            the new location; urllib's own handler refuses to."""
+
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                if code in (307, 308):
+                    return urllib.request.Request(
+                        newurl, data=req.data, headers=req.headers,
+                        origin_req_host=req.origin_req_host, unverifiable=True)
+                return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+            # Python 3.10's handler has no 308 entry
+            http_error_308 = urllib.request.HTTPRedirectHandler.http_error_302
+
+        return urllib.request.build_opener(RepostOnRedirect)
+
+    def translate(self, request: TranslateRequest) -> TranslateResponse:
         import http.client
         import urllib.error
         import urllib.request
@@ -254,7 +289,7 @@ class HttpBackend:
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                with urllib.request.urlopen(post, timeout=self.timeout) as resp:
+                with self._opener.open(post, timeout=self.timeout) as resp:
                     data = resp.read()
             except urllib.error.HTTPError as e:
                 e.close()  # it holds the response socket
@@ -279,22 +314,44 @@ class HttpBackend:
         )
 
 
+def _checked_reply(backend, batch: TranslateRequest) -> tuple[TranslatedItem, ...]:
+    """The backend's items for one batch, or one BackendError per item of the
+    batch when the backend raises or its reply breaks the contract: the wrong
+    length, an item that is not a TranslatedItem, or an output that is not a
+    string. A CacheWriteError is let through."""
+    n = len(batch.items)
+    try:
+        items = tuple(backend.translate(batch).items)
+    except CacheWriteError:
+        raise
+    except Exception as e:  # whatever the backend does wrong fails this batch only
+        return (backend_error(f"{type(e).__name__}: {e}"),) * n
+    if len(items) != n:
+        problem = "response length mismatch"
+    elif not all(isinstance(i, TranslatedItem) and isinstance(i.output, str) for i in items):
+        problem = "malformed response item"
+    else:
+        return items
+    return (backend_error(problem),) * n
+
+
 def translate(request: TranslateRequest, backend,
               batch_size: int = DEFAULT_BATCH_SIZE,
               max_in_flight: int = DEFAULT_MAX_IN_FLIGHT) -> TranslateResponse:
     """Translate a request in batches, preserving item order and length.
-    Each distinct item is sent once, in first-seen order."""
+    Each distinct item is sent once, in first-seen order. A batch the backend
+    raises on or answers against the contract fails its own items only."""
     unique = tuple(dict.fromkeys(request.items))
     batches = [
         TranslateRequest(unique[i:i + batch_size], request.src_lang, request.tgt_lang)
         for i in range(0, len(unique), batch_size)
     ]
     if len(batches) <= 1 or max_in_flight <= 1:
-        responses = [backend.translate(b) for b in batches]
+        replies = [_checked_reply(backend, b) for b in batches]
     else:
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            responses = list(pool.map(backend.translate, batches))
-    result_of = dict(zip(unique, (item for r in responses for item in r.items)))
+            replies = list(pool.map(_checked_reply, itertools.repeat(backend), batches))
+    result_of = dict(zip(unique, itertools.chain.from_iterable(replies)))
     return TranslateResponse(tuple(result_of[t] for t in request.items))
 
 

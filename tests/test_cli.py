@@ -51,6 +51,20 @@ class TestProjectCommand:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: MT URL 'localhost:9'")
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--retries", "error: retries must be at least 1, got 0"),
+        ("--timeout-ms", "error: timeout_ms must be positive, got 0"),
+    ])
+    def test_http_setting_that_never_succeeds_exit_1(self, tmp_path, corpus_file, capsys,
+                                                     monkeypatch, flag, message):
+        monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
+        path, _ = corpus_file
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--backend", "http", "--mt-url", "http://127.0.0.1:9", flag, "0"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(message)
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_exit_1(self, capsys):
         assert run(["project", "--nope"]) == EXIT_USAGE
 

@@ -1,6 +1,10 @@
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import annotate_with_gazetteer, make_corpus
+from spanbridge import ftdata
 from spanbridge.core import AnnotatedSentence, LabeledSpan
 from spanbridge.ftdata import (
     FtDataConfig,
@@ -8,7 +12,7 @@ from spanbridge.ftdata import (
     build_ft_pairs,
     match_entity_in_target,
 )
-from spanbridge.markers import MarkerScheme, strip_markers
+from spanbridge.markers import MarkerScheme, insert_markers, strip_markers
 from spanbridge.translate import (
     IdentityBackend,
     LexiconBackend,
@@ -155,6 +159,45 @@ class TestBuildFtPairs:
             assert marked_src.count("[") == marked_tgt.count("[")
             assert marked_src.count("]") == marked_tgt.count("]")
             assert strip_markers(marked_src, scheme) == strip_markers(marked_tgt, scheme)
+
+
+def _bracket(text, ranges, scheme):
+    """The reference bracketing: a throwaway sentence through insert_markers."""
+    spans = tuple(LabeledSpan(i, s, e, "ENT") for i, (s, e) in enumerate(sorted(ranges)))
+    return insert_markers(AnnotatedSentence(text, spans), scheme).text
+
+
+# words whose case folding changes length ("ß", "İ"), and words holding brackets
+WORDS = ["Anna", "anna", "Bob", "Straße", "STRASSE", "strasse", "İzmir", "izmir", "ß", "ss",
+         "Berlin", "[x]", "a]", "met"]
+
+
+@st.composite
+def _parallel_pairs(draw):
+    pairs = []
+    for _ in range(draw(st.integers(1, 8))):
+        tokens = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=6))
+        entity_at = sorted(draw(st.sets(st.integers(0, len(tokens) - 1), max_size=3)))
+        starts = [sum(len(t) + 1 for t in tokens[:i]) for i in range(len(tokens))]
+        spans = tuple(LabeledSpan(j, starts[i], starts[i] + len(tokens[i]), "ENT")
+                      for j, i in enumerate(entity_at))
+        tgt = " ".join(draw(st.permutations(tokens + draw(st.lists(st.sampled_from(WORDS),
+                                                                   max_size=3)))))
+        pairs.append(ParallelPair(AnnotatedSentence(" ".join(tokens), spans), tgt))
+    return pairs
+
+
+class TestMatchesReferenceBracketing:
+    @given(_parallel_pairs(), st.integers(1, 10), st.booleans(),
+           st.sampled_from(["descending", "ascending"]), st.booleans())
+    @settings(max_examples=300)
+    def test_build_ft_pairs_equals_reference(self, pairs, k, fold, sort, lexicon):
+        cfg = FtDataConfig(k=k, match_case_fold=fold, length_sort=sort)
+        backend = LexiconBackend(LexiconBackendConfig({"Straße": "STRASSE", "Anna": "anna"})) \
+            if lexicon else IdentityBackend()
+        out = build_ft_pairs(pairs, backend, cfg)
+        with mock.patch.object(ftdata, "mark_ranges", _bracket):
+            assert out == build_ft_pairs(pairs, backend, cfg)
 
 
 class TestGazetteer:

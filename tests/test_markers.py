@@ -12,6 +12,7 @@ from spanbridge.markers import (
     PreexistingMarkerError,
     extract_markers,
     insert_markers,
+    mark_ranges,
     strip_markers,
 )
 
@@ -236,6 +237,65 @@ class TestRoundTripProperties:
             assert idx >= 0
             text = text[:idx] + original + text[idx + len(token):]
         assert text == sentence.text
+
+
+def _splice_right_to_left(sentence, scheme):
+    """The reference splice: one concatenation per span, last span first."""
+    text = sentence.text
+    pad = " " if scheme.pad_with_space else ""
+    for span, (_, open_tok, close_tok) in zip(reversed(sentence.spans),
+                                              reversed(insert_markers(sentence, scheme).marker_map)):
+        text = text[:span.start] + open_tok + pad + text[span.start:span.end] + pad + close_tok \
+            + text[span.end:]
+    return text
+
+
+@st.composite
+def _ranged_text(draw):
+    """A text, clean or holding marker characters, and ordered disjoint ranges in it."""
+    text = draw(st.one_of(
+        st.text(alphabet="ab中ж ", min_size=1, max_size=20),
+        st.lists(st.sampled_from(["a", "中", " ", "[", "]", '"', "«", "<a>", "</b>", "<"]),
+                 min_size=1, max_size=10).map("".join)))
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=8)))
+    return text, list(zip(cuts[::2], cuts[1::2]))
+
+
+class TestMarkRanges:
+    @given(_ranged_text(), st.sampled_from(["brackets", "xml", "quotes"]), st.booleans())
+    @settings(max_examples=300)
+    def test_equals_insert_markers(self, text_ranges, kind, pad):
+        text, ranges = text_ranges
+        scheme = MarkerScheme(kind, pad_with_space=pad)
+        sentence = AnnotatedSentence(
+            text, tuple(LabeledSpan(i, s, e, "X") for i, (s, e) in enumerate(ranges)))
+        try:
+            expected = insert_markers(sentence, scheme).text
+        except PreexistingMarkerError as e:
+            with pytest.raises(PreexistingMarkerError) as got:
+                mark_ranges(text, ranges, scheme)
+            assert str(got.value) == str(e)
+            return
+        assert mark_ranges(text, ranges, scheme) == expected == \
+            _splice_right_to_left(sentence, scheme)
+
+    @pytest.mark.parametrize("ranges", [
+        [(4, 6), (0, 2)],  # out of order
+        [(0, 3), (2, 5)],  # overlapping
+        [(2, 2)],  # empty
+        [(5, 3)],  # reversed
+        [(4, 12)],  # past the end of the text
+        [(-1, 2)],  # before the start
+    ])
+    @pytest.mark.parametrize("kind", ["brackets", "xml", "quotes"])
+    def test_bad_ranges_rejected(self, ranges, kind):
+        with pytest.raises(ValueError, match=r"^range \(") as got:
+            mark_ranges("ab cd ef", ranges, MarkerScheme(kind))
+        assert not isinstance(got.value, PreexistingMarkerError)
+
+    def test_placeholder_rejected(self):
+        with pytest.raises(ValueError, match="wrapping scheme"):
+            mark_ranges("ab cd", [(0, 2)], MarkerScheme("placeholder"))
 
 
 # translations rich in every scheme's marker characters and in placeholder-like words

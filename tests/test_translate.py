@@ -15,6 +15,7 @@ from conftest import make_entity_corpus
 from spanbridge import translate as translate_module
 from spanbridge.core import AnnotatedSentence, LabeledSpan
 from spanbridge.easyproject import project_corpus
+from spanbridge.ftdata import ParallelPair, build_ft_pairs
 from spanbridge.markers import VALID, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
     CacheBackend,
@@ -320,13 +321,21 @@ class _Handler(BaseHTTPRequestHandler):
     calls = 0
     bad_body = None  # when set, failing calls answer 200 with this body instead of 500
     short_body = False  # when set, failing calls declare a longer body than they send
-    raw_body = content_type = None  # of the last request
+    raw_body = content_type = last_path = None  # of the last request
+    redirect = None  # when set, a POST to /translate gets this status and Location /moved
 
     def do_POST(self):
         cls = type(self)
         cls.calls += 1
         cls.raw_body = self.rfile.read(int(self.headers["Content-Length"]))
         cls.content_type = self.headers["Content-Type"]
+        cls.last_path = self.path
+        if cls.redirect is not None and self.path == "/translate":
+            self.send_response(cls.redirect)
+            self.send_header("Location", "/moved")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         body = json.loads(cls.raw_body)
         if cls.calls <= cls.fail_times and cls.bad_body is None and not cls.short_body:
             self.send_response(500)
@@ -356,6 +365,7 @@ def http_server():
     _Handler.fail_times = 0
     _Handler.bad_body = None
     _Handler.short_body = False
+    _Handler.redirect = None
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
@@ -428,13 +438,13 @@ class TestHttp:
             sock.bind(("127.0.0.1", 0))
             port = sock.getsockname()[1]
         attempts = []
-        urlopen = urllib.request.urlopen
+        open_url = urllib.request.OpenerDirector.open
 
-        def counting_urlopen(*args, **kwargs):
-            attempts.append(args[0].full_url)
-            return urlopen(*args, **kwargs)
+        def counting_open(opener, request, *args, **kwargs):
+            attempts.append(request.full_url)
+            return open_url(opener, request, *args, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", counting_urlopen)
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", counting_open)
         backend = HttpBackend(f"http://127.0.0.1:{port}", timeout_ms=5000,
                               retries=3, backoff_ms=1)
         resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
@@ -455,6 +465,35 @@ class TestHttp:
         monkeypatch.setitem(sys.modules, "requests", None)
         backend = HttpBackend(http_server, timeout_ms=5000)
         assert backend.translate(TranslateRequest(("ab",), "en", "de")).outputs() == ["AB"]
+
+    @pytest.mark.parametrize("code", [307, 308])
+    def test_redirect_keeping_the_method_reposts_the_body(self, http_server, code):
+        _Handler.redirect = code
+        backend = HttpBackend(http_server, timeout_ms=5000)
+        items = ("ab", "café")
+        assert backend.translate(TranslateRequest(items, "en", "de")).outputs() == ["AB", "CAFÉ"]
+        assert (_Handler.calls, _Handler.last_path) == (2, "/moved")
+        assert _Handler.content_type == "application/json"
+        assert _Handler.raw_body == json.dumps(
+            {"texts": list(items), "src_lang": "en", "tgt_lang": "de"}).encode()
+
+    def test_302_is_followed_as_a_get_and_fails(self, http_server):
+        _Handler.redirect = 302
+        backend = HttpBackend(http_server, timeout_ms=5000, retries=2, backoff_ms=1)
+        resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
+        # the test server answers no GET; each attempt posts once to /translate only
+        assert [i.status for i in resp.items] == ["BackendError: HTTP 501"] * 2
+        assert (_Handler.calls, _Handler.last_path) == (2, "/translate")
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"retries": 0}, "retries must be at least 1, got 0"),
+        ({"retries": -2}, "retries must be at least 1, got -2"),
+        ({"timeout_ms": 0}, "timeout_ms must be positive, got 0"),
+        ({"timeout_ms": -5}, "timeout_ms must be positive, got -5"),
+    ])
+    def test_settings_that_never_succeed_rejected_when_built(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            HttpBackend("http://127.0.0.1:9", **setting)
 
     @pytest.mark.parametrize("url", ["localhost:9", "127.0.0.1:8080/mt", "ftp://host"])
     def test_url_without_http_scheme_rejected_when_built(self, url):
@@ -514,3 +553,102 @@ class TestDeduplication:
         resp = translate(TranslateRequest(texts, "en", "de"), Tagging(), batch_size=2)
         assert resp.outputs() == ["a@2", "b@2", "c@2", "a@2", "", "c@2", "a@2"]
         assert [i.ok for i in resp.items] == [True, True, True, True, False, True, True]
+
+
+class _Faulty:
+    """Identity backend that breaks the batch contract on the batches `kinds`
+    names ("ok" or a fault, per call in call order, cycled) and records the
+    items of every broken batch."""
+
+    def __init__(self, kinds):
+        self.kinds = list(kinds)
+        self.calls = 0
+        self.faulted = set()
+        self._lock = threading.Lock()
+
+    def translate(self, request):
+        with self._lock:
+            kind = self.kinds[self.calls % len(self.kinds)]
+            self.calls += 1
+            if kind != "ok":
+                self.faulted.update(request.items)
+        items = [TranslatedItem(t) for t in request.items]
+        if kind == "raise":
+            raise RuntimeError("backend down")
+        if kind == "short":
+            items = items[1:]
+        elif kind == "long":
+            items.append(TranslatedItem("extra"))
+        elif kind == "none":
+            items = [TranslatedItem(None) for _ in items]
+        elif kind == "plain":
+            items = [item.output for item in items]
+        return TranslateResponse(tuple(items))
+
+
+FAULTS = ["short", "long", "raise", "none", "plain"]
+ANNA = AnnotatedSentence("Anna met Bob", (LabeledSpan(0, 0, 4, "PER"), LabeledSpan(1, 9, 12, "PER")))
+
+
+class TestBatchContract:
+    @pytest.mark.parametrize("kind, status", [
+        ("short", "BackendError: response length mismatch"),
+        ("long", "BackendError: response length mismatch"),
+        ("raise", "BackendError: RuntimeError: backend down"),
+        ("none", "BackendError: malformed response item"),
+        ("plain", "BackendError: malformed response item"),
+    ])
+    def test_broken_reply_fails_its_items_without_raising(self, kind, status):
+        resp = translate(TranslateRequest(("a", "b"), "en", "de"), _Faulty([kind]))
+        assert [i.status for i in resp.items] == [status] * 2
+        projected, report = project_corpus([ANNA], _Faulty([kind]), MarkerScheme("brackets"))
+        assert (projected, report.failed, report.reasons) == ([], 1, {"BackendError": 1})
+        pair = ParallelPair(ANNA, "Anna trifft Bob")
+        assert build_ft_pairs([pair], _Faulty([kind])) == []
+
+    @pytest.mark.parametrize("kind", ["raise", "none", "long"])
+    def test_broken_upstream_reply_fails_every_miss_and_writes_nothing(self, tmp_path, kind):
+        path = tmp_path / "c.jsonl"
+        warm_cache([TranslateRequest(("one",), "en", "de")], IdentityBackend(), str(path))
+        before = path.read_bytes()
+        backend = CacheBackend(TranslationCache(str(path)), _Faulty([kind]))
+        resp = translate(TranslateRequest(("two", "one", "three"), "en", "de"), backend)
+        assert [i.ok for i in resp.items] == [False, True, False]
+        assert resp.items[1].output == "one"
+        assert path.read_bytes() == before
+
+    def test_cache_write_failure_is_not_a_per_item_error(self, tmp_path):
+        cache = TranslationCache(str(tmp_path / "no-such-dir" / "c.jsonl"))
+        texts = tuple(f"t{i}" for i in range(100))
+        with pytest.raises(OSError, match="No such file"):
+            translate(TranslateRequest(texts, "en", "de"), CacheBackend(cache, IdentityBackend()),
+                      max_in_flight=3)
+
+    @given(st.lists(st.integers(0, 30), max_size=80).map(lambda xs: tuple(f"t{x}" for x in xs)),
+           st.lists(st.sampled_from(["ok", "ok", *FAULTS]), min_size=1, max_size=6),
+           st.integers(1, 8), st.sampled_from([1, 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_length_and_order_kept_and_only_faulted_batches_fail(
+            self, texts, kinds, batch_size, in_flight):
+        backend = _Faulty(kinds)
+        resp = translate(TranslateRequest(texts, "en", "de"), backend,
+                         batch_size=batch_size, max_in_flight=in_flight)
+        assert len(resp.items) == len(texts)
+        for text, item in zip(texts, resp.items):
+            if text in backend.faulted:
+                assert not item.ok and item.status.startswith("BackendError: ")
+            else:
+                assert (item.output, item.ok) == (text, True)
+
+    @given(st.integers(0, 10**6), st.lists(st.sampled_from(["ok", "ok", *FAULTS]), min_size=1,
+                                           max_size=6), st.sampled_from([1, 3]))
+    @settings(max_examples=50, deadline=None)
+    def test_only_sentences_with_an_item_in_a_faulted_batch_fail(self, seed, kinds, jobs):
+        sentences, _ = make_entity_corpus(40, seed=seed)
+        scheme = MarkerScheme("brackets")
+        backend = _Faulty(kinds)
+        projected, report = project_corpus(sentences, backend, scheme, jobs=jobs)
+        hit = [any(t in backend.faulted for t in (insert_markers(s, scheme).text, *s.span_texts()))
+               for s in sentences]
+        assert (report.failed, report.reasons.get("BackendError", 0)) == (sum(hit), sum(hit))
+        assert [p.text for p in projected] == [s.text for s, h in zip(sentences, hit) if not h]
