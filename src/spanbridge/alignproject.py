@@ -14,7 +14,7 @@ from .core import AnnotatedSentence, FormatError, LabeledSpan, span_token_ranges
 from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Alignment:
     """0-based (src_token_index, tgt_token_index) link set."""
 
@@ -24,7 +24,7 @@ class Alignment:
         object.__setattr__(self, "links", frozenset(self.links))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedPair:
     src_tokens: tuple[str, ...]
     tgt_tokens: tuple[str, ...]
@@ -43,7 +43,8 @@ def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> Alignment:
     links = set()
     for pos, token in enumerate(line.split()):
         left, sep, right = token.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
+        # isdecimal(), unlike isdigit(), holds only for digits int() reads ("²" is not one)
+        if not sep or not left.isdecimal() or not right.isdecimal():
             raise FormatError(f"malformed alignment pair {token!r} at position {pos}")
         i, j = int(left), int(right)
         if i >= n_src or j >= n_tgt:
@@ -107,10 +108,8 @@ def project_sentence_aligned(
             )
 
     tgt_bounds = token_bounds(pair.tgt_tokens)
-    spans = tuple(
-        LabeledSpan(k, tgt_bounds[ts][0], tgt_bounds[te - 1][1], label)
-        for k, (ts, te, label) in enumerate(ordered)
-    )
+    spans = tuple([LabeledSpan(k, tgt_bounds[ts][0], tgt_bounds[te - 1][1], label)
+                   for k, (ts, te, label) in enumerate(ordered)])
     out = AnnotatedSentence(" ".join(pair.tgt_tokens), spans, sentence.meta)
     return ProjectionOutcome(PROJECTED, sentence=out, diagnostics=tuple(diagnostics))
 

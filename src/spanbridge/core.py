@@ -1,7 +1,7 @@
 """Annotation data model and corpus format I/O.
 
 Offsets are always counted in Unicode codepoints, never bytes. All types
-are immutable after construction and safe to share between threads.
+are slotted, immutable after construction and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -14,7 +14,11 @@ class FormatError(ValueError):
     """Raised when an input file violates its format contract."""
 
 
-@dataclass(frozen=True)
+# one encoder for every JSONL line: json.dumps with these arguments builds a new one per call
+JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
+@dataclass(frozen=True, slots=True)
 class LabeledSpan:
     """A labeled character span: [start, end) codepoint offsets into a sentence."""
 
@@ -24,16 +28,27 @@ class LabeledSpan:
     label: str
 
     def __post_init__(self):
-        if not (0 <= self.start < self.end):
+        try:
+            valid = 0 <= self.start < self.end
+        except TypeError:
+            raise FormatError(f"span {self.id}: offsets must be integers, "
+                              f"got {self.start!r} and {self.end!r}") from None
+        if not valid:
             raise FormatError(f"span {self.id}: invalid offsets [{self.start}, {self.end})")
-        if not self.label or any(c.isspace() for c in self.label):
+        label = self.label
+        if label and not isinstance(label, str):
+            raise FormatError(f"span {self.id}: label must be a string, "
+                              f"got {type(label).__name__}")
+        # split() breaks at exactly the characters isspace() accepts, so a
+        # label is [label] iff it is non-empty and holds none of them
+        if not label or label.split() != [label]:
             raise FormatError(f"span {self.id}: label must be non-empty without whitespace")
 
     def slice(self, text: str) -> str:
         return text[self.start:self.end]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationLink:
     """A typed link (relation or event-argument role) between two spans of one sentence."""
 
@@ -42,7 +57,7 @@ class RelationLink:
     tail_span_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
     text: str
     spans: tuple[LabeledSpan, ...] = ()
@@ -50,7 +65,10 @@ class AnnotatedSentence:
     relations: tuple[RelationLink, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "spans", tuple(self.spans))
+        if not isinstance(self.text, str):
+            raise FormatError(f"text must be a string, got {type(self.text).__name__}")
+        spans = tuple(self.spans)
+        object.__setattr__(self, "spans", spans)
         object.__setattr__(self, "relations", tuple(self.relations))
         if isinstance(self.meta, dict):
             object.__setattr__(self, "meta", tuple(sorted(self.meta.items())))
@@ -58,7 +76,7 @@ class AnnotatedSentence:
             object.__setattr__(self, "meta", tuple(self.meta))
         n = len(self.text)
         prev_end = 0
-        for i, s in enumerate(self.spans):
+        for i, s in enumerate(spans):
             if s.id != i:
                 raise FormatError(f"span ids must be 0..n-1 in order; got id {s.id} at position {i}")
             if s.end > n:
@@ -66,10 +84,11 @@ class AnnotatedSentence:
             if s.start < prev_end:
                 raise FormatError(f"span {s.id} overlaps previous span or is out of order")
             prev_end = s.end
-        span_ids = {s.id for s in self.spans}
-        for r in self.relations:
-            if r.head_span_id not in span_ids or r.tail_span_id not in span_ids:
-                raise FormatError(f"relation {r.kind} references missing span id")
+        if self.relations:
+            span_ids = {s.id for s in spans}
+            for r in self.relations:
+                if r.head_span_id not in span_ids or r.tail_span_id not in span_ids:
+                    raise FormatError(f"relation {r.kind} references missing span id")
 
     @property
     def meta_dict(self) -> dict[str, str]:
@@ -79,7 +98,7 @@ class AnnotatedSentence:
         return [s.slice(self.text) for s in self.spans]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QaExample:
     """A QA item: context with exactly one answer span."""
 
@@ -261,33 +280,38 @@ def sentence_to_json(sent: AnnotatedSentence) -> dict:
 
 
 def sentence_from_json(obj: dict) -> AnnotatedSentence:
-    spans = tuple(
-        LabeledSpan(i, s["start"], s["end"], s["label"])
-        for i, s in enumerate(obj.get("spans", []))
-    )
-    relations = tuple(
-        RelationLink(r["kind"], r["head"], r["tail"]) for r in obj.get("relations", [])
-    )
+    if not isinstance(obj, dict):
+        raise FormatError(f"expected a JSON object, got {type(obj).__name__}")
+    # list comprehensions: a generator per sentence costs more than the list
+    spans = tuple([LabeledSpan(i, s["start"], s["end"], s["label"])
+                   for i, s in enumerate(obj.get("spans", ()))])
+    relations = ()
+    if "relations" in obj:
+        relations = tuple([RelationLink(r["kind"], r["head"], r["tail"])
+                           for r in obj["relations"]])
     return AnnotatedSentence(obj["text"], spans, obj.get("meta", {}), relations)
 
 
 def parse_jsonl(text: str) -> list[AnnotatedSentence]:
+    """Span-JSON lines to sentences; a line that is not JSON, lacks a field or
+    holds one of the wrong type raises FormatError naming the line.
+
+    Lines end at "\n" only: emit_jsonl writes U+2028, U+0085 and the like
+    unescaped, and str.splitlines() would break a record at them."""
     sentences = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
             sentences.append(sentence_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, FormatError) as e:
+        except (json.JSONDecodeError, KeyError, TypeError, FormatError) as e:
             raise FormatError(f"line {lineno}: {e}") from None
     return sentences
 
 
 def emit_jsonl(sentences: list[AnnotatedSentence]) -> str:
-    return "".join(
-        json.dumps(sentence_to_json(s), ensure_ascii=False, sort_keys=True) + "\n"
-        for s in sentences
-    )
+    encode = JSONL_ENCODER.encode
+    return "".join([encode(sentence_to_json(s)) + "\n" for s in sentences])
 
 
 # ---------------------------------------------------------------------------

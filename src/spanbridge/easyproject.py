@@ -84,7 +84,7 @@ def fuzzy_ratio(a: str, b: str) -> float:
 # Label assignment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatcherConfig:
     mode: str = MATCH_FUZZY
     threshold: float = 0.5
@@ -99,7 +99,7 @@ class MatcherConfig:
             raise ValueError(f"unknown fallback {self.on_no_match!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assignment:
     """candidate_for[t] = source-candidate index assigned to bracketed span t."""
 
@@ -168,7 +168,7 @@ def assign_labels_fuzzy(
 # Projection pipeline
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProjectionOutcome:
     status: str
     reason: str = ""
@@ -178,7 +178,7 @@ class ProjectionOutcome:
     low_confidence: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class ProjectionReport:
     total: int = 0
     projected: int = 0
@@ -304,7 +304,7 @@ def project_corpus(
     fails every sentence with an item in the faulted batch."""
     cfg = cfg or MatcherConfig()
     plans = [_plan(s, scheme, cfg) for s in sentences]
-    items = tuple(item for _, _, sentence_items in plans for item in sentence_items)
+    items = tuple([item for _, _, sentence_items in plans for item in sentence_items])
     response = translate(TranslateRequest(items, src_lang, tgt_lang), backend,
                          max_in_flight=jobs)
 

@@ -20,13 +20,13 @@ SORT_DESCENDING = "descending"
 SORT_ASCENDING = "ascending"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParallelPair:
     src: AnnotatedSentence
     tgt: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FtDataConfig:
     k: int = 5000
     match_case_fold: bool = True
@@ -66,7 +66,6 @@ def match_entity_in_target(
             to_tgt[folded] = i
             folded += len(ch.casefold())
         to_tgt[folded] = len(tgt)
-    taken = taken or []
     pos = 0
     while True:
         found = haystack.find(needle, pos)
@@ -78,7 +77,10 @@ def match_entity_in_target(
             if start not in to_tgt or end not in to_tgt:
                 continue
             start, end = to_tgt[start], to_tgt[end]
-        if not any(start < t_end and t_start < end for t_start, t_end in taken):
+        for t_start, t_end in taken or ():  # a plain loop: any() would run a generator per call
+            if start < t_end and t_start < end:
+                break
+        else:
             return (start, end)
 
 
@@ -100,7 +102,7 @@ def build_ft_pairs(
     cfg = cfg or FtDataConfig()
     scheme = MarkerScheme(SQUARE_BRACKET)
 
-    mentions = tuple(text for pair in pairs for text in pair.src.span_texts())
+    mentions = tuple([text for pair in pairs for text in pair.src.span_texts()])
     translated = translate(TranslateRequest(mentions, src_lang, tgt_lang), backend).items
 
     multi: list[tuple[str, str]] = []

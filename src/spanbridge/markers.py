@@ -30,7 +30,8 @@ COUNT_MISMATCH = "CountMismatch"
 STRUCTURE_ERROR = "StructureError"
 
 # locale quote variants folded back to straight quotes: « » “ ” „ ‟ ‹ › 「 」 『 』
-_QUOTE_FOLD = str.maketrans(dict.fromkeys("«»“”„‟‹›「」『』", '"'))
+# (one regex pass; str.translate looks every character up in a dict)
+_LOCALE_QUOTE_RE = re.compile("[«»“”„‟‹›「」『』]")
 
 # placeholder tokens as they may come back: any word starting with a letter, then digits
 _PLACEHOLDER_RE = re.compile(r"(?<![\w])[^\W\d]\w*?\d+(?![\w])")
@@ -41,7 +42,7 @@ class PreexistingMarkerError(ValueError):
     which would make extraction ambiguous; the sentence should be filtered."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkerScheme:
     kind: str = SQUARE_BRACKET
     pad_with_space: bool = True
@@ -51,7 +52,7 @@ class MarkerScheme:
             raise ValueError(f"unknown marker scheme {self.kind!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedText:
     """Marked string plus the span-id <-> marker-token map.
 
@@ -64,7 +65,7 @@ class MarkedText:
     scheme: MarkerScheme
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtractionResult:
     clean_text: str
     # (marker_id or None for anonymous markers, start, end) in clean_text
@@ -88,7 +89,7 @@ def _xml_tags(i: int) -> tuple[str, str]:
     return f"<{tag}>", f"</{tag}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Syntax:
     """How a wrapping scheme writes and reads its markers."""
 
@@ -99,7 +100,7 @@ class _Syntax:
     fold_quotes: bool = False
 
     def fold(self, text: str) -> str:
-        return text.translate(_QUOTE_FOLD) if self.fold_quotes else text
+        return _LOCALE_QUOTE_RE.sub('"', text) if self.fold_quotes else text
 
 
 _SYNTAX = {
@@ -125,7 +126,7 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
     """
     text = sentence.text
     if scheme.kind == PLACEHOLDER:
-        marker_map = tuple((s.id, f"{s.label}{s.id}", s.slice(text)) for s in sentence.spans)
+        marker_map = tuple([(s.id, f"{s.label}{s.id}", s.slice(text)) for s in sentence.spans])
         for _, token, _ in marker_map:
             if token in text:
                 raise PreexistingMarkerError(f"source text already contains marker token {token!r}")

@@ -17,7 +17,7 @@ def projection_rate(report: ProjectionReport) -> float:
     return report.projected / report.total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BleuConfig:
     max_n: int = 4
     # orders with zero hypothesis n-grams corpus-wide are excluded from the
@@ -72,7 +72,7 @@ def corpus_bleu(
     return bp * math.exp(log_precision)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CorpusStats:
     n_sentences: int
     avg_tokens_per_sentence: float

@@ -20,6 +20,8 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from .core import JSONL_ENCODER
+
 OK = "Ok"
 
 REORDER_NONE = "none"
@@ -31,7 +33,7 @@ DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_MS = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslateRequest:
     items: tuple[str, ...]
     src_lang: str
@@ -41,11 +43,11 @@ class TranslateRequest:
         object.__setattr__(self, "items", tuple(self.items))
         if not self.src_lang or not self.tgt_lang:
             raise ValueError("src_lang and tgt_lang must be non-empty")
-        if any(not item for item in self.items):
+        if not all(self.items):
             raise ValueError("request items must be non-empty strings")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslatedItem:
     output: str
     status: str = OK  # OK or an error message prefixed "BackendError"
@@ -55,7 +57,7 @@ class TranslatedItem:
         return self.status == OK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranslateResponse:
     items: tuple[TranslatedItem, ...]
 
@@ -71,7 +73,7 @@ class IdentityBackend:
     """Returns every input unchanged. The projection no-op reference."""
 
     def translate(self, request: TranslateRequest) -> TranslateResponse:
-        return TranslateResponse(tuple(TranslatedItem(t) for t in request.items))
+        return TranslateResponse(tuple([TranslatedItem(t) for t in request.items]))
 
 
 # a marker pair with everything it wraps, padded or glued; split() also
@@ -82,7 +84,7 @@ _PAIR_RE = re.compile(r'(\[[^\]]*\]|"[^"]*"|<([a-zA-Z]+)>.*?</\2>)')
 _WORD_RE = re.compile(r'(?<![^\s\[\]">])[^\s\[\]"<>]+')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexiconBackendConfig:
     token_map: tuple[tuple[str, str], ...]
     reorder: str = REORDER_NONE  # none | reverse | seed:<int>
@@ -132,7 +134,7 @@ class LexiconBackend:
 
     def translate(self, request: TranslateRequest) -> TranslateResponse:
         return TranslateResponse(
-            tuple(TranslatedItem(self._translate_one(t)) for t in request.items)
+            tuple([TranslatedItem(self._translate_one(t)) for t in request.items])
         )
 
 
@@ -190,10 +192,11 @@ class TranslationCache:
                 if (src_lang, tgt_lang, text) not in self._entries:
                     new.setdefault(text, output)
             if new:
-                lines = "".join(
-                    json.dumps({"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text,
-                                "output": output}, ensure_ascii=False, sort_keys=True) + "\n"
-                    for text, output in new.items())
+                encode = JSONL_ENCODER.encode
+                lines = "".join([
+                    encode({"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text,
+                            "output": output}) + "\n"
+                    for text, output in new.items()])
                 try:
                     with open(self.path, "a", encoding="utf-8") as f:
                         if self._torn_at is not None:
@@ -352,7 +355,7 @@ def translate(request: TranslateRequest, backend,
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             replies = list(pool.map(_checked_reply, itertools.repeat(backend), batches))
     result_of = dict(zip(unique, itertools.chain.from_iterable(replies)))
-    return TranslateResponse(tuple(result_of[t] for t in request.items))
+    return TranslateResponse(tuple([result_of[t] for t in request.items]))
 
 
 def warm_cache(requests_list: list[TranslateRequest], backend,

@@ -50,6 +50,16 @@ class TestParsePharaoh:
         with pytest.raises(FormatError, match="position 1"):
             parse_pharaoh("0-0 x-y", 3, 3)
 
+    @pytest.mark.parametrize("token", ["²-1", "1-²", "1-½", "Ⅻ-0", "-1-0", "+1-0", "1-"])
+    def test_digits_int_cannot_read_are_malformed(self, token):
+        # "²" and "½" pass str.isdigit() or isnumeric() but int() rejects them
+        with pytest.raises(FormatError) as e:
+            parse_pharaoh(f"0-0 {token}", 3, 3)
+        assert str(e.value) == f"malformed alignment pair {token!r} at position 1"
+
+    def test_decimal_digits_of_other_scripts_are_read(self):
+        assert parse_pharaoh("٠-١ २-0", 3, 3).links == {(0, 1), (2, 0)}
+
 
 class TestProjectSpan:
     def test_min_max_rule(self):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,30 @@ class TestMetricsCommands:
         report.write_text(content, encoding="utf-8")
         assert run(["rate", "--report", str(report)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {report}: not a projection report\n"
+
+    def test_stats_rejects_a_wrongly_typed_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"text": "ok"}\n'
+                        '{"text": "ab", "spans": [{"start": "0", "end": 1, "label": "X"}]}\n',
+                        encoding="utf-8")
+        assert run(["stats", "--in", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: line 2: span 0: offsets must be integers, got '0' and 1\n"
+
+
+def test_python_dash_m_runs_the_cli(tmp_path, corpus_file):
+    path, _ = corpus_file
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "spanbridge", "stats", "--in", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert json.loads(done.stdout)["n_sentences"] == 30
+    usage = subprocess.run([sys.executable, "-m", "spanbridge", "stats"],
+                           capture_output=True, text=True, env=env, timeout=60)
+    assert usage.returncode == EXIT_USAGE
+    assert usage.stderr.startswith("usage: spanbridge stats")
 
 
 class TestWarmCacheAndOffline:

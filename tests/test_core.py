@@ -206,6 +206,34 @@ class TestJsonl:
         with pytest.raises(FormatError, match="line 2"):
             parse_jsonl('{"text": "ok", "spans": []}\n{"nope": 1}\n')
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"text": "ab", "spans": [{"start": "0", "end": 1, "label": "X"}]}',
+         "line 2: span 0: offsets must be integers, got '0' and 1"),
+        ('{"text": "ab", "spans": [{"start": 0, "end": 1, "label": 5}]}',
+         "line 2: span 0: label must be a string, got int"),
+        ('{"text": "ab", "spans": [{"start": 0, "end": 1, "label": ["X"]}]}',
+         "line 2: span 0: label must be a string, got list"),
+        ('{"text": 5}', "line 2: text must be a string, got int"),
+        ('["text", "ab"]', "line 2: expected a JSON object, got list"),
+        ('"ab"', "line 2: expected a JSON object, got str"),
+        ('{"text": "ab", "spans": 5}', "line 2: 'int' object is not iterable"),
+        ('{"text": "ab", "relations": [5]}', "line 2: 'int' object is not subscriptable"),
+    ])
+    def test_wrongly_typed_field_is_a_format_error(self, line, message):
+        with pytest.raises(FormatError) as e:
+            parse_jsonl('{"text": "ok"}\n' + line + "\n")
+        assert str(e.value) == message
+
+    def test_unicode_line_breaks_inside_text_round_trip(self):
+        corpus = [AnnotatedSentence(text, (LabeledSpan(0, 0, 1, "X"),))
+                  for text in ("a\u2028b", "c\u2029d", "e\x85f", "g\x1ch", "i\x0bj")]
+        assert parse_jsonl(emit_jsonl(corpus)) == corpus
+        assert parse_jsonl(emit_jsonl(corpus).replace("\n", "\r\n")) == corpus
+
+    def test_null_label_keeps_its_message(self):
+        with pytest.raises(FormatError, match="^line 1: span 0: label must be non-empty"):
+            parse_jsonl('{"text": "ab", "spans": [{"start": 0, "end": 1, "label": null}]}')
+
 
 class TestInvariants:
     def test_overlap_rejected(self):

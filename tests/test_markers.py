@@ -15,6 +15,7 @@ from spanbridge.markers import (
     mark_ranges,
     strip_markers,
 )
+from spanbridge.markers import _SYNTAX
 
 CHURCHILL = AnnotatedSentence(
     "Churchill was born in England in 1874 .",
@@ -325,3 +326,25 @@ class TestExtractNeverRaises:
         assert len(bounds) == n_spans
         assert all(0 <= s <= e <= len(result.clean_text) for s, e in bounds)
         assert all(e <= s for (_, e), (s, _) in zip(bounds, bounds[1:]))
+
+
+# the str.translate table quote folding used before the regex, kept as the reference
+LOCALE_QUOTES = "«»“”„‟‹›「」『』"
+REFERENCE_QUOTE_FOLD = str.maketrans(dict.fromkeys(LOCALE_QUOTES, '"'))
+
+
+class TestQuoteFold:
+    def test_every_locale_quote_folds(self):
+        fold = _SYNTAX["quotes"].fold
+        assert fold(LOCALE_QUOTES + "x") == '"' * len(LOCALE_QUOTES) + "x"
+        assert fold("‚‘’'") == "‚‘’'"  # single quotes are not markers
+
+    @given(st.text(alphabet=st.one_of(st.sampled_from(LOCALE_QUOTES + '"\'[]<>'),
+                                      st.characters())))
+    @settings(max_examples=300)
+    def test_equals_the_translate_table(self, text):
+        assert _SYNTAX["quotes"].fold(text) == text.translate(REFERENCE_QUOTE_FOLD)
+
+    @pytest.mark.parametrize("kind", ["brackets", "xml"])
+    def test_other_schemes_do_not_fold(self, kind):
+        assert _SYNTAX[kind].fold("«a»") == "«a»"
