@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AnnotatedSentence, FormatError, LabeledSpan, span_token_ranges, token_bounds
+from .core import (AnnotatedSentence, FormatError, LabeledSpan, gc_paused, span_token_ranges,
+                   token_bounds)
 from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport
 
 
@@ -56,16 +57,34 @@ def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> Alignment:
     return Alignment(frozenset(links))
 
 
+def _target_bounds(alignment: Alignment) -> dict[int, tuple[int, int]]:
+    """Lowest and highest target token index of each aligned source token."""
+    bounds: dict[int, tuple[int, int]] = {}
+    for i, j in alignment.links:
+        lo, hi = bounds.get(i, (j, j))
+        bounds[i] = (lo if lo < j else j, hi if hi > j else j)
+    return bounds
+
+
+def _project_range(span_range: tuple[int, int], bounds: dict[int, tuple[int, int]]
+                   ) -> tuple[int, int] | None:
+    lo = hi = None
+    for i in range(*span_range):
+        b = bounds.get(i)
+        if b is not None:
+            if lo is None or b[0] < lo:
+                lo = b[0]
+            if hi is None or b[1] > hi:
+                hi = b[1]
+    return None if lo is None else (lo, hi + 1)
+
+
 def project_span_aligned(span_range: tuple[int, int], alignment: Alignment) -> tuple[int, int] | None:
     """Map a [s, e) source token range to the min..max covered target range.
 
     Returns None (unprojectable) when no source token in the range is aligned.
     """
-    s, e = span_range
-    targets = {j for i, j in alignment.links if s <= i < e}
-    if not targets:
-        return None
-    return (min(targets), max(targets) + 1)
+    return _project_range(span_range, _target_bounds(alignment))
 
 
 def project_sentence_aligned(
@@ -80,18 +99,18 @@ def project_sentence_aligned(
     if tuple(sentence.text.split(" ")) != pair.src_tokens:
         raise FormatError("sentence text does not match the aligned source tokens")
     tok_ranges = span_token_ranges(pair.src_tokens, sentence.spans)
-    aligned = {i for i, _ in pair.alignment.links}
+    bounds = _target_bounds(pair.alignment)  # once per sentence, not per span
 
     diagnostics: list[str] = []
     projected_ranges: list[tuple[int, int, str]] = []
     for span, tok_range in zip(sentence.spans, tok_ranges):
-        target = project_span_aligned(tok_range, pair.alignment)
+        target = _project_range(tok_range, bounds)
         if target is None:
             return ProjectionOutcome(
                 FILTERED, "Unprojectable",
                 diagnostics=(f"span {span.id} has no aligned target tokens",),
             )
-        unaligned = [i for i in range(*tok_range) if i not in aligned]
+        unaligned = [i for i in range(*tok_range) if i not in bounds]
         if unaligned:
             diagnostics.append(
                 f"boundary-risk: span {span.id} has unaligned source tokens {unaligned}; "
@@ -114,6 +133,7 @@ def project_sentence_aligned(
     return ProjectionOutcome(PROJECTED, sentence=out, diagnostics=tuple(diagnostics))
 
 
+@gc_paused()
 def project_corpus_aligned(
     sentences: list[AnnotatedSentence], pairs: list[AlignedPair]
 ) -> tuple[list[AnnotatedSentence], ProjectionReport]:

@@ -44,6 +44,15 @@ def _read(path: str) -> str:
         return f.read()
 
 
+def _read_lines(path: str) -> list[str]:
+    """Lines of a plain-text file, split at "\n" only, as parse_jsonl splits;
+    str.splitlines() would also break a line at U+0085, U+2028 and the like."""
+    lines = _read(path).split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def _load_corpus(path: str, fmt: str, lenient: bool) -> list[core.AnnotatedSentence]:
     text = _read(path)
     if fmt == "conll":
@@ -258,8 +267,8 @@ def _cmd_project(args) -> int:
 
 def _cmd_align_project(args) -> int:
     sentences = _load_corpus(args.infile, args.format, args.lenient_bio)
-    translations = _read(args.translations).splitlines()
-    alignment_lines = _read(args.alignments).splitlines()
+    translations = _read_lines(args.translations)
+    alignment_lines = _read_lines(args.alignments)
     if not (len(sentences) == len(translations) == len(alignment_lines)):
         raise UsageError(
             f"index mismatch: {len(sentences)} sentences, {len(translations)} "
@@ -278,7 +287,7 @@ def _cmd_align_project(args) -> int:
 def _cmd_build_ftdata(args) -> int:
     backend = _backend_from_args(args)
     src_sentences = core.parse_jsonl(_read(args.src))
-    tgt_lines = _read(args.tgt).splitlines()
+    tgt_lines = _read_lines(args.tgt)
     if len(src_sentences) != len(tgt_lines):
         raise UsageError(
             f"index mismatch: {len(src_sentences)} source sentences, "
@@ -302,8 +311,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bleu(args) -> int:
-    hyp_lines = _read(args.hyp).splitlines()
-    ref_lines = _read(args.ref).splitlines()
+    hyp_lines = _read_lines(args.hyp)
+    ref_lines = _read_lines(args.ref)
     if args.strip_scheme:
         scheme = markers.MarkerScheme(args.strip_scheme)
         hyp_lines = [markers.strip_markers(h, scheme) for h in hyp_lines]
@@ -329,7 +338,7 @@ def _cmd_rate(args) -> int:
 
 def _cmd_warm_cache(args) -> int:
     backend = _backend_from_args(args)
-    texts = [line for line in _read(args.infile).splitlines() if line]
+    texts = [line for line in _read_lines(args.infile) if line]
     request = tr.TranslateRequest(tuple(texts), args.src_lang, args.tgt_lang)
     new, errors = tr.warm_cache([request], backend, args.cache_out)
     print(json.dumps({"new_entries": new, "errors": errors}))

@@ -6,7 +6,10 @@ are slotted, immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
+import threading
 from dataclasses import dataclass
 
 
@@ -14,8 +17,33 @@ class FormatError(ValueError):
     """Raised when an input file violates its format contract."""
 
 
-# one encoder for every JSONL line: json.dumps with these arguments builds a new one per call
-JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+# one encoder for every JSONL line: json.dumps with these arguments builds a new one per call;
+# records are acyclic, so no per-container markers dict is needed to detect cycles
+JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False)
+
+
+# makes each read-and-disable of the collector and each re-enable one step, so
+# a pause that ends while another thread's begins cannot leave it off for good
+_GC_SWITCH = threading.RLock()
+
+
+@contextlib.contextmanager
+def gc_paused():
+    """Hold off the cyclic collector for a batch; also a decorator. A batch's
+    records are acyclic and live until it returns, so collections meanwhile
+    only rescan them. On exit the collector is re-enabled only if it was on at
+    entry, so nesting is safe; cycles a backend makes are freed by the first
+    collection after. Process-wide: a gc.disable() that another thread makes
+    while a batch runs is undone when the batch returns."""
+    with _GC_SWITCH:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            with _GC_SWITCH:
+                gc.enable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,13 +56,13 @@ class LabeledSpan:
     label: str
 
     def __post_init__(self):
-        try:
-            valid = 0 <= self.start < self.end
-        except TypeError:
+        start, end = self.start, self.end
+        # exactly int: 0.0 would fail later as a slice index, and True is a bool
+        if type(start) is not int or type(end) is not int:
             raise FormatError(f"span {self.id}: offsets must be integers, "
-                              f"got {self.start!r} and {self.end!r}") from None
-        if not valid:
-            raise FormatError(f"span {self.id}: invalid offsets [{self.start}, {self.end})")
+                              f"got {start!r} and {end!r}")
+        if not 0 <= start < end:
+            raise FormatError(f"span {self.id}: invalid offsets [{start}, {end})")
         label = self.label
         if label and not isinstance(label, str):
             raise FormatError(f"span {self.id}: label must be a string, "
@@ -292,6 +320,7 @@ def sentence_from_json(obj: dict) -> AnnotatedSentence:
     return AnnotatedSentence(obj["text"], spans, obj.get("meta", {}), relations)
 
 
+@gc_paused()
 def parse_jsonl(text: str) -> list[AnnotatedSentence]:
     """Span-JSON lines to sentences; a line that is not JSON, lacks a field or
     holds one of the wrong type raises FormatError naming the line.

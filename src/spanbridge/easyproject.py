@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink
+from .core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink, gc_paused
 from .markers import (
     VALID,
     MarkedText,
@@ -289,6 +289,7 @@ def project_sentence(
     return _resolve(sentence, marked, response.items, scheme, cfg)
 
 
+@gc_paused()
 def project_corpus(
     sentences: list[AnnotatedSentence],
     backend,
@@ -301,7 +302,9 @@ def project_corpus(
     """Project a corpus; returns projected sentences in input order plus a
     report tallying projected/filtered/failed counts per reason. All items go
     through one translate() call with `jobs` batches in flight; a backend fault
-    fails every sentence with an item in the faulted batch."""
+    fails every sentence with an item in the faulted batch. The cyclic
+    collector is off throughout (core.gc_paused): cycles the backend makes
+    are freed after it returns."""
     cfg = cfg or MatcherConfig()
     plans = [_plan(s, scheme, cfg) for s in sentences]
     items = tuple([item for _, _, sentence_items in plans for item in sentence_items])

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import AnnotatedSentence
+from .core import AnnotatedSentence, gc_paused
 from .markers import SQUARE_BRACKET, MarkerScheme, PreexistingMarkerError, mark_ranges
 from .translate import TranslateRequest, translate
 
@@ -84,6 +84,7 @@ def match_entity_in_target(
             return (start, end)
 
 
+@gc_paused()
 def build_ft_pairs(
     pairs: list[ParallelPair],
     backend,
@@ -97,7 +98,9 @@ def build_ft_pairs(
     with exactly one follow, sorted by source length per cfg.length_sort.
     Backend failures on an entity just skip that entity. A pair whose source
     or target already holds a bracket is skipped, like a pair with no
-    matched entity, since its markers could not be told apart.
+    matched entity, since its markers could not be told apart. The cyclic
+    collector is off throughout (core.gc_paused): cycles the backend makes
+    are freed after it returns.
     """
     cfg = cfg or FtDataConfig()
     scheme = MarkerScheme(SQUARE_BRACKET)

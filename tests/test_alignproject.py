@@ -11,7 +11,7 @@ from spanbridge.alignproject import (
     project_sentence_aligned,
     project_span_aligned,
 )
-from spanbridge.core import AnnotatedSentence, FormatError, LabeledSpan
+from spanbridge.core import AnnotatedSentence, FormatError, LabeledSpan, span_token_ranges, token_bounds
 from spanbridge.easyproject import FILTERED, PROJECTED
 
 
@@ -84,6 +84,36 @@ class TestProjectSpan:
             e = rng.randint(s + 1, n_src)
             assert project_span_aligned((s, e), Alignment(frozenset(links))) == \
                 oracle_project((s, e), sorted(links))
+
+    def test_sentence_matches_per_span_oracle_random(self):
+        """Links grouped once per sentence give each span the oracle's range and
+        the boundary-risk diagnostics of a per-span scan over all links."""
+        rng = random.Random(23)
+        outcomes = set()
+        for sent in make_corpus(400, seed=29):
+            tokens = tuple(sent.text.split(" "))
+            n = len(tokens)
+            links = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
+            outcome = project_sentence_aligned(sent, AlignedPair(tokens, tokens, Alignment(links)))
+            ranges = span_token_ranges(tokens, sent.spans)
+            targets = [oracle_project(r, sorted(links)) for r in ranges]
+            outcomes.add(outcome.reason or outcome.status)
+            if None in targets:
+                assert outcome.reason == "Unprojectable"
+                continue
+            if outcome.status == FILTERED:
+                assert outcome.reason == "Overlap"
+                continue
+            aligned = {i for i, _ in links}
+            risky = [(span.id, [i for i in range(*r) if i not in aligned])
+                     for span, r in zip(sent.spans, ranges)]
+            assert outcome.diagnostics == tuple(
+                f"boundary-risk: span {k} has unaligned source tokens {u}; "
+                "target range may be truncated" for k, u in risky if u)
+            bounds = token_bounds(tokens)
+            assert sorted((s.start, s.end) for s in outcome.sentence.spans) == \
+                sorted((bounds[a][0], bounds[b - 1][1]) for a, b in targets)
+        assert outcomes == {PROJECTED, "Unprojectable", "Overlap"}
 
 
 def identity_pair(sentence: AnnotatedSentence) -> AlignedPair:

@@ -47,6 +47,17 @@ class TestProjectCommand:
         assert rep["filtered"] == 1
         assert len(parse_jsonl(out.read_text(encoding="utf-8"))) == 30
 
+    def test_float_offset_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "f.jsonl"
+        path.write_text('{"text": "ab cd", "spans": [{"start": 0.0, "end": 2, "label": "X"}]}\n',
+                        encoding="utf-8")
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o.jsonl"),
+                    "--report", str(tmp_path / "r.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: line 1: span 0: offsets must be integers, got 0.0 and 2\n"
+        assert not (tmp_path / "o.jsonl").exists()
+
     def test_mt_url_without_scheme_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch):
         monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
         path, _ = corpus_file
@@ -200,6 +211,35 @@ class TestAlignProjectCommand:
         assert code == EXIT_USAGE
 
 
+    def test_line_files_split_at_newline_only(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl([
+            AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "X"),)),
+            AnnotatedSentence("c d", (LabeledSpan(0, 2, 3, "Y"),)),
+        ]), encoding="utf-8")
+        # U+0085 is a line break to str.splitlines(), and whitespace to str.split()
+        (tmp_path / "t.txt").write_text("x\x85y z\nr s\n", encoding="utf-8")
+        (tmp_path / "a.txt").write_text("0-2 1-0\n0-0 1-1\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = run(["align-project", "--in", str(path),
+                    "--translations", str(tmp_path / "t.txt"),
+                    "--alignments", str(tmp_path / "a.txt"), "--out", str(out)])
+        assert code == EXIT_OK
+        projected = parse_jsonl(out.read_text(encoding="utf-8"))
+        assert [s.span_texts() for s in projected] == [["z"], ["s"]]
+
+    def test_build_ftdata_reads_one_target_per_newline(self, tmp_path):
+        src = tmp_path / "src.jsonl"
+        src.write_text(emit_jsonl([AnnotatedSentence("alpha bravo", (LabeledSpan(0, 0, 5, "X"),))]),
+                       encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text("p\u2028alpha q\n", encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        code = run(["build-ftdata", "--src", str(src), "--tgt", str(tmp_path / "tgt.txt"),
+                    "--out", str(out), "--backend", "identity"])
+        assert code == EXIT_OK
+        assert out.read_text(encoding="utf-8") == "[ alpha ] bravo\tp\u2028[ alpha ] q\n"
+
+
 class TestMetricsCommands:
     def test_stats(self, tmp_path, corpus_file, capsys):
         path, corpus = corpus_file
@@ -234,6 +274,13 @@ class TestMetricsCommands:
         report.write_text(content, encoding="utf-8")
         assert run(["rate", "--report", str(report)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {report}: not a projection report\n"
+
+    def test_bleu_reads_one_line_per_newline(self, tmp_path, capsys):
+        (tmp_path / "h.txt").write_text("a b c d\x85e\n", encoding="utf-8")
+        (tmp_path / "r.txt").write_text("a b c d e\n", encoding="utf-8")
+        assert run(["bleu", "--hyp", str(tmp_path / "h.txt"),
+                    "--ref", str(tmp_path / "r.txt")]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["bleu"] == pytest.approx(1.0)
 
     def test_stats_rejects_a_wrongly_typed_field(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -289,6 +336,14 @@ class TestWarmCacheAndOffline:
         code = run(["warm-cache", "--in", str(texts), "--backend", "identity",
                     "--cache-out", str(cache)])
         assert json.loads(capsys.readouterr().out)["new_entries"] == 0
+
+    def test_warm_cache_reads_one_text_per_newline(self, tmp_path, capsys):
+        texts = tmp_path / "texts.txt"
+        texts.write_text("a\u2028b\nc\x85d\n\ne", encoding="utf-8")
+        code = run(["warm-cache", "--in", str(texts), "--backend", "identity",
+                    "--cache-out", str(tmp_path / "cache.jsonl")])
+        assert code == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"new_entries": 3, "errors": 0}
 
     def test_warm_cache_unwritable_exit_3(self, tmp_path, capsys):
         texts = tmp_path / "texts.txt"

@@ -209,6 +209,12 @@ class TestJsonl:
     @pytest.mark.parametrize("line, message", [
         ('{"text": "ab", "spans": [{"start": "0", "end": 1, "label": "X"}]}',
          "line 2: span 0: offsets must be integers, got '0' and 1"),
+        ('{"text": "ab", "spans": [{"start": 0.0, "end": 2, "label": "X"}]}',
+         "line 2: span 0: offsets must be integers, got 0.0 and 2"),
+        ('{"text": "ab", "spans": [{"start": 0, "end": 1.5, "label": "X"}]}',
+         "line 2: span 0: offsets must be integers, got 0 and 1.5"),
+        ('{"text": "ab", "spans": [{"start": 0, "end": true, "label": "X"}]}',
+         "line 2: span 0: offsets must be integers, got 0 and True"),
         ('{"text": "ab", "spans": [{"start": 0, "end": 1, "label": 5}]}',
          "line 2: span 0: label must be a string, got int"),
         ('{"text": "ab", "spans": [{"start": 0, "end": 1, "label": ["X"]}]}',
