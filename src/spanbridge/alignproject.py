@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .core import (AnnotatedSentence, FormatError, LabeledSpan, gc_paused, span_token_ranges,
                    token_bounds)
-from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport
+from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport, _tally
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,11 +142,4 @@ def project_corpus_aligned(
         raise FormatError(
             f"{len(sentences)} sentences but {len(pairs)} aligned pairs"
         )
-    report = ProjectionReport()
-    projected: list[AnnotatedSentence] = []
-    for sentence, pair in zip(sentences, pairs):
-        outcome = project_sentence_aligned(sentence, pair)
-        report.add(outcome)
-        if outcome.status == PROJECTED:
-            projected.append(outcome.sentence)
-    return projected, report
+    return _tally(map(project_sentence_aligned, sentences, pairs))

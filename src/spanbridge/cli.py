@@ -234,9 +234,8 @@ def _cmd_mark(args) -> int:
             print(f"skipped: {e}", file=sys.stderr)
             skipped += 1
             continue
-        lines.append(json.dumps(
-            {"text": marked.text, "marker_map": list(marked.marker_map)},
-            ensure_ascii=False, sort_keys=True))
+        lines.append(core.JSONL_ENCODER.encode(
+            {"text": marked.text, "marker_map": list(marked.marker_map)}))
     _atomic_write(args.out, "".join(line + "\n" for line in lines))
     return EXIT_PARTIAL if skipped else EXIT_OK
 
@@ -293,6 +292,9 @@ def _cmd_build_ftdata(args) -> int:
             f"index mismatch: {len(src_sentences)} source sentences, "
             f"{len(tgt_lines)} target lines"
         )
+    for n, (src, tgt) in enumerate(zip(src_sentences, tgt_lines), start=1):
+        if "\t" in src.text or "\t" in tgt:
+            raise UsageError(f"line {n}: a tab in the source or target text would split pairs.tsv")
     cfg = ftdata.FtDataConfig(
         k=args.k, match_case_fold=not args.case_sensitive, length_sort=args.sort
     )

@@ -136,6 +136,9 @@ class QaExample:
     answer: LabeledSpan
 
     def __post_init__(self):
+        for name, value in (("question", self.question), ("context", self.context)):
+            if not isinstance(value, str):
+                raise FormatError(f"{self.id}: {name} must be a string, got {type(value).__name__}")
         if self.answer.label != "ANSWER":
             raise FormatError(f"{self.id}: answer span label must be ANSWER")
         if self.answer.end > len(self.context):
@@ -349,35 +352,42 @@ def emit_jsonl(sentences: list[AnnotatedSentence]) -> str:
 
 def parse_squad(text: str) -> list[QaExample]:
     """Parse SQuAD v1.1 JSON; each qa must have exactly one answer whose text
-    equals the context slice at answer_start."""
+    equals the context slice at answer_start. A malformed document raises
+    FormatError, naming the qa being read if there is one."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"bad JSON: {e}") from None
-    examples = []
-    for article in doc.get("data", []):
-        for para in article.get("paragraphs", []):
-            context = para["context"]
-            for qa in para.get("qas", []):
-                answers = qa.get("answers", [])
-                if len(answers) != 1:
-                    raise FormatError(f"{qa.get('id')}: expected exactly one answer, got {len(answers)}")
-                ans = answers[0]
-                start = ans["answer_start"]
-                end = start + len(ans["text"])
-                if context[start:end] != ans["text"]:
-                    raise FormatError(
-                        f"{qa.get('id')}: answer text {ans['text']!r} does not match "
-                        f"context slice at offset {start}"
+    examples, qa = [], {}  # qa: the one being read, named in error messages
+    try:
+        for article in doc.get("data", []):
+            for para in article.get("paragraphs", []):
+                qa = {}
+                context = para["context"]
+                for qa in para.get("qas", []):
+                    answers = qa.get("answers", [])
+                    if len(answers) != 1:
+                        raise FormatError(
+                            f"{qa.get('id')}: expected exactly one answer, got {len(answers)}")
+                    ans = answers[0]
+                    start = ans["answer_start"]
+                    end = start + len(ans["text"])
+                    if context[start:end] != ans["text"]:
+                        raise FormatError(
+                            f"{qa.get('id')}: answer text {ans['text']!r} does not match "
+                            f"context slice at offset {start}"
+                        )
+                    examples.append(
+                        QaExample(
+                            id=str(qa["id"]),
+                            question=qa["question"],
+                            context=context,
+                            answer=LabeledSpan(0, start, end, "ANSWER"),
+                        )
                     )
-                examples.append(
-                    QaExample(
-                        id=str(qa["id"]),
-                        question=qa["question"],
-                        context=context,
-                        answer=LabeledSpan(0, start, end, "ANSWER"),
-                    )
-                )
+    except (AttributeError, KeyError, TypeError) as e:
+        where = f"{qa['id']}: " if isinstance(qa, dict) and qa.get("id") is not None else ""
+        raise FormatError(f"{where}malformed SQuAD document: {type(e).__name__}: {e}") from None
     return examples
 
 

@@ -9,6 +9,7 @@ translated mentions (brackets, quotes).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink, gc_paused
@@ -21,7 +22,7 @@ from .markers import (
     extract_markers,
     insert_markers,
 )
-from .translate import TranslatedItem, TranslateRequest, translate
+from .translate import DEFAULT_MAX_IN_FLIGHT, TranslatedItem, TranslateRequest, translate
 
 MATCH_FUZZY = "fuzzy"
 MATCH_SEQUENTIAL = "sequential"
@@ -272,6 +273,36 @@ def _resolve(sentence: AnnotatedSentence, marked: MarkedText, items: tuple[Trans
     )
 
 
+def _project(sentences: list[AnnotatedSentence], backend, scheme: MarkerScheme,
+             cfg: MatcherConfig, src_lang: str, tgt_lang: str,
+             jobs: int = DEFAULT_MAX_IN_FLIGHT) -> Iterator[ProjectionOutcome]:
+    """Outcome of each sentence in input order: all are planned, their items go through
+    one translate() call with `jobs` batches in flight, and each is resolved from its own."""
+    plans = [_plan(s, scheme, cfg) for s in sentences]
+    items = tuple([item for _, _, sentence_items in plans for item in sentence_items])
+    translated = translate(TranslateRequest(items, src_lang, tgt_lang), backend,
+                           max_in_flight=jobs).items
+    cursor = 0
+    for sentence, (outcome, marked, sentence_items) in zip(sentences, plans):
+        if outcome is None:
+            n = len(sentence_items)
+            outcome = _resolve(sentence, marked, translated[cursor:cursor + n], scheme, cfg)
+            cursor += n
+        yield outcome
+
+
+def _tally(outcomes: Iterable[ProjectionOutcome]
+           ) -> tuple[list[AnnotatedSentence], ProjectionReport]:
+    """Projected sentences in order plus the report of all outcomes, in one pass."""
+    report = ProjectionReport()
+    projected: list[AnnotatedSentence] = []
+    for outcome in outcomes:
+        report.add(outcome)
+        if outcome.status == PROJECTED:
+            projected.append(outcome.sentence)
+    return projected, report
+
+
 def project_sentence(
     sentence: AnnotatedSentence,
     backend,
@@ -281,12 +312,7 @@ def project_sentence(
     tgt_lang: str = "tgt",
 ) -> ProjectionOutcome:
     """Project one sentence's annotations onto its translation."""
-    cfg = cfg or MatcherConfig()
-    outcome, marked, items = _plan(sentence, scheme, cfg)
-    if outcome is not None:
-        return outcome
-    response = translate(TranslateRequest(items, src_lang, tgt_lang), backend)
-    return _resolve(sentence, marked, response.items, scheme, cfg)
+    return next(_project([sentence], backend, scheme, cfg or MatcherConfig(), src_lang, tgt_lang))
 
 
 @gc_paused()
@@ -305,25 +331,8 @@ def project_corpus(
     fails every sentence with an item in the faulted batch. The cyclic
     collector is off throughout (core.gc_paused): cycles the backend makes
     are freed after it returns."""
-    cfg = cfg or MatcherConfig()
-    plans = [_plan(s, scheme, cfg) for s in sentences]
-    items = tuple([item for _, _, sentence_items in plans for item in sentence_items])
-    response = translate(TranslateRequest(items, src_lang, tgt_lang), backend,
-                         max_in_flight=jobs)
-
-    report = ProjectionReport()
-    projected: list[AnnotatedSentence] = []
-    cursor = 0
-    for sentence, (outcome, marked, sentence_items) in zip(sentences, plans):
-        if outcome is None:
-            n = len(sentence_items)
-            outcome = _resolve(sentence, marked, response.items[cursor:cursor + n], scheme, cfg)
-            cursor += n
-        report.add(outcome)
-        if outcome.status == PROJECTED:
-            assert outcome.sentence is not None
-            projected.append(outcome.sentence)
-    return projected, report
+    return _tally(_project(sentences, backend, scheme, cfg or MatcherConfig(),
+                           src_lang, tgt_lang, jobs))
 
 
 def project_qa(
@@ -333,18 +342,16 @@ def project_qa(
     src_lang: str = "src",
     tgt_lang: str = "tgt",
 ) -> ProjectionOutcome:
-    """Project a QA example: the answer is marked in the context, the context
-    (markers in) and the question (no markers) are translated together, and
-    the answer offsets are recomputed in the clean translated context."""
-    context = AnnotatedSentence(example.context, (example.answer,))
+    """Project a QA example: the context, its answer marked, and the question, a
+    sentence without spans and so sent unmarked, are projected together. The
+    example's outcome is the first of the two that is not Projected."""
     cfg = MatcherConfig(mode=MATCH_SEQUENTIAL)  # a single span needs no matching
-    outcome, marked, items = _plan(context, scheme, cfg)
-    if outcome is not None:
-        return outcome
-    response = translate(TranslateRequest((*items, example.question), src_lang, tgt_lang), backend)
-    outcome = _resolve(context, marked, response.items, scheme, cfg)
-    if outcome.status != PROJECTED:
-        return outcome
-    out = outcome.sentence
+    sentences = [AnnotatedSentence(example.context, (example.answer,)),
+                 AnnotatedSentence(example.question)]
+    outcomes = tuple(_project(sentences, backend, scheme, cfg, src_lang, tgt_lang))
+    for outcome in outcomes:
+        if outcome.status != PROJECTED:
+            return outcome
+    context, question = [outcome.sentence for outcome in outcomes]
     return ProjectionOutcome(
-        PROJECTED, qa=QaExample(example.id, response.items[1].output, out.text, out.spans[0]))
+        PROJECTED, qa=QaExample(example.id, question.text, context.text, context.spans[0]))

@@ -62,7 +62,6 @@ class MarkedText:
 
     text: str
     marker_map: tuple[tuple[int, str, str], ...]
-    scheme: MarkerScheme
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,13 +131,13 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
                 raise PreexistingMarkerError(f"source text already contains marker token {token!r}")
         for span, (_, token, _) in zip(reversed(sentence.spans), reversed(marker_map)):
             text = text[: span.start] + token + text[span.end:]
-        return MarkedText(text, marker_map, scheme)
+        return MarkedText(text, marker_map)
 
     syntax = _SYNTAX[scheme.kind]
     # a list comprehension and map() keep short sentences as fast as before
     marker_map = tuple([(s.id, *syntax.tokens(s.id)) for s in sentence.spans])
     ranges = map(_bounds, sentence.spans)
-    return MarkedText(_wrap(text, ranges, marker_map, scheme), marker_map, scheme)
+    return MarkedText(_wrap(text, ranges, marker_map, scheme), marker_map)
 
 
 def mark_ranges(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_entity_corpus
 from spanbridge import easyproject, translate
+from spanbridge.core import LabeledSpan, QaExample
 from spanbridge.markers import MarkerScheme
 from spanbridge.translate import LexiconBackend, LexiconBackendConfig, TranslateRequest
 
@@ -65,3 +66,23 @@ def test_instrument_counts_cache_hits_misses_and_appends(spans, tmp_path):
     assert rec.counts["translate.cache_misses"] == misses
     assert rec.counts["translate.cache_appends"] == misses
     assert len(translate.TranslationCache(path)) == len(recording.items)
+
+
+@pytest.mark.parametrize("entry", ["project_sentence", "project_qa"])
+def test_one_input_calls_translate_through_the_patched_name(spans, entry):
+    sentences, token_map = make_entity_corpus(1, seed=4)
+    sentence = sentences[0]
+    backend = LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse"))
+    scheme = MarkerScheme("brackets")
+    rec = spans.SpanRecorder()
+    with spans.instrument(rec):
+        if entry == "project_sentence":
+            outcome = easyproject.project_sentence(sentence, backend, scheme)
+        else:
+            span = sentence.spans[0]
+            example = QaExample("q", "what ?", sentence.text,
+                                LabeledSpan(0, span.start, span.end, "ANSWER"))
+            outcome = easyproject.project_qa(example, backend, scheme)
+    assert outcome.status == easyproject.PROJECTED
+    assert [span[1] for span in rec.spans].count("translate.call") == 1
+    assert rec.counts["translate.calls"] == 1

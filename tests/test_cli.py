@@ -165,6 +165,18 @@ class TestMarkCommand:
         expected = insert_markers(corpus[0], MarkerScheme("xml"))
         assert first["text"] == expected.text
 
+    def test_mark_line_bytes_keep_non_ascii_and_sorted_keys(self, tmp_path):
+        sentence = AnnotatedSentence("Ünal lebt in 北京 .", (LabeledSpan(0, 13, 15, "LOC"),))
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl([sentence]), encoding="utf-8")
+        out = tmp_path / "marked.jsonl"
+        assert run(["mark", "--in", str(path), "--out", str(out)]) == EXIT_OK
+        marked = insert_markers(sentence, MarkerScheme("brackets"))
+        expected = json.dumps({"text": marked.text, "marker_map": list(marked.marker_map)},
+                              ensure_ascii=False, sort_keys=True) + "\n"
+        assert out.read_bytes() == expected.encode("utf-8")
+        assert "北京" in out.read_text(encoding="utf-8")
+
 
 class TestAlignProjectCommand:
     def test_identity_alignment(self, tmp_path, corpus_file):
@@ -238,6 +250,29 @@ class TestAlignProjectCommand:
                     "--out", str(out), "--backend", "identity"])
         assert code == EXIT_OK
         assert out.read_text(encoding="utf-8") == "[ alpha ] bravo\tp\u2028[ alpha ] q\n"
+
+    @pytest.mark.parametrize("src_text, tgt_line", [
+        ("alpha bravo", "p\talpha q"),
+        ("alpha\tbravo", "p alpha q"),
+    ])
+    def test_build_ftdata_refuses_a_tab_before_translating(self, tmp_path, capsys, monkeypatch,
+                                                            src_text, tgt_line):
+        def no_translation(*args, **kwargs):
+            raise AssertionError("build_ft_pairs ran")
+
+        monkeypatch.setattr("spanbridge.ftdata.build_ft_pairs", no_translation)
+        src = tmp_path / "src.jsonl"
+        src.write_text(emit_jsonl([
+            AnnotatedSentence("charlie delta", (LabeledSpan(0, 0, 7, "X"),)),
+            AnnotatedSentence(src_text, (LabeledSpan(0, 0, 5, "X"),)),
+        ]), encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text(f"charlie d\n{tgt_line}\n", encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        code = run(["build-ftdata", "--src", str(src), "--tgt", str(tmp_path / "tgt.txt"),
+                    "--out", str(out), "--backend", "identity"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+        assert not out.exists()
 
 
 class TestMetricsCommands:

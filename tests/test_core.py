@@ -194,6 +194,42 @@ class TestSquad:
         assert ex.answer_text == "丘吉尔"
         assert parse_squad(emit_squad([ex], title="x")) == [ex]
 
+    @staticmethod
+    def _para(doc):
+        return doc["data"][0]["paragraphs"][0]
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: [], "AttributeError"),
+        (lambda doc: {"data": "x"}, "AttributeError"),
+        (lambda doc: TestSquad._para(doc).pop("context"), "KeyError: 'context'"),
+        (lambda doc: TestSquad._para(doc)["qas"][0].pop("question"),
+         "q1: malformed SQuAD document: KeyError: 'question'"),
+        (lambda doc: TestSquad._para(doc)["qas"][0]["answers"][0].update(answer_start="0"),
+         "q1: malformed SQuAD document: TypeError"),
+        (lambda doc: TestSquad._para(doc).update(context=5),
+         "q1: malformed SQuAD document: TypeError"),
+        (lambda doc: TestSquad._para(doc)["qas"][0].update(question=7),
+         "q1: question must be a string, got int"),
+        (lambda doc: TestSquad._para(doc)["qas"].append("q2"), "AttributeError"),
+    ], ids=["list", "data-str", "no-context", "no-question", "str-start", "int-context",
+            "int-question", "str-qa-after-q1"])
+    def test_malformed_document_is_a_format_error(self, change, message):
+        doc = json.loads(SQUAD_FIXTURE)
+        changed = change(doc)
+        text = json.dumps(changed if isinstance(changed, (list, dict)) else doc)
+        with pytest.raises(FormatError) as raised:
+            parse_squad(text)
+        assert message in str(raised.value)
+        if "q1" not in message:  # raised before any qa was read
+            assert "q1" not in str(raised.value)
+
+    @pytest.mark.parametrize("field", ["question", "context"])
+    def test_qa_example_rejects_a_non_string(self, field):
+        answer = LabeledSpan(0, 0, 1, "ANSWER")
+        fields = {"id": "q", "question": "who ?", "context": "ab", "answer": answer}
+        with pytest.raises(FormatError, match=f"q: {field} must be a string, got list"):
+            QaExample(**{**fields, field: ["ab"]})
+
 
 class TestJsonl:
     def test_round_trip_with_meta_and_relations(self):

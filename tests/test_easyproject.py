@@ -1,6 +1,7 @@
 import difflib
 import math
 import random
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +29,7 @@ from spanbridge.translate import (
     TranslateRequest,
     TranslateResponse,
     backend_error,
+    translate,
 )
 
 
@@ -385,3 +387,188 @@ class TestProjectQa:
 
         outcome = project_qa(self.QA, QuoteDropper(), MarkerScheme("quotes"))
         assert outcome.status == FILTERED
+
+
+def reference_project_qa(example, backend, scheme, src_lang="src", tgt_lang="tgt"):
+    """project_qa as it was before QA went through the corpus loop: the
+    question was appended to the context's request as an extra item and read
+    back unchanged. It sent nothing for a context filtered before translation,
+    and raised ValueError on an empty question."""
+    context = AnnotatedSentence(example.context, (example.answer,))
+    cfg = MatcherConfig(mode="sequential")
+    outcome, marked, items = easyproject._plan(context, scheme, cfg)
+    if outcome is not None:
+        return outcome
+    response = translate(TranslateRequest((*items, example.question), src_lang, tgt_lang), backend)
+    outcome = easyproject._resolve(context, marked, response.items, scheme, cfg)
+    if outcome.status != PROJECTED:
+        return outcome
+    out = outcome.sentence
+    return easyproject.ProjectionOutcome(
+        PROJECTED, qa=QaExample(example.id, response.items[1].output, out.text, out.spans[0]))
+
+
+def _summary(outcome):
+    return outcome.status, outcome.reason, outcome.qa
+
+
+def _crc(text: str) -> int:
+    return zlib.crc32(text.encode("utf-8"))
+
+
+# contexts and questions holding marker characters of each scheme
+HAND_WRITTEN_QA = [
+    ('He said "no" in England .', "Where ?"),
+    ("a [sic] note from England .", "Where ?"),
+    ("<b>bold</b> text from England .", "Where ?"),
+    ("ANSWER0 came from England .", "Where ?"),
+    ("he said «hi» in England .", "Where ?"),
+    ("Churchill was born in England .", 'Where was "he" born ?'),
+    ("Churchill was born in England .", "Where [was] he <b>born</b> ANSWER0 ?"),
+    ("Churchill was born in England .", "«Where» was he born ?"),
+]
+
+
+def _qa_corpus():
+    """One span of each generated sentence, relabelled ANSWER, with the next
+    sentence's text as the question; then the hand-written examples."""
+    entities, token_map = make_entity_corpus(240, seed=17)
+    sentences = entities + make_corpus(400, seed=19)
+    examples = []
+    for i, sent in enumerate(sentences):
+        if sent.spans:
+            span = sent.spans[_crc(sent.text) % len(sent.spans)]
+            examples.append(QaExample(f"g{i}", sentences[(i + 1) % len(sentences)].text, sent.text,
+                                      LabeledSpan(0, span.start, span.end, "ANSWER")))
+    for i, (context, question) in enumerate(HAND_WRITTEN_QA):
+        start = context.index("England")
+        examples.append(QaExample(f"h{i}", question, context,
+                                  LabeledSpan(0, start, start + len("England"), "ANSWER")))
+    return examples, token_map
+
+
+class QuoteDropper:
+    def translate(self, request):
+        return TranslateResponse(tuple(
+            TranslatedItem(t.replace('"', "", 1)) for t in request.items))
+
+
+class FaultyBackend:
+    """Identity, except that it fails every batch whose first item has a
+    CRC-32 divisible by 5, and a question alone in every batch where the
+    question's CRC-32 is divisible by 3."""
+
+    def __init__(self, questions):
+        self.questions = set(questions)
+
+    def translate(self, request):
+        if _crc(request.items[0]) % 5 == 0:
+            return TranslateResponse(tuple(backend_error("batch down") for _ in request.items))
+        return TranslateResponse(tuple(
+            backend_error("item down") if t in self.questions and _crc(t) % 3 == 0
+            else TranslatedItem(t) for t in request.items))
+
+
+class Recording:
+    """Identity backend that keeps the items of every request."""
+
+    def __init__(self):
+        self.requests = []
+
+    def translate(self, request):
+        self.requests.append(request.items)
+        return IdentityBackend().translate(request)
+
+
+QA_SCHEMES = ["brackets", "xml", "quotes", "placeholder"]
+
+
+class TestProjectQaThroughTheCorpusLoop:
+    def test_outcomes_equal_the_reference(self):
+        examples, token_map = _qa_corpus()
+        backends = {
+            "identity": IdentityBackend(),
+            "reverse": LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse")),
+            "seed:4": LexiconBackend(LexiconBackendConfig(token_map, reorder="seed:4")),
+            "quote-dropper": QuoteDropper(),
+            "faulty": FaultyBackend(ex.question for ex in examples),
+        }
+        seen = set()
+        for kind in QA_SCHEMES:
+            scheme = MarkerScheme(kind)
+            for name, backend in backends.items():
+                for ex in examples:
+                    got = _summary(project_qa(ex, backend, scheme))
+                    assert got == _summary(reference_project_qa(ex, backend, scheme)), \
+                        (kind, name, ex)
+                    seen.add((name, *got[:2]))
+        # every kind of outcome the corpus is meant to reach was reached
+        assert {("identity", PROJECTED, ""), ("reverse", PROJECTED, ""),
+                ("seed:4", PROJECTED, ""), ("identity", FILTERED, "PreexistingMarker"),
+                ("quote-dropper", FILTERED, "CountMismatch"),
+                ("faulty", FAILED, "BackendError"), ("faulty", PROJECTED, "")} <= seen
+
+    @pytest.mark.parametrize("kind", QA_SCHEMES)
+    def test_empty_question_is_projected(self, kind):
+        example = QaExample("q0", "", "Churchill was born in England .",
+                            LabeledSpan(0, 22, 29, "ANSWER"))
+        backend = Recording()
+        outcome = project_qa(example, backend, MarkerScheme(kind))
+        assert outcome.status == PROJECTED
+        assert outcome.qa == example
+        assert len(backend.requests) == 1 and len(backend.requests[0]) == 1
+        with pytest.raises(ValueError, match="non-empty"):
+            reference_project_qa(example, IdentityBackend(), MarkerScheme(kind))
+
+    def test_projected_example_makes_one_request(self):
+        backend = Recording()
+        outcome = project_qa(TestProjectQa.QA, backend, MarkerScheme("brackets"))
+        assert outcome.status == PROJECTED
+        assert backend.requests == [("Churchill was born in [ England ] .", "Where was he born ?")]
+
+    def test_context_filtered_before_translation_still_sends_its_question(self):
+        example = QaExample("q1", "Where ?", 'He said "no" in England .',
+                            LabeledSpan(0, 16, 23, "ANSWER"))
+        backend = Recording()
+        outcome = project_qa(example, backend, MarkerScheme("quotes"))
+        assert (outcome.status, outcome.reason) == (FILTERED, "PreexistingMarker")
+        assert backend.requests == [("Where ?",)]
+        reference_backend = Recording()
+        assert reference_project_qa(example, reference_backend, MarkerScheme("quotes")) == outcome
+        assert reference_backend.requests == []
+
+    def test_filtered_context_outranks_a_failed_question(self):
+        # the reference failed the example on any failed item; the loop takes the context's
+        # outcome first, so a damaged context with a failed question is Filtered
+        class DropQuoteFailQuestion:
+            def translate(self, request):
+                return TranslateResponse(tuple(
+                    backend_error("down") if t == "Where ?"
+                    else TranslatedItem(t.replace('"', "", 1)) for t in request.items))
+
+        example = QaExample("q1", "Where ?", "Churchill was born in England .",
+                            LabeledSpan(0, 22, 29, "ANSWER"))
+        scheme = MarkerScheme("quotes")
+        outcome = project_qa(example, DropQuoteFailQuestion(), scheme)
+        assert (outcome.status, outcome.reason) == (FILTERED, "CountMismatch")
+        reference = reference_project_qa(example, DropQuoteFailQuestion(), scheme)
+        assert (reference.status, reference.reason) == (FAILED, "BackendError")
+
+    @pytest.mark.parametrize("kind", QA_SCHEMES)
+    def test_project_sentence_matches_a_one_sentence_corpus(self, kind):
+        sentences, token_map = make_entity_corpus(30, seed=23)
+        sentences += make_corpus(60, seed=29) + [
+            AnnotatedSentence(""), AnnotatedSentence("a [sic] b", (LabeledSpan(0, 0, 1, "X"),))]
+        corrupt = {insert_markers(s, MarkerScheme("brackets")).text
+                   for s in sentences[::3] if s.spans and "[" not in s.text}
+        for backend in (IdentityBackend(), MarkerDropBackend(corrupt), QuoteDropper(),
+                        LexiconBackend(LexiconBackendConfig(token_map, reorder="seed:4"))):
+            for sent in sentences:
+                outcome = project_sentence(sent, backend, MarkerScheme(kind))
+                projected, report = project_corpus([sent], backend, MarkerScheme(kind))
+                assert projected == ([outcome.sentence] if outcome.status == PROJECTED else [])
+                assert report.to_json() == {
+                    "total": 1, "projected": int(outcome.status == PROJECTED),
+                    "filtered": int(outcome.status == FILTERED),
+                    "failed": int(outcome.status == FAILED),
+                    "reasons": {outcome.reason: 1} if outcome.reason else {}}
