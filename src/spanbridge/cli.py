@@ -295,6 +295,8 @@ def _cmd_build_ftdata(args) -> int:
     for n, (src, tgt) in enumerate(zip(src_sentences, tgt_lines), start=1):
         if "\t" in src.text or "\t" in tgt:
             raise UsageError(f"line {n}: a tab in the source or target text would split pairs.tsv")
+        if "\n" in src.text or "\r" in src.text:  # a target line holds neither
+            raise UsageError(f"line {n}: a line break in the source text would split pairs.tsv")
     cfg = ftdata.FtDataConfig(
         k=args.k, match_case_fold=not args.case_sensitive, length_sort=args.sort
     )

@@ -371,6 +371,8 @@ def parse_squad(text: str) -> list[QaExample]:
                             f"{qa.get('id')}: expected exactly one answer, got {len(answers)}")
                     ans = answers[0]
                     start = ans["answer_start"]
+                    if type(start) is not int:  # True would slice like 1, and 0.0 not at all
+                        raise TypeError(f"answer_start must be an integer, got {start!r}")
                     end = start + len(ans["text"])
                     if context[start:end] != ans["text"]:
                         raise FormatError(

@@ -6,15 +6,18 @@ pure and thread-safe.
 
 Brackets, xml and quotes wrap each span in an open and a close token; what
 sets them apart is one entry each in `_SYNTAX`. Placeholder replaces each
-span with a `{label}{id}` word and has its own replace-and-exact-match path.
+span with a `{label}{id}` word and finds it again by exact match. Every
+scheme inserts and extracts through one region splice, `_splice`.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .core import AnnotatedSentence
 
@@ -121,17 +124,17 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
     """Wrap each annotated span in scheme markers (Placeholder: replace it).
 
     Raises PreexistingMarkerError if a source with spans already contains any
-    marker token of the scheme, known or not.
+    marker token of the scheme, known or not (Placeholder: any of its tokens).
     """
     text = sentence.text
     if scheme.kind == PLACEHOLDER:
         marker_map = tuple([(s.id, f"{s.label}{s.id}", s.slice(text)) for s in sentence.spans])
-        for _, token, _ in marker_map:
-            if token in text:
-                raise PreexistingMarkerError(f"source text already contains marker token {token!r}")
-        for span, (_, token, _) in zip(reversed(sentence.spans), reversed(marker_map)):
-            text = text[: span.start] + token + text[span.end:]
-        return MarkedText(text, marker_map)
+        found = _find_placeholders(text, {token for _, token, _ in marker_map})
+        if found:
+            raise PreexistingMarkerError(
+                f"source text already contains marker token {found[0].group()!r}")
+        regions = [(s.start, s.end, token) for s, (_, token, _) in zip(sentence.spans, marker_map)]
+        return MarkedText(_splice(text, regions)[0], marker_map)
 
     syntax = _SYNTAX[scheme.kind]
     # a list comprehension and map() keep short sentences as fast as before
@@ -154,10 +157,32 @@ def mark_ranges(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) 
     return _wrap(text, ranges, [(i, *tokens(i)) for i in range(len(ranges))], scheme)
 
 
+def _splice(text: str, regions: Iterable[tuple[int, int, str]]) -> tuple[str, Iterator[int]]:
+    """Replace each (start, end, replacement) region of `text`, left to right;
+    return the new text and, lazily, the start and end of each replacement in
+    it, one after the other: start 0, end 0, start 1, end 1, ...
+
+    Raises ValueError unless the regions are ordered, disjoint, non-empty and
+    inside the text.
+    """
+    n = len(text)
+    pieces = []
+    cursor = 0
+    for start, end, replacement in regions:
+        if not cursor <= start < end <= n:
+            raise ValueError(f"range ({start}, {end}) is empty, out of order, overlaps "
+                             f"the one before or exceeds text length {n}")
+        pieces.append(text[cursor:start])
+        pieces.append(replacement)
+        cursor = end
+    pieces.append(text[cursor:])
+    # pieces alternate kept text and replacement, so the running length gives both bounds
+    return "".join(pieces), accumulate(map(len, pieces))
+
+
 def _wrap(text: str, ranges: Iterable[tuple[int, int]],
           marker_map: Sequence[tuple[int, str, str]], scheme: MarkerScheme) -> str:
-    """Splice each range's (open, close) marker pair from `marker_map` into
-    `text`, left to right."""
+    """Splice each range's (open, close) marker pair from `marker_map` into `text`."""
     if marker_map:
         syntax = _SYNTAX[scheme.kind]
         # any marker token in the source breaks extraction
@@ -166,17 +191,24 @@ def _wrap(text: str, ranges: Iterable[tuple[int, int]],
             raise PreexistingMarkerError(
                 f"source text already contains marker token {found.group()!r}")
     pad = " " if scheme.pad_with_space else ""
-    n = len(text)
-    pieces = []
-    cursor = 0
-    for (start, end), (_, open_tok, close_tok) in zip(ranges, marker_map):
-        if not cursor <= start < end <= n:
-            raise ValueError(f"range ({start}, {end}) is empty, out of order, overlaps "
-                             f"the one before or exceeds text length {n}")
-        pieces.append(f"{text[cursor:start]}{open_tok}{pad}{text[start:end]}{pad}{close_tok}")
-        cursor = end
-    pieces.append(text[cursor:])
-    return "".join(pieces)
+    return _splice(text, [(start, end, f"{open_tok}{pad}{text[start:end]}{pad}{close_tok}")
+                          for (start, end), (_, open_tok, close_tok) in zip(ranges, marker_map)])[0]
+
+
+def _find_placeholders(text: str, tokens: Collection[str]) -> list[re.Match]:
+    """The placeholder `tokens` in `text`, left to right, each matched with every
+    digit after it: a token followed by a digit, as X1 in X10, is not found."""
+    if not any(token in text for token in tokens):  # most sources hold none: skip the pattern
+        return []
+    labels = frozenset([token.rstrip("0123456789") for token in tokens])
+    return [m for m in _label_re(labels).finditer(text) if m.group() in tokens]
+
+
+@functools.lru_cache(maxsize=1024)
+def _label_re(labels: frozenset[str]) -> re.Pattern:
+    """One of `labels`, longest first, and every digit after it. It names the
+    labels, not the tokens, so one pattern serves each label set."""
+    return re.compile(r"(?:%s)\d+" % "|".join(map(re.escape, sorted(labels, key=len)[::-1])))
 
 
 def _tag_damage(
@@ -210,10 +242,10 @@ def extract_markers(
     markers is stripped along with them. With nothing expected the
     translation is Valid and unchanged, whatever marker characters it holds.
     """
-    if scheme.kind == PLACEHOLDER:
-        return _extract_placeholders(translated, expected)
     if not expected:  # a sentence without spans was sent unmarked
         return ExtractionResult(translated, (), VALID)
+    if scheme.kind == PLACEHOLDER:
+        return _extract_placeholders(translated, expected)
     syntax = _SYNTAX[scheme.kind]
     text = syntax.fold(translated)
     tokens = [(m.start(), m.end(), m.group()) for m in syntax.token_re.finditer(text)]
@@ -228,7 +260,8 @@ def extract_markers(
         if damage is not None:
             return damage
 
-    pairs: list[tuple[int | None, int, int, int, int]] = []  # (id, o_start, o_end, c_start, c_end)
+    ids: list[int | None] = []  # marker id of each complete pair
+    regions: list[tuple[int, int, str]] = []  # (open start, close end, inner text) of each pair
     pending: tuple[int | None, int, int] | None = None  # (id, start, end) of open token
     close_prefix = syntax.close_prefix
     for start, end, tok in tokens:
@@ -249,42 +282,22 @@ def extract_markers(
                 return ExtractionResult(
                     text, (), STRUCTURE_ERROR, f"close tag {tok} does not match open tag"
                 )
-            pairs.append((marker_id, o_start, o_end, start, end))
+            ids.append(marker_id)
+            # drop padding plus any whitespace variation the MT system introduced
+            regions.append((o_start, end, text[o_end:start].strip(" ")))
             pending = None
 
     n_expected = len(expected)
-    if pending is not None or len(pairs) != n_expected:
-        found = len(tokens)
+    if pending is not None or len(ids) != n_expected:
         return ExtractionResult(
             text, (), COUNT_MISMATCH,
-            f"expected {2 * n_expected} markers forming {n_expected} pairs, found {found} markers"
-            f" ({len(pairs)} complete pairs)",
+            f"expected {2 * n_expected} markers forming {n_expected} pairs, "
+            f"found {len(tokens)} markers ({len(ids)} complete pairs)",
         )
-    if syntax.identity:
-        ids = [p[0] for p in pairs]
-        if sorted(ids) != sorted(span_id for span_id, _, _ in expected):
-            return ExtractionResult(text, (), COUNT_MISMATCH, "tag identities do not match")
-
-    # rebuild clean text, dropping markers and at most one padding space inside each
-    clean_parts: list[str] = []
-    found_spans: list[tuple[int | None, int, int]] = []
-    cursor = 0
-    clean_len = 0
-    for marker_id, o_start, o_end, c_start, c_end in pairs:
-        before = text[cursor:o_start]
-        clean_parts.append(before)
-        clean_len += len(before)
-        # drop padding plus any whitespace variation the MT system introduced
-        stripped = text[o_end:c_start].strip(" ")
-        span_start = clean_len
-        clean_parts.append(stripped)
-        clean_len += len(stripped)
-        found_spans.append((marker_id, span_start, clean_len))
-        cursor = c_end
-    tail = text[cursor:]
-    clean_parts.append(tail)
-    clean_text = "".join(clean_parts)
-    return ExtractionResult(clean_text, tuple(found_spans), VALID)
+    if syntax.identity and sorted(ids) != sorted(span_id for span_id, _, _ in expected):
+        return ExtractionResult(text, (), COUNT_MISMATCH, "tag identities do not match")
+    clean_text, bounds = _splice(text, regions)
+    return ExtractionResult(clean_text, tuple(zip(ids, bounds, bounds)), VALID)
 
 
 def _extract_placeholders(
@@ -292,34 +305,20 @@ def _extract_placeholders(
 ) -> ExtractionResult:
     """Each placeholder token must occur exactly once; decode substitutes the
     recorded original span text back into the sentence."""
-    occurrences: list[tuple[int, int, str]] = []  # (pos, span_id, original_text)
-    for span_id, token, original in expected:
-        positions = [m.start() for m in re.finditer(re.escape(token), translated)]
-        if len(positions) != 1:
-            return ExtractionResult(
-                translated, (), COUNT_MISMATCH,
-                f"placeholder {token!r} occurs {len(positions)} times, expected 1",
-            )
-        occurrences.append((positions[0], span_id, original))
-    occurrences.sort()
-    lengths = {span_id: len(tok) for span_id, tok, _ in expected}
-
-    clean_parts: list[str] = []
-    found: list[tuple[int | None, int, int]] = []
-    cursor = 0
-    clean_len = 0
-    for pos, span_id, original in occurrences:
-        if pos < cursor:
-            return ExtractionResult(translated, (), STRUCTURE_ERROR, "placeholder tokens overlap")
-        before = translated[cursor:pos]
-        clean_parts.append(before)
-        clean_len += len(before)
-        clean_parts.append(original)
-        found.append((span_id, clean_len, clean_len + len(original)))
-        clean_len += len(original)
-        cursor = pos + lengths[span_id]
-    clean_parts.append(translated[cursor:])
-    return ExtractionResult("".join(clean_parts), tuple(found), VALID)
+    by_token = {token: (span_id, original) for span_id, token, original in expected}
+    matches = _find_placeholders(translated, by_token)
+    found = [m.group() for m in matches]
+    if not len(found) == len(set(found)) == len(expected):
+        for _, token, _ in expected:
+            if found.count(token) != 1:
+                return ExtractionResult(translated, (), COUNT_MISMATCH, f"placeholder {token!r} "
+                                        f"occurs {found.count(token)} times, expected 1")
+        # each token occurs once, but two spans share one, as A1 + 2 and A + 12 do
+        return ExtractionResult(translated, (), STRUCTURE_ERROR, "placeholder tokens overlap")
+    ids, originals = zip(*[by_token[token] for token in found])
+    clean_text, bounds = _splice(
+        translated, [(m.start(), m.end(), original) for m, original in zip(matches, originals)])
+    return ExtractionResult(clean_text, tuple(zip(ids, bounds, bounds)), VALID)
 
 
 def strip_markers(text: str, scheme: MarkerScheme) -> str:

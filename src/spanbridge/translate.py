@@ -151,8 +151,10 @@ class TranslationCache:
     """Append-only JSONL cache; records {"src_lang","tgt_lang","input","output"}.
 
     Single writer, concurrent readers. Lookups are deterministic: the first
-    record for a key wins. A torn final line (no newline, does not parse) is
-    skipped and cut off before the next append; a corrupt earlier line raises.
+    record for a key wins. A record is corrupt if it does not parse or its
+    input or output is not a string. A corrupt final line (no newline) is
+    torn: skipped and cut off before the next append; a corrupt earlier line
+    raises.
     """
 
     def __init__(self, path: str):
@@ -169,8 +171,12 @@ class TranslationCache:
                     continue
                 try:
                     rec = json.loads(line)
-                    key = (rec["src_lang"], rec["tgt_lang"], rec["input"])
-                    self._entries.setdefault(key, rec["output"])
+                    text, output = rec["input"], rec["output"]
+                    # a null output would be a miss on every run, and never re-recorded
+                    if type(text) is not str or type(output) is not str:
+                        raise TypeError(f"input and output must be strings, got "
+                                        f"{type(text).__name__} and {type(output).__name__}")
+                    self._entries.setdefault((rec["src_lang"], rec["tgt_lang"], text), output)
                 except (ValueError, KeyError, TypeError) as e:
                     if lineno < len(lines):  # not the final line, which has no newline
                         raise CorruptCacheError(

@@ -275,6 +275,23 @@ class TestAlignProjectCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("src_text", ["alpha\nbravo", "alpha\rbravo"])
+    def test_build_ftdata_refuses_a_line_break_in_a_source_text(self, tmp_path, capsys, src_text):
+        src = tmp_path / "src.jsonl"
+        src.write_text(emit_jsonl([
+            AnnotatedSentence("charlie delta", (LabeledSpan(0, 0, 7, "X"),)),
+            AnnotatedSentence(src_text, (LabeledSpan(0, 0, 5, "X"),)),
+        ]), encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text("charlie d\np alpha q\n", encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        code = run(["build-ftdata", "--src", str(src), "--tgt", str(tmp_path / "tgt.txt"),
+                    "--out", str(out), "--backend", "identity"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: line 2: a line break in the source text would split pairs.tsv\n"
+        assert not out.exists()
+
+
 class TestMetricsCommands:
     def test_stats(self, tmp_path, corpus_file, capsys):
         path, corpus = corpus_file
@@ -406,6 +423,19 @@ class TestCorruptCache:
                     "--cache-out", str(bad_cache)])
         assert code == EXIT_FATAL
         assert "line 2: corrupt record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("output", ["5", "null"])
+    def test_non_string_output_exit_3(self, tmp_path, capsys, output):
+        cache = tmp_path / "c.jsonl"
+        cache.write_text('{"src_lang": "src", "tgt_lang": "tgt", "input": "hello", '
+                         f'"output": {output}}}\n', encoding="utf-8")
+        texts = tmp_path / "texts.txt"
+        texts.write_text("hello\n", encoding="utf-8")
+        code = run(["warm-cache", "--in", str(texts), "--backend", "identity",
+                    "--cache-out", str(cache)])
+        assert code == EXIT_FATAL
+        assert "line 1: corrupt record: input and output must be strings" in \
+            capsys.readouterr().err
 
     def test_project_exit_3(self, tmp_path, corpus_file, bad_cache, capsys):
         path, _ = corpus_file

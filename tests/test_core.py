@@ -223,6 +223,14 @@ class TestSquad:
         if "q1" not in message:  # raised before any qa was read
             assert "q1" not in str(raised.value)
 
+    @pytest.mark.parametrize("start", [True, 0.0, "0"])
+    def test_answer_start_must_be_an_integer(self, start):
+        # True would slice like 1, so "xab"[True:3] would match the answer
+        doc = {"data": [{"paragraphs": [{"context": "xab", "qas": [
+            {"id": "q7", "question": "?", "answers": [{"answer_start": start, "text": "ab"}]}]}]}]}
+        with pytest.raises(FormatError, match=r"^q7: .*answer_start must be an integer, got "):
+            parse_squad(json.dumps(doc))
+
     @pytest.mark.parametrize("field", ["question", "context"])
     def test_qa_example_rejects_a_non_string(self, field):
         answer = LabeledSpan(0, 0, 1, "ANSWER")

@@ -196,6 +196,19 @@ class TestProjectSentence:
         labeled = {(s.label, s.slice(outcome.sentence.text)) for s in outcome.sentence.spans}
         assert labeled == {("PER", "А"), ("LOC", "Йорк")}
 
+    @pytest.mark.parametrize("backend", [
+        IdentityBackend(), LexiconBackend(LexiconBackendConfig({}, reorder="reverse"))],
+        ids=["identity", "reverse"])
+    def test_placeholder_twelve_spans_of_one_label(self, backend):
+        # X1 is a prefix of X10 and X11; each token is found only where no digit follows it
+        sent = AnnotatedSentence(" ".join("abcdefghijkl"),
+                                 tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(12)))
+        outcome = project_sentence(sent, backend, MarkerScheme("placeholder"))
+        assert outcome.status == PROJECTED
+        projected = outcome.sentence
+        assert sorted((s.label, s.slice(projected.text)) for s in projected.spans) == \
+            [("X", c) for c in "abcdefghijkl"]
+
     def test_marker_loss_filtered(self):
         from spanbridge.markers import insert_markers
 

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spanbridge.core import AnnotatedSentence, LabeledSpan
 from spanbridge.markers import (
@@ -15,7 +17,7 @@ from spanbridge.markers import (
     mark_ranges,
     strip_markers,
 )
-from spanbridge.markers import _SYNTAX
+from spanbridge.markers import _SYNTAX, _tag_damage
 
 CHURCHILL = AnnotatedSentence(
     "Churchill was born in England in 1874 .",
@@ -75,6 +77,31 @@ class TestInsert:
             tagged = AnnotatedSentence(text, (LabeledSpan(0, 0, 4, "PER"),))
             with pytest.raises(PreexistingMarkerError):
                 insert_markers(tagged, MarkerScheme("xml"))
+
+    def test_placeholder_token_followed_by_a_digit_is_not_that_token(self):
+        scheme = MarkerScheme("placeholder")
+        # the span labelled X gets token X1, which X10 holds but is not
+        sent = AnnotatedSentence("X10 apples and pears",
+                                 (LabeledSpan(0, 4, 10, "Y"), LabeledSpan(1, 15, 20, "X")))
+        marked = insert_markers(sent, scheme)
+        assert marked.text == "X10 Y0 and X1"
+        result = extract_markers(marked.text, scheme, marked.marker_map)
+        assert (result.status, result.clean_text) == (VALID, sent.text)
+        for text in ("X1  apples and pears", "X1, apples and pears", "aX1 apples and pears"):
+            with pytest.raises(PreexistingMarkerError, match="'X1'"):
+                insert_markers(AnnotatedSentence(text, sent.spans), scheme)
+
+    @pytest.mark.parametrize("labels", [("X", "X1Y"), ("X1Y", "X"), ("L0", "L1"), ("B2", "B")])
+    def test_placeholder_labels_holding_digits(self, labels):
+        # X1 begins X1Y0, and B20 and L00 end in more digits than their span ids
+        scheme = MarkerScheme("placeholder")
+        sent = AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, labels[0]),
+                                         LabeledSpan(1, 2, 3, labels[1])))
+        marked = insert_markers(sent, scheme)
+        result = extract_markers(marked.text, scheme, marked.marker_map)
+        assert (result.status, result.clean_text) == (VALID, "a b")
+        assert [(i, result.clean_text[s:e]) for i, s, e in result.found_spans] == \
+            [(0, "a"), (1, "b")]
 
     def test_xml_tag_alphabet_past_z(self):
         spans = tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(28))
@@ -207,8 +234,14 @@ def _build_sentence(tokens, span_positions):
     return AnnotatedSentence(" ".join(tokens), tuple(spans))
 
 
+# twelve spans of one label: X1 is a prefix of X10 and X11
+TWELVE = AnnotatedSentence(" ".join("abcdefghijkl"),
+                           tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(12)))
+
+
 class TestRoundTripProperties:
-    @given(SENT, st.sampled_from(["brackets", "xml", "quotes"]))
+    @given(SENT, st.sampled_from(SCHEME_KINDS))
+    @example(TWELVE, "placeholder")
     @settings(max_examples=200)
     def test_insert_extract_round_trip(self, sentence, kind):
         scheme = MarkerScheme(kind)
@@ -238,6 +271,17 @@ class TestRoundTripProperties:
             assert idx >= 0
             text = text[:idx] + original + text[idx + len(token):]
         assert text == sentence.text
+
+
+    @given(SENT)
+    @example(TWELVE)
+    @settings(max_examples=200)
+    def test_placeholder_insert_equals_right_to_left_splice(self, sentence):
+        marked = insert_markers(sentence, MarkerScheme("placeholder"))
+        text = sentence.text
+        for span, (_, token, _) in zip(reversed(sentence.spans), reversed(marked.marker_map)):
+            text = text[:span.start] + token + text[span.end:]
+        assert marked.text == text
 
 
 def _splice_right_to_left(sentence, scheme):
@@ -326,6 +370,151 @@ class TestExtractNeverRaises:
         assert len(bounds) == n_spans
         assert all(0 <= s <= e <= len(result.clean_text) for s, e in bounds)
         assert all(e <= s for (_, e), (s, _) in zip(bounds, bounds[1:]))
+
+
+def _reference_extract_markers(translated, scheme, expected):
+    """extract_markers as it was before insertion and extraction shared one
+    splice, kept as the reference: one rebuild loop per scheme family, and one
+    substring scan per placeholder token."""
+    if scheme.kind == "placeholder":
+        return _reference_extract_placeholders(translated, expected)
+    if not expected:
+        return ExtractionResult(translated, (), VALID)
+    syntax = _SYNTAX[scheme.kind]
+    text = syntax.fold(translated)
+    tokens = [(m.start(), m.end(), m.group()) for m in syntax.token_re.finditer(text)]
+    open_for, close_for = {}, {}
+    if syntax.identity:
+        open_for = {open_tok: span_id for span_id, open_tok, _ in expected}
+        close_for = {close_tok: span_id for span_id, _, close_tok in expected}
+        damage = _tag_damage(text, tokens, open_for.keys() | close_for.keys(), expected)
+        if damage is not None:
+            return damage
+    pairs = []
+    pending = None
+    for start, end, tok in tokens:
+        if syntax.close_prefix is None:
+            is_open = pending is None
+        else:
+            is_open = not tok.startswith(syntax.close_prefix)
+        if is_open:
+            if pending is not None:
+                return ExtractionResult(
+                    text, (), STRUCTURE_ERROR, f"marker {tok!r} opened inside another pair")
+            pending = (open_for.get(tok), start, end)
+        else:
+            if pending is None:
+                return ExtractionResult(
+                    text, (), STRUCTURE_ERROR, f"closing marker {tok!r} without open")
+            marker_id, o_start, o_end = pending
+            if close_for.get(tok) != marker_id:
+                return ExtractionResult(
+                    text, (), STRUCTURE_ERROR, f"close tag {tok} does not match open tag")
+            pairs.append((marker_id, o_start, o_end, start, end))
+            pending = None
+    n_expected = len(expected)
+    if pending is not None or len(pairs) != n_expected:
+        return ExtractionResult(
+            text, (), COUNT_MISMATCH,
+            f"expected {2 * n_expected} markers forming {n_expected} pairs, "
+            f"found {len(tokens)} markers ({len(pairs)} complete pairs)")
+    if syntax.identity and sorted(p[0] for p in pairs) != sorted(i for i, _, _ in expected):
+        return ExtractionResult(text, (), COUNT_MISMATCH, "tag identities do not match")
+    clean_parts, found_spans, cursor, clean_len = [], [], 0, 0
+    for marker_id, o_start, o_end, c_start, c_end in pairs:
+        before = text[cursor:o_start]
+        clean_parts.append(before)
+        clean_len += len(before)
+        stripped = text[o_end:c_start].strip(" ")
+        clean_parts.append(stripped)
+        found_spans.append((marker_id, clean_len, clean_len + len(stripped)))
+        clean_len += len(stripped)
+        cursor = c_end
+    clean_parts.append(text[cursor:])
+    return ExtractionResult("".join(clean_parts), tuple(found_spans), VALID)
+
+
+def _reference_extract_placeholders(translated, expected):
+    occurrences = []
+    for span_id, token, original in expected:
+        positions = [m.start() for m in re.finditer(re.escape(token), translated)]
+        if len(positions) != 1:
+            return ExtractionResult(
+                translated, (), COUNT_MISMATCH,
+                f"placeholder {token!r} occurs {len(positions)} times, expected 1")
+        occurrences.append((positions[0], span_id, original))
+    occurrences.sort()
+    lengths = {span_id: len(tok) for span_id, tok, _ in expected}
+    clean_parts, found, cursor, clean_len = [], [], 0, 0
+    for pos, span_id, original in occurrences:
+        if pos < cursor:
+            return ExtractionResult(translated, (), STRUCTURE_ERROR, "placeholder tokens overlap")
+        before = translated[cursor:pos]
+        clean_parts.append(before)
+        clean_len += len(before)
+        clean_parts.append(original)
+        found.append((span_id, clean_len, clean_len + len(original)))
+        clean_len += len(original)
+        cursor = pos + lengths[span_id]
+    clean_parts.append(translated[cursor:])
+    return ExtractionResult("".join(clean_parts), tuple(found), VALID)
+
+
+class TestExtractEqualsReference:
+    @given(DAMAGED, st.sampled_from(SCHEME_KINDS), st.integers(0, 3), st.booleans())
+    @settings(max_examples=500)
+    def test_damaged_text(self, translated, kind, n_spans, pad):
+        scheme = MarkerScheme(kind, pad_with_space=pad)
+        labels = ["PER", "LOC", "X"]
+        source = AnnotatedSentence(
+            " ".join("w" for _ in range(n_spans)),
+            tuple(LabeledSpan(i, 2 * i, 2 * i + 1, labels[i]) for i in range(n_spans)),
+        )
+        expected = insert_markers(source, scheme).marker_map
+        assert extract_markers(translated, scheme, expected) == \
+            _reference_extract_markers(translated, scheme, expected)
+
+    @given(SENT, st.sampled_from(SCHEME_KINDS), st.booleans(), st.booleans())
+    @settings(max_examples=300)
+    def test_marked_text(self, sentence, kind, pad, reverse):
+        scheme = MarkerScheme(kind, pad_with_space=pad)
+        marked = insert_markers(sentence, scheme)
+        translated = marked.text
+        if reverse:  # spans still marked, in another order and with other gaps
+            translated = "  ".join(reversed(translated.split(" ")))
+        assert extract_markers(translated, scheme, marked.marker_map) == \
+            _reference_extract_markers(translated, scheme, marked.marker_map)
+
+
+@st.composite
+def _placeholder_translation(draw):
+    """Tokens X0.. in any order, glued to text that may start with a digit or
+    hold a stray token, as MT output may."""
+    n = draw(st.integers(1, 12))
+    tokens = draw(st.permutations([f"X{i}" for i in range(n)]))
+    gaps = draw(st.lists(st.sampled_from([" ", "", "a", "0", "7 ", " X1", "X10 ", "中"]),
+                         min_size=n + 1, max_size=n + 1))
+    return gaps[0] + "".join(t + g for t, g in zip(tokens, gaps[1:])), n
+
+
+class TestPlaceholderDigits:
+    @given(_placeholder_translation())
+    @settings(max_examples=400)
+    def test_a_token_counts_only_where_no_digit_follows(self, translated_n):
+        translated, n = translated_n
+        expected = tuple((i, f"X{i}", f"w{i}") for i in range(n))
+        result = extract_markers(translated, MarkerScheme("placeholder"), expected)
+        # the oracle: every place a token starts and no digit follows it
+        found = {token: [m.start() for m in re.finditer(f"(?={token}(?!\\d))", translated)]
+                 for _, token, _ in expected}
+        assert (result.status == VALID) == all(len(p) == 1 for p in found.values())
+        if result.status == VALID:
+            clean = translated
+            for start, token in sorted(((p[0], t) for t, p in found.items()), reverse=True):
+                clean = clean[:start] + "w" + token[1:] + clean[start + len(token):]
+            assert result.clean_text == clean
+            assert [(i, clean[s:e]) for i, s, e in sorted(result.found_spans)] == \
+                [(i, f"w{i}") for i in range(n)]
 
 
 # the str.translate table quote folding used before the regex, kept as the reference

@@ -19,6 +19,7 @@ from spanbridge.ftdata import ParallelPair, build_ft_pairs
 from spanbridge.markers import VALID, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
     CacheBackend,
+    CorruptCacheError,
     HttpBackend,
     IdentityBackend,
     LexiconBackend,
@@ -289,6 +290,31 @@ class TestCache:
         path.write_text(record + '{"input": "thr\n' + record, encoding="utf-8")
         with pytest.raises(ValueError, match="line 2"):
             TranslationCache(str(path))
+
+    @pytest.mark.parametrize("field, value", [("output", "5"), ("output", "null"),
+                                              ("input", "5"), ("input", "null")])
+    def test_non_string_field_before_the_last_line_is_corrupt(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        fields = {"src_lang": '"en"', "tgt_lang": '"de"', "input": '"two"', "output": '"zwei"'}
+        bad = "{" + ", ".join(f'"{k}": {value if k == field else v}' for k, v in fields.items())
+        record = '{"src_lang": "en", "tgt_lang": "de", "input": "one", "output": "eins"}\n'
+        path.write_text(bad + "}\n" + record, encoding="utf-8")
+        with pytest.raises(CorruptCacheError, match="line 1: corrupt record: input and output "
+                                                     "must be strings"):
+            TranslationCache(str(path))
+
+    @pytest.mark.parametrize("output", ["5", "null"])
+    def test_non_string_output_on_the_last_line_is_torn(self, tmp_path, output):
+        path = tmp_path / "c.jsonl"
+        record = '{"src_lang": "en", "tgt_lang": "de", "input": "one", "output": "eins"}\n'
+        path.write_text(record + '{"src_lang": "en", "tgt_lang": "de", "input": "two", '
+                        f'"output": {output}}}', encoding="utf-8")
+        cache = TranslationCache(str(path))
+        assert (cache.get("en", "de", "one"), cache.get("en", "de", "two")) == ("eins", None)
+        assert cache.put("en", "de", [("two", "zwei")]) == 1
+        reloaded = TranslationCache(str(path))
+        assert [reloaded.get("en", "de", t) for t in ("one", "two")] == ["eins", "zwei"]
+        assert path.read_text(encoding="utf-8").count("\n") == 2
 
     def test_warm_sends_distinct_uncached_items_once_in_batches(self, tmp_path):
         path = str(tmp_path / "c.jsonl")
