@@ -3,15 +3,15 @@
 Alignments are consumed, never computed. A span's token range is mapped to
 the min..max of the target tokens its source tokens align to; sentences
 with unprojectable or overlapping target spans are filtered, so projected
-outputs always keep source-equal span counts.
+outputs always keep source-equal span counts, and with them every relation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .core import (AnnotatedSentence, FormatError, LabeledSpan, gc_paused, span_token_ranges,
-                   token_bounds)
+from .core import AnnotatedSentence, FormatError, gc_paused, span_token_ranges, token_bounds
 from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport, _tally
 
 
@@ -34,6 +34,8 @@ class AlignedPair:
     def __post_init__(self):
         object.__setattr__(self, "src_tokens", tuple(self.src_tokens))
         object.__setattr__(self, "tgt_tokens", tuple(self.tgt_tokens))
+        if "" in self.tgt_tokens:  # a span on it would be empty
+            raise FormatError(f"target token {self.tgt_tokens.index('')} is empty")
         for i, j in self.alignment.links:
             if not (0 <= i < len(self.src_tokens) and 0 <= j < len(self.tgt_tokens)):
                 raise FormatError(f"alignment link {i}-{j} out of range")
@@ -100,9 +102,10 @@ def project_sentence_aligned(
         raise FormatError("sentence text does not match the aligned source tokens")
     tok_ranges = span_token_ranges(pair.src_tokens, sentence.spans)
     bounds = _target_bounds(pair.alignment)  # once per sentence, not per span
+    tgt_bounds = token_bounds(pair.tgt_tokens)
 
     diagnostics: list[str] = []
-    projected_ranges: list[tuple[int, int, str]] = []
+    placed: list[tuple[int, int, int]] = []  # (source span id, start, end) in the target text
     for span, tok_range in zip(sentence.spans, tok_ranges):
         target = _project_range(tok_range, bounds)
         if target is None:
@@ -116,20 +119,14 @@ def project_sentence_aligned(
                 f"boundary-risk: span {span.id} has unaligned source tokens {unaligned}; "
                 "target range may be truncated"
             )
-        projected_ranges.append((target[0], target[1], span.label))
+        placed.append((span.id, tgt_bounds[target[0]][0], tgt_bounds[target[1] - 1][1]))
 
-    ordered = sorted(projected_ranges)
-    for (_, prev_end, _), (next_start, _, _) in zip(ordered, ordered[1:]):
-        if next_start < prev_end:
-            return ProjectionOutcome(
-                FILTERED, "Overlap",
-                diagnostics=("two spans project to overlapping target ranges",),
-            )
-
-    tgt_bounds = token_bounds(pair.tgt_tokens)
-    spans = tuple([LabeledSpan(k, tgt_bounds[ts][0], tgt_bounds[te - 1][1], label)
-                   for k, (ts, te, label) in enumerate(ordered)])
-    out = AnnotatedSentence(" ".join(pair.tgt_tokens), spans, sentence.meta)
+    placed.sort(key=itemgetter(1))
+    try:  # target tokens are non-empty, so overlap is all that onto() can reject
+        out = sentence.onto(" ".join(pair.tgt_tokens), placed)
+    except FormatError:
+        return ProjectionOutcome(FILTERED, "Overlap",
+                                 diagnostics=("two spans project to overlapping target ranges",))
     return ProjectionOutcome(PROJECTED, sentence=out, diagnostics=tuple(diagnostics))
 
 

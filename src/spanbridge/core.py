@@ -84,6 +84,14 @@ class RelationLink:
     head_span_id: int
     tail_span_id: int
 
+    def __post_init__(self):
+        kind, head, tail = self.kind, self.head_span_id, self.tail_span_id
+        if type(kind) is not str or not kind:
+            raise FormatError(f"relation kind must be a non-empty string, got {kind!r}")
+        if type(head) is not int or type(tail) is not int:  # as span offsets: no bool, no float
+            raise FormatError(f"relation {kind}: head and tail must be integers, "
+                              f"got {head!r} and {tail!r}")
+
 
 @dataclass(frozen=True, slots=True)
 class AnnotatedSentence:
@@ -117,6 +125,23 @@ class AnnotatedSentence:
             for r in self.relations:
                 if r.head_span_id not in span_ids or r.tail_span_id not in span_ids:
                     raise FormatError(f"relation {r.kind} references missing span id")
+
+    def onto(self, text: str, placed) -> AnnotatedSentence:
+        """This sentence carried onto `text`: placed[t] is the (source span id, start,
+        end) of target span t, in target order, one per source span. Span t takes its
+        source's label, relations follow their spans and meta is kept. Raises
+        FormatError unless the target spans are non-empty, ordered, disjoint and in `text`."""
+        spans = self.spans
+        target_id: list[int | None] = [None] * len(spans)
+        target_spans = []
+        for t, (s, start, end) in enumerate(placed):
+            target_spans.append(LabeledSpan(t, start, end, spans[s].label))
+            target_id[s] = t
+        if len(target_spans) != len(spans) or None in target_id:
+            raise ValueError("placed must hold each source span exactly once")
+        relations = [RelationLink(r.kind, target_id[r.head_span_id], target_id[r.tail_span_id])
+                     for r in self.relations]
+        return AnnotatedSentence(text, target_spans, self.meta, relations)
 
     @property
     def meta_dict(self) -> dict[str, str]:
@@ -320,7 +345,10 @@ def sentence_from_json(obj: dict) -> AnnotatedSentence:
     if "relations" in obj:
         relations = tuple([RelationLink(r["kind"], r["head"], r["tail"])
                            for r in obj["relations"]])
-    return AnnotatedSentence(obj["text"], spans, obj.get("meta", {}), relations)
+    meta = obj.get("meta", {})
+    if type(meta) is not dict:  # its values are free-form, but it must be an object
+        raise FormatError(f"meta must be a JSON object, got {type(meta).__name__}")
+    return AnnotatedSentence(obj["text"], spans, meta, relations)
 
 
 @gc_paused()

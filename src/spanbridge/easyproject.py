@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink, gc_paused
+from .core import AnnotatedSentence, FormatError, QaExample, gc_paused
 from .markers import (
     VALID,
     MarkedText,
@@ -236,41 +236,27 @@ def _resolve(sentence: AnnotatedSentence, marked: MarkedText, items: tuple[Trans
     if result.status != VALID:
         return ProjectionOutcome(FILTERED, result.status, diagnostics=(result.diagnostic,))
 
-    n = len(sentence.spans)
-    diagnostics: list[str] = []
     low_confidence = False
-    # source span id for each found span, in found (target) order
-    if carries_identity(scheme):
-        source_for = [marker_id for marker_id, _, _ in result.found_spans]
-    elif cfg.mode == MATCH_FUZZY:
-        found_texts = [result.clean_text[s:e] for _, s, e in result.found_spans]
-        assignment = assign_labels_fuzzy(found_texts, candidate_mentions, cfg)
-        if assignment is None:
-            return ProjectionOutcome(FILTERED, "NoConfidentMatch")
-        source_for = list(assignment.candidate_for)
-        low_confidence = assignment.low_confidence
-        if low_confidence:
-            diagnostics.append("positional fallback used for some spans")
-    else:
-        source_for = list(range(n))
+    # (source span id, start, end) of each found span, in found (target) order
+    placed = result.found_spans  # identity markers name their source span
+    if not carries_identity(scheme):
+        source_for = range(len(placed))  # sequential matching is positional
+        if cfg.mode == MATCH_FUZZY:
+            found_texts = [result.clean_text[s:e] for _, s, e in placed]
+            assignment = assign_labels_fuzzy(found_texts, candidate_mentions, cfg)
+            if assignment is None:
+                return ProjectionOutcome(FILTERED, "NoConfidentMatch")
+            source_for = assignment.candidate_for
+            low_confidence = assignment.low_confidence
+        placed = [(c, s, e) for c, (_, s, e) in zip(source_for, placed)]
 
     try:
-        target_spans = tuple(
-            LabeledSpan(t, start, end, sentence.spans[source_for[t]].label)
-            for t, (_, start, end) in enumerate(result.found_spans)
-        )
-        target_id_for = {source_for[t]: t for t in range(n)}
-        relations = tuple(
-            RelationLink(r.kind, target_id_for[r.head_span_id], target_id_for[r.tail_span_id])
-            for r in sentence.relations
-            if r.head_span_id in target_id_for and r.tail_span_id in target_id_for
-        )
-        out = AnnotatedSentence(result.clean_text, target_spans, sentence.meta, relations)
-    except ValueError as e:
+        out = sentence.onto(result.clean_text, placed)
+    except FormatError as e:
         return ProjectionOutcome(FILTERED, "InvalidTargetSpans", diagnostics=(str(e),))
     return ProjectionOutcome(
-        PROJECTED, sentence=out, diagnostics=tuple(diagnostics), low_confidence=low_confidence
-    )
+        PROJECTED, sentence=out, low_confidence=low_confidence,
+        diagnostics=("positional fallback used for some spans",) if low_confidence else ())
 
 
 def _project(sentences: list[AnnotatedSentence], backend, scheme: MarkerScheme,

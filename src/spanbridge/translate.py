@@ -82,6 +82,8 @@ _PAIR_RE = re.compile(r'(\[[^\]]*\]|"[^"]*"|<([a-zA-Z]+)>.*?</\2>)')
 # a word: a run of characters outside whitespace and marker tokens; the
 # lookbehind keeps the names in xml tags from being read as words
 _WORD_RE = re.compile(r'(?<![^\s\[\]">])[^\s\[\]"<>]+')
+# \d reads only digits that int() reads too
+_REORDER_RE = re.compile(rf"{REORDER_NONE}|{REORDER_REVERSE}|seed:[+-]?\d+")
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,6 +94,8 @@ class LexiconBackendConfig:
     def __post_init__(self):
         if isinstance(self.token_map, dict):
             object.__setattr__(self, "token_map", tuple(sorted(self.token_map.items())))
+        if not _REORDER_RE.fullmatch(self.reorder):
+            raise ValueError(f"reorder must be none, reverse or seed:<int>, got {self.reorder!r}")
         for key, _ in self.token_map:
             if not _WORD_RE.fullmatch(key):
                 raise ValueError(
@@ -349,7 +353,10 @@ def translate(request: TranslateRequest, backend,
               max_in_flight: int = DEFAULT_MAX_IN_FLIGHT) -> TranslateResponse:
     """Translate a request in batches, preserving item order and length.
     Each distinct item is sent once, in first-seen order. A batch the backend
-    raises on or answers against the contract fails its own items only."""
+    raises on or answers against the contract fails its own items only.
+    At least one batch must be allowed in flight."""
+    if max_in_flight < 1:
+        raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
     unique = tuple(dict.fromkeys(request.items))
     batches = [
         TranslateRequest(unique[i:i + batch_size], request.src_lang, request.tgt_lang)

@@ -6,13 +6,56 @@ from conftest import make_corpus
 from spanbridge.alignproject import (
     AlignedPair,
     Alignment,
+    _project_range,
+    _target_bounds,
     parse_pharaoh,
     project_corpus_aligned,
     project_sentence_aligned,
     project_span_aligned,
 )
-from spanbridge.core import AnnotatedSentence, FormatError, LabeledSpan, span_token_ranges, token_bounds
-from spanbridge.easyproject import FILTERED, PROJECTED
+from spanbridge.core import (AnnotatedSentence, FormatError, LabeledSpan, RelationLink,
+                             span_token_ranges, token_bounds)
+from spanbridge.easyproject import FILTERED, PROJECTED, ProjectionOutcome
+
+
+def _reference_project_sentence_aligned(sentence, pair):
+    """project_sentence_aligned as it was before AnnotatedSentence.onto: its own
+    overlap scan over the sorted token ranges, and no relations carried."""
+    if tuple(sentence.text.split(" ")) != pair.src_tokens:
+        raise FormatError("sentence text does not match the aligned source tokens")
+    tok_ranges = span_token_ranges(pair.src_tokens, sentence.spans)
+    bounds = _target_bounds(pair.alignment)
+
+    diagnostics = []
+    projected_ranges = []
+    for span, tok_range in zip(sentence.spans, tok_ranges):
+        target = _project_range(tok_range, bounds)
+        if target is None:
+            return ProjectionOutcome(
+                FILTERED, "Unprojectable",
+                diagnostics=(f"span {span.id} has no aligned target tokens",),
+            )
+        unaligned = [i for i in range(*tok_range) if i not in bounds]
+        if unaligned:
+            diagnostics.append(
+                f"boundary-risk: span {span.id} has unaligned source tokens {unaligned}; "
+                "target range may be truncated"
+            )
+        projected_ranges.append((target[0], target[1], span.label))
+
+    ordered = sorted(projected_ranges)
+    for (_, prev_end, _), (next_start, _, _) in zip(ordered, ordered[1:]):
+        if next_start < prev_end:
+            return ProjectionOutcome(
+                FILTERED, "Overlap",
+                diagnostics=("two spans project to overlapping target ranges",),
+            )
+
+    tgt_bounds = token_bounds(pair.tgt_tokens)
+    spans = tuple([LabeledSpan(k, tgt_bounds[ts][0], tgt_bounds[te - 1][1], label)
+                   for k, (ts, te, label) in enumerate(ordered)])
+    out = AnnotatedSentence(" ".join(pair.tgt_tokens), spans, sentence.meta)
+    return ProjectionOutcome(PROJECTED, sentence=out, diagnostics=tuple(diagnostics))
 
 
 def oracle_project(span_range, links):
@@ -221,3 +264,68 @@ class TestProjectSentenceAligned:
                 # target position, but none may change or disappear)
                 assert sorted(s.label for s in reduced.sentence.spans) == \
                     sorted(s.label for s in sent.spans)
+
+
+def _random_aligned_corpus(n, seed):
+    """(sentence, pair) items: sentences with up to six spans and random
+    relations among them, target sides of random length and random links."""
+    rng = random.Random(seed)
+    items = []
+    for sent in make_corpus(n, seed=seed, max_spans=6, with_relations=True):
+        k = len(sent.spans)
+        relations = tuple(
+            RelationLink(rng.choice(["ARG", "MEET"]), rng.randrange(k), rng.randrange(k))
+            for _ in range(rng.randint(0, 4) if k else 0))
+        sent = AnnotatedSentence(sent.text, sent.spans, sent.meta, relations)
+        src = tuple(sent.text.split(" "))
+        tgt = tuple(f"t{j}" * rng.randint(1, 3) for j in range(rng.randint(1, 2 * len(src))))
+        links = {(rng.randrange(len(src)), rng.randrange(len(tgt)))
+                 for _ in range(rng.randint(0, 3 * len(src)))}
+        items.append((sent, AlignedPair(src, tgt, Alignment(links))))
+    return items
+
+
+class TestRelations:
+    def test_equal_to_reference_but_for_relations(self):
+        outcomes = set()
+        for sent, pair in _random_aligned_corpus(600, seed=31):
+            got = project_sentence_aligned(sent, pair)
+            want = _reference_project_sentence_aligned(sent, pair)
+            outcomes.add(got.reason or got.status)
+            assert (got.status, got.reason, got.diagnostics) == \
+                (want.status, want.reason, want.diagnostics)
+            if got.sentence is not None:
+                out = got.sentence
+                assert AnnotatedSentence(out.text, out.spans, out.meta) == want.sentence
+        assert outcomes == {PROJECTED, "Unprojectable", "Overlap"}
+
+    def test_relations_link_the_spans_their_source_spans_went_to(self):
+        carried = 0
+        for sent, pair in _random_aligned_corpus(600, seed=37):
+            outcome = project_sentence_aligned(sent, pair)
+            if outcome.status != PROJECTED:
+                continue
+            out = outcome.sentence
+            # oracle: source span k goes to the target span at its oracle range
+            bounds = token_bounds(pair.tgt_tokens)
+            at = {(s.start, s.end): s.id for s in out.spans}
+            target_of = []
+            for span, r in zip(sent.spans, span_token_ranges(pair.src_tokens, sent.spans)):
+                first, stop = oracle_project(r, sorted(pair.alignment.links))
+                target_of.append(at[(bounds[first][0], bounds[stop - 1][1])])
+                assert out.spans[target_of[-1]].label == span.label
+            assert out.relations == tuple(
+                RelationLink(r.kind, target_of[r.head_span_id], target_of[r.tail_span_id])
+                for r in sent.relations)
+            carried += len(out.relations)
+        assert carried > 200
+
+
+class TestAlignedPair:
+    def test_only_an_empty_target_token_is_rejected(self):
+        for tgt, position in [(("",), 0), (("x", ""), 1), (("x", "", ""), 1)]:
+            with pytest.raises(FormatError, match=f"^target token {position} is empty$"):
+                AlignedPair(("a",), tgt, Alignment(frozenset()))
+        # "a  b" splits into an empty middle token, and no span can sit on it
+        pair = AlignedPair(("a", "", "b"), ("x",), Alignment({(0, 0)}))
+        assert pair.src_tokens == ("a", "", "b")

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import make_corpus, make_entity_corpus
 from spanbridge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
-from spanbridge.core import AnnotatedSentence, LabeledSpan, emit_jsonl, parse_jsonl
+from spanbridge.core import AnnotatedSentence, LabeledSpan, RelationLink, emit_jsonl, parse_jsonl
 from spanbridge.markers import MarkerScheme, insert_markers
 
 
@@ -116,6 +116,34 @@ class TestProjectCommand:
                     "--out", str(tmp_path / "o")])
         assert code == EXIT_FATAL
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--backend", "lexicon", "--reorder", "revrse"],
+         "error: reorder must be none, reverse or seed:<int>, got 'revrse'\n"),
+        (["--backend", "lexicon", "--reorder", "seed:x"],
+         "error: reorder must be none, reverse or seed:<int>, got 'seed:x'\n"),
+        (["--jobs", "0"], "error: max_in_flight must be at least 1, got 0\n"),
+        (["--jobs", "-2"], "error: max_in_flight must be at least 1, got -2\n"),
+    ])
+    def test_setting_that_never_works_exit_1(self, tmp_path, corpus_file, capsys, flags,
+                                             message):
+        path, _ = corpus_file
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o")] + flags)
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
+
+    def test_meta_must_be_an_object_with_free_form_values(self, tmp_path, capsys):
+        path, out = tmp_path / "in.jsonl", tmp_path / "o"
+        path.write_text('{"text": "ab"}\n{"text": "ab", "meta": [1, 2]}\n', encoding="utf-8")
+        code = run(["project", "--in", str(path), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: line 2: meta must be a JSON object, got list\n"
+        assert not out.exists()
+        line = '{"meta": {"k": [1], "n": {"m": null}}, "spans": [], "text": "ab"}\n'
+        path.write_text(line, encoding="utf-8")
+        assert run(["project", "--in", str(path), "--out", str(out)]) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == line
+
     def test_jobs_determinism(self, tmp_path, corpus_file):
         path, _ = corpus_file
         outputs = []
@@ -222,6 +250,24 @@ class TestAlignProjectCommand:
                     "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
 
+
+    def test_relations_follow_their_spans(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl([AnnotatedSentence(
+            "A met B", (LabeledSpan(0, 0, 1, "PER"), LabeledSpan(1, 6, 7, "LOC")),
+            relations=(RelationLink("MEET", 0, 1),))]), encoding="utf-8")
+        (tmp_path / "t.txt").write_text("B traf A\n", encoding="utf-8")
+        (tmp_path / "a.txt").write_text("0-2 1-1 2-0\n", encoding="utf-8")
+        out = tmp_path / "o.jsonl"
+        code = run(["align-project", "--in", str(path),
+                    "--translations", str(tmp_path / "t.txt"),
+                    "--alignments", str(tmp_path / "a.txt"), "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads(out.read_text(encoding="utf-8")) == {
+            "text": "B traf A", "meta": {},
+            "spans": [{"start": 0, "end": 1, "label": "LOC"},
+                      {"start": 7, "end": 8, "label": "PER"}],
+            "relations": [{"kind": "MEET", "head": 1, "tail": 0}]}
 
     def test_line_files_split_at_newline_only(self, tmp_path):
         path = tmp_path / "in.jsonl"

@@ -8,6 +8,7 @@ from spanbridge.core import (
     FormatError,
     LabeledSpan,
     QaExample,
+    RelationLink,
     bio_from_spans,
     emit_conll,
     emit_jsonl,
@@ -239,6 +240,10 @@ class TestSquad:
             QaExample(**{**fields, field: ["ab"]})
 
 
+_TWO_SPANS = ('{"text": "ab", "spans": [{"start": 0, "end": 1, "label": "X"}, '
+              '{"start": 1, "end": 2, "label": "Y"}], ')
+
+
 class TestJsonl:
     def test_round_trip_with_meta_and_relations(self):
         from conftest import make_corpus
@@ -268,6 +273,19 @@ class TestJsonl:
         ('"ab"', "line 2: expected a JSON object, got str"),
         ('{"text": "ab", "spans": 5}', "line 2: 'int' object is not iterable"),
         ('{"text": "ab", "relations": [5]}', "line 2: 'int' object is not subscriptable"),
+        ('{"text": "ab", "meta": [1, 2]}', "line 2: meta must be a JSON object, got list"),
+        ('{"text": "ab", "meta": "ab"}', "line 2: meta must be a JSON object, got str"),
+        ('{"text": "ab", "meta": null}', "line 2: meta must be a JSON object, got NoneType"),
+        (_TWO_SPANS + '"relations": [{"kind": 5, "head": 0, "tail": 1}]}',
+         "line 2: relation kind must be a non-empty string, got 5"),
+        (_TWO_SPANS + '"relations": [{"kind": "", "head": 0, "tail": 1}]}',
+         "line 2: relation kind must be a non-empty string, got ''"),
+        (_TWO_SPANS + '"relations": [{"kind": "R", "head": true, "tail": 0.0}]}',
+         "line 2: relation R: head and tail must be integers, got True and 0.0"),
+        (_TWO_SPANS + '"relations": [{"kind": "R", "head": 0, "tail": true}]}',
+         "line 2: relation R: head and tail must be integers, got 0 and True"),
+        (_TWO_SPANS + '"relations": [{"kind": "R", "head": 0, "tail": "1"}]}',
+         "line 2: relation R: head and tail must be integers, got 0 and '1'"),
     ])
     def test_wrongly_typed_field_is_a_format_error(self, line, message):
         with pytest.raises(FormatError) as e:
@@ -314,3 +332,42 @@ class TestInvariants:
     def test_qa_single_answer_label(self):
         with pytest.raises(FormatError):
             QaExample("i", "q", "ctx", LabeledSpan(0, 0, 2, "NOTANSWER"))
+
+
+class TestOnto:
+    SOURCE = AnnotatedSentence(
+        "A met B at C", (LabeledSpan(0, 0, 1, "PER"), LabeledSpan(1, 6, 7, "PER"),
+                         LabeledSpan(2, 11, 12, "LOC")),
+        {"id": "3"}, (RelationLink("MEET", 0, 1), RelationLink("AT", 0, 2)))
+
+    def test_labels_relations_and_meta_follow_their_spans(self):
+        out = self.SOURCE.onto("C : B traf A", [(2, 0, 1), (1, 4, 5), (0, 11, 12)])
+        assert out == AnnotatedSentence(
+            "C : B traf A", (LabeledSpan(0, 0, 1, "LOC"), LabeledSpan(1, 4, 5, "PER"),
+                             LabeledSpan(2, 11, 12, "PER")),
+            {"id": "3"}, (RelationLink("MEET", 2, 1), RelationLink("AT", 2, 0)))
+
+    def test_in_order_is_the_identity(self):
+        source = self.SOURCE
+        assert source.onto(source.text, [(s.id, s.start, s.end) for s in source.spans]) == source
+
+    @pytest.mark.parametrize("placed, message", [
+        ([(0, 0, 1), (1, 2, 2), (2, 4, 5)], "span 1: invalid offsets [2, 2)"),
+        ([(0, 0, 3), (1, 2, 4), (2, 6, 7)], "span 1 overlaps previous span or is out of order"),
+        ([(0, 4, 5), (1, 0, 1), (2, 6, 7)], "span 1 overlaps previous span or is out of order"),
+        ([(0, 0, 1), (1, 2, 3), (2, 6, 13)], "span 2 end 13 exceeds text length 12"),
+    ])
+    def test_invalid_target_spans_are_a_format_error(self, placed, message):
+        with pytest.raises(FormatError) as e:
+            self.SOURCE.onto("C : B traf A", placed)
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize("placed", [
+        [(0, 0, 1), (1, 2, 3)],
+        [(0, 0, 1), (1, 2, 3), (1, 4, 5)],
+        [(0, 0, 1), (1, 2, 3), (2, 4, 5), (0, 6, 7)],
+    ])
+    def test_each_source_span_must_be_placed_once(self, placed):
+        with pytest.raises(ValueError, match="exactly once") as e:
+            self.SOURCE.onto("C : B traf A", placed)
+        assert not isinstance(e.value, FormatError)

@@ -218,6 +218,16 @@ class TestProjectSentence:
         assert outcome.status == FILTERED
         assert outcome.reason == "CountMismatch"
 
+    @pytest.mark.parametrize("kind, mode", [("brackets", "fuzzy"), ("brackets", "sequential"),
+                                            ("quotes", "fuzzy"), ("xml", "fuzzy")])
+    def test_emptied_span_filtered_as_invalid_target_spans(self, kind, mode):
+        sent = AnnotatedSentence("x and y",
+                                 (LabeledSpan(0, 0, 1, "PER"), LabeledSpan(1, 6, 7, "LOC")))
+        backend = LexiconBackend(LexiconBackendConfig({"x": ""}))  # "[ x ]" comes back "[  ]"
+        outcome = project_sentence(sent, backend, MarkerScheme(kind), MatcherConfig(mode=mode))
+        assert (outcome.status, outcome.reason, outcome.diagnostics) == \
+            (FILTERED, "InvalidTargetSpans", ("span 0: invalid offsets [0, 0)",))
+
     def test_backend_error_failed(self):
         class BrokenBackend:
             def translate(self, request):

@@ -93,6 +93,15 @@ class TestLexicon:
         with pytest.raises(ValueError, match="marker token"):
             LexiconBackendConfig({"[": "x"})
 
+    def test_only_known_reorders_accepted(self):
+        for reorder in ["revrse", "Reverse", "seed:x", "seed:", "seed:1.5", "seed", "shuffle:3",
+                        " none", ""]:
+            with pytest.raises(ValueError, match="reorder must be none, reverse or seed:<int>"):
+                LexiconBackendConfig({}, reorder=reorder)
+        for reorder in ["none", "reverse", "seed:0", "seed:-3", "seed:+12"]:
+            text = LexiconBackend(LexiconBackendConfig({}, reorder=reorder))._translate_one("a b c")
+            assert sorted(text.split()) == ["a", "b", "c"]
+
     def test_unclosed_marker_keeps_every_word(self):
         cfg = LexiconBackendConfig({"a": "A", "b": "B", "c": "C"})
         resp = LexiconBackend(cfg).translate(TranslateRequest(("[ a [ b ] c",), "en", "de"))
@@ -544,6 +553,14 @@ class TestBatching:
     def test_empty_request(self):
         resp = translate(TranslateRequest((), "en", "de"), IdentityBackend())
         assert resp.items == ()
+
+    @pytest.mark.parametrize("in_flight", [0, -2])
+    def test_no_batch_in_flight_rejected(self, in_flight):
+        backend = CountingBackend()
+        with pytest.raises(ValueError) as e:
+            translate(TranslateRequest(("a",), "en", "de"), backend, max_in_flight=in_flight)
+        assert str(e.value) == f"max_in_flight must be at least 1, got {in_flight}"
+        assert backend.requests == []
 
 
 class CountingBackend:
