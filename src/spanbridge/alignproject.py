@@ -8,14 +8,14 @@ outputs always keep source-equal span counts, and with them every relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import AnnotatedSentence, FormatError, gc_paused, span_token_ranges, token_bounds
+from .core import (AnnotatedSentence, FormatError, gc_paused, record, span_token_ranges,
+                   token_bounds)
 from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport, _tally
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Alignment:
     """0-based (src_token_index, tgt_token_index) link set."""
 
@@ -25,7 +25,7 @@ class Alignment:
         object.__setattr__(self, "links", frozenset(self.links))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AlignedPair:
     src_tokens: tuple[str, ...]
     tgt_tokens: tuple[str, ...]

@@ -85,6 +85,9 @@ def _backend_from_args(args):
         token_map = {}
         if args.lexicon:
             token_map = json.loads(_read(args.lexicon))
+            if type(token_map) is not dict:
+                raise UsageError(f"--lexicon {args.lexicon}: expected a JSON object, "
+                                 f"got {type(token_map).__name__}")
         return tr.LexiconBackend(tr.LexiconBackendConfig(token_map, reorder=args.reorder))
     url = os.environ.get("SPANBRIDGE_MT_URL", args.mt_url)
     http = tr.HttpBackend(url, timeout_ms=args.timeout_ms, retries=args.retries) if url else None
@@ -97,6 +100,17 @@ def _backend_from_args(args):
             raise UsageError("--backend http requires --mt-url or SPANBRIDGE_MT_URL")
         return http
     raise UsageError(f"unknown backend {args.backend!r}")
+
+
+def _positive_int(value: str) -> int:
+    """argparse type of a count flag; argparse names the flag in its error."""
+    try:
+        n = int(value)
+    except ValueError:  # the message type=int gives
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _add_backend_flags(p: argparse.ArgumentParser):
@@ -154,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-unmatched", action="store_true",
                    help="drop sentences with no confident fuzzy match instead of "
                         "falling back to positional assignment")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="batches in flight")
+    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                   help="batches in flight, at least 1")
 
     p = sub.add_parser("align-project", help="word-alignment baseline projection")
     _add_input_flags(p)

@@ -7,14 +7,50 @@ are slotted, immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
+import inspect
 import json
 import threading
-from dataclasses import dataclass
 
 
 class FormatError(ValueError):
     """Raised when an input file violates its format contract."""
+
+
+def record(cls):
+    """dataclass(frozen=True, slots=True), with an __init__ that stores each
+    field through its slot's descriptor, bound once here. The generated one
+    calls object.__setattr__(self, name, value), which looks the name up on
+    every store; both bypass the frozen __setattr__. Same parameters,
+    defaults and annotations, and __post_init__ runs as before. Plain fields
+    only, with or without a plain default: anything else raises TypeError."""
+    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    for f in fields:
+        if f.default_factory is not dataclasses.MISSING or not f.init or f.kw_only:
+            raise TypeError(f"{cls.__qualname__}.{f.name}: record takes plain fields only")
+    if list(inspect.signature(cls.__init__).parameters)[1:] != names:  # an InitVar
+        raise TypeError(f"{cls.__qualname__}: record takes no init-only parameters")
+    setters = [f"__set_{i}" for i in range(len(names))]
+    body = [f"{s}(self, {n})" for s, n in zip(setters, names)]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    source = (f"def __create__({', '.join(setters)}):\n"
+              f" def __init__(self, {', '.join(names)}):\n"
+              f"  {'; '.join(body) or 'pass'}\n"
+              f" return __init__\n")
+    namespace: dict = {}
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), {}, namespace)
+    init = namespace["__create__"](*[cls.__dict__[n].__set__ for n in names])
+    init.__defaults__ = tuple([f.default for f in fields
+                               if f.default is not dataclasses.MISSING]) or None
+    init.__annotations__ = {**{f.name: f.type for f in fields}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    init.__module__ = cls.__module__
+    cls.__init__ = init
+    return cls
 
 
 # one encoder for every JSONL line: json.dumps with these arguments builds a new one per call;
@@ -46,7 +82,7 @@ def gc_paused():
                 gc.enable()
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LabeledSpan:
     """A labeled character span: [start, end) codepoint offsets into a sentence."""
 
@@ -64,7 +100,7 @@ class LabeledSpan:
         if not 0 <= start < end:
             raise FormatError(f"span {self.id}: invalid offsets [{start}, {end})")
         label = self.label
-        if label and not isinstance(label, str):
+        if not isinstance(label, str):
             raise FormatError(f"span {self.id}: label must be a string, "
                               f"got {type(label).__name__}")
         # split() breaks at exactly the characters isspace() accepts, so a
@@ -76,7 +112,7 @@ class LabeledSpan:
         return text[self.start:self.end]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RelationLink:
     """A typed link (relation or event-argument role) between two spans of one sentence."""
 
@@ -93,7 +129,7 @@ class RelationLink:
                               f"got {head!r} and {tail!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AnnotatedSentence:
     text: str
     spans: tuple[LabeledSpan, ...] = ()
@@ -151,7 +187,7 @@ class AnnotatedSentence:
         return [s.slice(self.text) for s in self.spans]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QaExample:
     """A QA item: context with exactly one answer span."""
 

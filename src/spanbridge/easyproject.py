@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .core import AnnotatedSentence, FormatError, QaExample, gc_paused
+from .core import AnnotatedSentence, FormatError, QaExample, gc_paused, record
 from .markers import (
     VALID,
     MarkedText,
@@ -85,7 +85,7 @@ def fuzzy_ratio(a: str, b: str) -> float:
 # Label assignment
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MatcherConfig:
     mode: str = MATCH_FUZZY
     threshold: float = 0.5
@@ -100,7 +100,7 @@ class MatcherConfig:
             raise ValueError(f"unknown fallback {self.on_no_match!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Assignment:
     """candidate_for[t] = source-candidate index assigned to bracketed span t."""
 
@@ -169,7 +169,7 @@ def assign_labels_fuzzy(
 # Projection pipeline
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ProjectionOutcome:
     status: str
     reason: str = ""

@@ -10,9 +10,7 @@ length-sorted and the output is truncated to the pair budget.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import AnnotatedSentence, gc_paused
+from .core import AnnotatedSentence, gc_paused, record
 from .markers import SQUARE_BRACKET, MarkerScheme, PreexistingMarkerError, mark_ranges
 from .translate import TranslateRequest, translate
 
@@ -20,13 +18,13 @@ SORT_DESCENDING = "descending"
 SORT_ASCENDING = "ascending"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ParallelPair:
     src: AnnotatedSentence
     tgt: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FtDataConfig:
     k: int = 5000
     match_case_fold: bool = True

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
-from .core import AnnotatedSentence
+from .core import AnnotatedSentence, record
 
 SQUARE_BRACKET = "brackets"
 XML_INDEXED = "xml"
@@ -45,7 +44,7 @@ class PreexistingMarkerError(ValueError):
     which would make extraction ambiguous; the sentence should be filtered."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MarkerScheme:
     kind: str = SQUARE_BRACKET
     pad_with_space: bool = True
@@ -55,7 +54,7 @@ class MarkerScheme:
             raise ValueError(f"unknown marker scheme {self.kind!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MarkedText:
     """Marked string plus the span-id <-> marker-token map.
 
@@ -67,7 +66,7 @@ class MarkedText:
     marker_map: tuple[tuple[int, str, str], ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ExtractionResult:
     clean_text: str
     # (marker_id or None for anonymous markers, start, end) in clean_text
@@ -91,7 +90,7 @@ def _xml_tags(i: int) -> tuple[str, str]:
     return f"<{tag}>", f"</{tag}>"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class _Syntax:
     """How a wrapping scheme writes and reads its markers."""
 

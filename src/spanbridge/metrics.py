@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import AnnotatedSentence
+from .core import AnnotatedSentence, record
 from .easyproject import ProjectionReport
 
 
@@ -17,7 +16,7 @@ def projection_rate(report: ProjectionReport) -> float:
     return report.projected / report.total
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BleuConfig:
     max_n: int = 4
     # orders with zero hypothesis n-grams corpus-wide are excluded from the
@@ -72,7 +71,7 @@ def corpus_bleu(
     return bp * math.exp(log_precision)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CorpusStats:
     n_sentences: int
     avg_tokens_per_sentence: float

@@ -17,10 +17,10 @@ import random
 import re
 import threading
 import time
+from collections.abc import Iterable, Mapping
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
-from .core import JSONL_ENCODER
+from .core import JSONL_ENCODER, record
 
 OK = "Ok"
 
@@ -33,7 +33,7 @@ DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_MS = 500
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TranslateRequest:
     items: tuple[str, ...]
     src_lang: str
@@ -47,7 +47,7 @@ class TranslateRequest:
             raise ValueError("request items must be non-empty strings")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TranslatedItem:
     output: str
     status: str = OK  # OK or an error message prefixed "BackendError"
@@ -57,7 +57,7 @@ class TranslatedItem:
         return self.status == OK
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TranslateResponse:
     items: tuple[TranslatedItem, ...]
 
@@ -86,20 +86,30 @@ _WORD_RE = re.compile(r'(?<![^\s\[\]">])[^\s\[\]"<>]+')
 _REORDER_RE = re.compile(rf"{REORDER_NONE}|{REORDER_REVERSE}|seed:[+-]?\d+")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LexiconBackendConfig:
     token_map: tuple[tuple[str, str], ...]
     reorder: str = REORDER_NONE  # none | reverse | seed:<int>
 
     def __post_init__(self):
-        if isinstance(self.token_map, dict):
-            object.__setattr__(self, "token_map", tuple(sorted(self.token_map.items())))
         if not _REORDER_RE.fullmatch(self.reorder):
             raise ValueError(f"reorder must be none, reverse or seed:<int>, got {self.reorder!r}")
-        for key, _ in self.token_map:
-            if not _WORD_RE.fullmatch(key):
-                raise ValueError(
-                    f"lexicon key {key!r} must be one word, without whitespace or a marker token")
+        token_map = self.token_map
+        is_mapping = isinstance(token_map, Mapping)
+        if is_mapping:
+            token_map = token_map.items()
+        elif isinstance(token_map, str) or not isinstance(token_map, Iterable):
+            raise ValueError(f"lexicon must be a mapping or pairs of strings, "
+                             f"got {type(token_map).__name__}")
+        pairs = [tuple(pair) if type(pair) is list else pair for pair in token_map]
+        for pair in pairs:
+            if not (type(pair) is tuple and len(pair) == 2
+                    and type(pair[0]) is str and type(pair[1]) is str):
+                raise ValueError(f"lexicon entry {pair!r} is not a pair of strings")
+            if not _WORD_RE.fullmatch(pair[0]):
+                raise ValueError(f"lexicon key {pair[0]!r} must be one word, "
+                                 f"without whitespace or a marker token")
+        object.__setattr__(self, "token_map", tuple(sorted(pairs) if is_mapping else pairs))
 
 
 class LexiconBackend:

@@ -121,8 +121,6 @@ class TestProjectCommand:
          "error: reorder must be none, reverse or seed:<int>, got 'revrse'\n"),
         (["--backend", "lexicon", "--reorder", "seed:x"],
          "error: reorder must be none, reverse or seed:<int>, got 'seed:x'\n"),
-        (["--jobs", "0"], "error: max_in_flight must be at least 1, got 0\n"),
-        (["--jobs", "-2"], "error: max_in_flight must be at least 1, got -2\n"),
     ])
     def test_setting_that_never_works_exit_1(self, tmp_path, corpus_file, capsys, flags,
                                              message):
@@ -130,6 +128,33 @@ class TestProjectCommand:
         code = run(["project", "--in", str(path), "--out", str(tmp_path / "o")] + flags)
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_refused_where_the_flag_is_parsed(self, tmp_path, capsys, jobs):
+        # the input does not exist: the flag is refused before any file is read
+        code = run(["project", "--in", str(tmp_path / "missing.jsonl"),
+                    "--out", str(tmp_path / "o"), "--jobs", jobs])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --jobs: must be at least 1, got {jobs}\n")
+        assert "missing.jsonl" not in err
+
+    @pytest.mark.parametrize("lexicon, message", [
+        ('{"a": 5}', "error: lexicon entry ('a', 5) is not a pair of strings\n"),
+        ('{"a": null}', "error: lexicon entry ('a', None) is not a pair of strings\n"),
+        ('[["a", "b"]]', "error: --lexicon {path}: expected a JSON object, got list\n"),
+        ('"a"', "error: --lexicon {path}: expected a JSON object, got str\n"),
+    ])
+    def test_lexicon_file_contents_are_a_usage_error(self, tmp_path, corpus_file, capsys,
+                                                     lexicon, message):
+        path, _ = corpus_file
+        lex = tmp_path / "lex.json"
+        lex.write_text(lexicon, encoding="utf-8")
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--backend", "lexicon", "--lexicon", str(lex)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == message.format(path=lex)
         assert not (tmp_path / "o").exists()
 
     def test_meta_must_be_an_object_with_free_form_values(self, tmp_path, capsys):

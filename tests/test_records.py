@@ -1,9 +1,12 @@
-"""Records are slotted dataclasses, frozen where they were, and their JSON
-lines keep the bytes json.dumps(..., ensure_ascii=False, sort_keys=True) gives."""
+"""Records are slotted dataclasses, frozen where they were and then built by
+core.record, and their JSON lines keep the bytes json.dumps(...,
+ensure_ascii=False, sort_keys=True) gives."""
 
+import copy
 import dataclasses
 import inspect
 import json
+import pickle
 import sys
 
 import pytest
@@ -74,6 +77,53 @@ def test_frozen_records_stay_frozen(cls):
     # so a new name fails with TypeError rather than FrozenInstanceError
     with pytest.raises((AttributeError, TypeError)):
         record.extra = 1
+
+
+FROZEN = [cls for cls in SAMPLES if cls.__dataclass_params__.frozen]
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_copy_replace_and_pickle_to_equals(cls):
+    record = SAMPLES[cls]
+    assert dataclasses.replace(record) == record
+    assert copy.copy(record) == record
+    if cls is not markers._Syntax:  # it holds a lambda, which pickle cannot name
+        loaded = pickle.loads(pickle.dumps(record))
+        assert type(loaded) is cls and loaded == record and hash(loaded) == hash(record)
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_record_signature_lists_its_fields(cls):
+    params = inspect.signature(cls).parameters.values()
+    empty = inspect.Parameter.empty
+    assert [(p.name, p.kind, p.default, p.annotation) for p in params] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         empty if f.default is dataclasses.MISSING else f.default, f.type)
+        for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_frozen_records_are_built_by_record(cls):
+    # the generated frozen __init__ stores each field with object.__setattr__
+    assert cls.__init__.__code__.co_filename == f"<record {cls.__qualname__}>"
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+@pytest.mark.parametrize("field", [
+    dataclasses.field(default_factory=list), dataclasses.field(init=False, default=0),
+    dataclasses.field(kw_only=True, default=0)], ids=["default_factory", "init", "kw_only"])
+def test_record_refuses_a_field_that_is_not_plain(field):
+    with pytest.raises(TypeError, match="plain fields only"):
+        @core.record
+        class NotPlain:
+            value: object = field
+
+
+def test_record_refuses_an_init_only_parameter():
+    with pytest.raises(TypeError, match="init-only"):
+        @core.record
+        class WithInitVar:
+            value: dataclasses.InitVar[int]
 
 
 def test_the_one_mutable_record_takes_no_new_attribute():

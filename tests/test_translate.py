@@ -93,6 +93,16 @@ class TestLexicon:
         with pytest.raises(ValueError, match="marker token"):
             LexiconBackendConfig({"[": "x"})
 
+    @pytest.mark.parametrize("token_map", [
+        {"a": 5}, {"a": None}, {5: "a"}, [("a", "b", "c")], ["ab"], [("a", 5)], "ab", 5, None])
+    def test_lexicon_must_map_strings_to_strings(self, token_map):
+        with pytest.raises(ValueError, match="lexicon"):
+            LexiconBackendConfig(token_map)
+
+    def test_lexicon_pairs_are_kept_in_order_and_a_mapping_is_sorted(self):
+        assert LexiconBackendConfig([["b", "B"], ("a", "A")]).token_map == (("b", "B"), ("a", "A"))
+        assert LexiconBackendConfig({"b": "B", "a": "A"}).token_map == (("a", "A"), ("b", "B"))
+
     def test_only_known_reorders_accepted(self):
         for reorder in ["revrse", "Reverse", "seed:x", "seed:", "seed:1.5", "seed", "shuffle:3",
                         " none", ""]:
