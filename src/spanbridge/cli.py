@@ -347,7 +347,8 @@ def _cmd_bleu(args) -> int:
 def _cmd_rate(args) -> int:
     report = json.loads(_read(args.report))
     if not (isinstance(report, dict)
-            and all(type(report.get(key)) is int for key in ("total", "projected"))):
+            and all(type(report.get(key)) is int for key in ("total", "projected"))
+            and 0 <= report["projected"] <= report["total"]):
         raise UsageError(f"{args.report}: not a projection report")
     if report["total"] < 1:
         raise UsageError("projection rate undefined: report has no sentences")

@@ -38,6 +38,13 @@ _LOCALE_QUOTE_RE = re.compile("[«»“”„‟‹›「」『』]")
 # placeholder tokens as they may come back: any word starting with a letter, then digits
 _PLACEHOLDER_RE = re.compile(r"(?<![\w])[^\W\d]\w*?\d+(?![\w])")
 
+# a fragment of an xml tag, named by its whole letter run: "<" or "</" and a
+# name that no ">" closes (group 1), or "/", a name and ">" with no "<" before
+# the "/" (group 2); intact tags match nothing, and no two matches overlap.
+# The "<" check comes after the "/", so that every branch starts with a literal
+# and `re` skips to the next "<" or "/" instead of trying both at every offset.
+_TAG_FRAGMENT_RE = re.compile(r"</?([a-zA-Z]+)(?![a-zA-Z>])|/(?<!</)([a-zA-Z]+)>")
+
 
 class PreexistingMarkerError(ValueError):
     """The source text already contains this scheme's marker characters,
@@ -123,7 +130,8 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
     """Wrap each annotated span in scheme markers (Placeholder: replace it).
 
     Raises PreexistingMarkerError if a source with spans already contains any
-    marker token of the scheme, known or not (Placeholder: any of its tokens).
+    marker token of the scheme, known or not (Placeholder: any of its tokens),
+    or, for xml, a fragment of one of its own tags such as "<a" or "/a>".
     """
     text = sentence.text
     if scheme.kind == PLACEHOLDER:
@@ -189,6 +197,10 @@ def _wrap(text: str, ranges: Iterable[tuple[int, int]],
         if found:
             raise PreexistingMarkerError(
                 f"source text already contains marker token {found.group()!r}")
+        # a fragment of one of this sentence's tags reads back as a damaged tag
+        if syntax.identity and (fragments := _tag_fragments(text, marker_map)):
+            raise PreexistingMarkerError(
+                f"source text already contains marker fragment {fragments[0][2].group()!r}")
     pad = " " if scheme.pad_with_space else ""
     return _splice(text, [(start, end, f"{open_tok}{pad}{text[start:end]}{pad}{close_tok}")
                           for (start, end), (_, open_tok, close_tok) in zip(ranges, marker_map)])[0]
@@ -210,6 +222,22 @@ def _label_re(labels: frozenset[str]) -> re.Pattern:
     return re.compile(r"(?:%s)\d+" % "|".join(map(re.escape, sorted(labels, key=len)[::-1])))
 
 
+def _tag_fragments(
+    text: str, marker_map: Sequence[tuple[int, str, str]]
+) -> list[tuple[int, int, re.Match]]:
+    """(index of the tag in `marker_map`, 1 if opening or 2 if closing, match)
+    of each fragment in `text` that names a tag of `marker_map`, left to right."""
+    first = _TAG_FRAGMENT_RE.search(text)
+    if first is None:  # most texts hold none: skip the match list and the name index
+        return []
+    index: dict[str, int] = {}
+    for i, (_, open_tok, _) in enumerate(marker_map):
+        index.setdefault(open_tok[1:-1], i)
+    # lastindex is the one group that took part, so it gives kind and name
+    return [(index[m[m.lastindex]], m.lastindex, m)
+            for m in _TAG_FRAGMENT_RE.finditer(text, first.start()) if m[m.lastindex] in index]
+
+
 def _tag_damage(
     text: str, tokens: list[tuple[int, int, str]], known: set[str],
     expected: tuple[tuple[int, str, str], ...],
@@ -219,15 +247,13 @@ def _tag_damage(
     for _, _, tok in tokens:
         if tok not in known:
             return ExtractionResult(text, (), COUNT_MISMATCH, f"unknown tag {tok}")
-    for _, open_tok, _ in expected:
-        name = re.escape(open_tok[1:-1])
-        for pattern in (rf"</?{name}(?![a-zA-Z>])", rf"(?<!<)/{name}>"):
-            m = re.search(pattern, text)
-            if m:
-                return ExtractionResult(
-                    text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {m.start()}"
-                )
-    return None
+    fragments = _tag_fragments(text, expected)
+    if not fragments:
+        return None
+    # the diagnostic names the first damaged tag of `expected`, opening before closing
+    _, _, offset = min((i, kind, m.start()) for i, kind, m in fragments)
+    return ExtractionResult(
+        text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {offset}")
 
 
 def extract_markers(

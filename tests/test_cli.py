@@ -391,6 +391,7 @@ class TestMetricsCommands:
 
     @pytest.mark.parametrize("content", [
         "[]", '{"total": 2}', '{"total": "2", "projected": 1}',
+        '{"total": 2, "projected": 5}', '{"total": 2, "projected": -1}',
     ])
     def test_rate_rejects_a_malformed_report(self, tmp_path, capsys, content):
         report = tmp_path / "r.json"

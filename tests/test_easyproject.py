@@ -243,6 +243,20 @@ class TestProjectSentence:
         assert outcome.status == FILTERED
         assert outcome.reason == "PreexistingMarker"
 
+    @pytest.mark.parametrize("text", ["if x<a then b", "path a/a> then b"])
+    def test_xml_tag_fragment_filtered_before_translation(self, text):
+        # the one span gets tag a, and "<a" or "/a>" would read back as a damaged tag
+        sent = AnnotatedSentence(text, (LabeledSpan(0, 12, 13, "V"),))
+        backend = Recording()
+        outcome = project_sentence(sent, backend, MarkerScheme("xml"))
+        assert (outcome.status, outcome.reason) == (FILTERED, "PreexistingMarker")
+        assert backend.requests == []
+
+    def test_xml_fragment_of_another_tag_projects(self):
+        sent = AnnotatedSentence("if x<c then b", (LabeledSpan(0, 12, 13, "V"),))
+        outcome = project_sentence(sent, IdentityBackend(), MarkerScheme("xml"))
+        assert (outcome.status, outcome.sentence) == (PROJECTED, sent)
+
     def test_locale_quotes_filtered_before_translation(self):
         sent = AnnotatedSentence("he said «hi» to Anna", (LabeledSpan(0, 16, 20, "PER"),))
         _, report = project_corpus([sent], IdentityBackend(), MarkerScheme("quotes"))

@@ -17,7 +17,7 @@ from spanbridge.markers import (
     mark_ranges,
     strip_markers,
 )
-from spanbridge.markers import _SYNTAX, _tag_damage
+from spanbridge.markers import _SYNTAX
 
 CHURCHILL = AnnotatedSentence(
     "Churchill was born in England in 1874 .",
@@ -77,6 +77,23 @@ class TestInsert:
             tagged = AnnotatedSentence(text, (LabeledSpan(0, 0, 4, "PER"),))
             with pytest.raises(PreexistingMarkerError):
                 insert_markers(tagged, MarkerScheme("xml"))
+
+    @pytest.mark.parametrize("text", ["if x<a then b", "path a/a> then b", "x</a", "<a"])
+    def test_fragment_of_an_own_tag_rejected(self, text):
+        # extraction would read the fragment back as a damaged tag <a> or </a>
+        sent = AnnotatedSentence(text, (LabeledSpan(0, len(text) - 1, len(text), "V"),))
+        with pytest.raises(PreexistingMarkerError, match="marker fragment"):
+            insert_markers(sent, MarkerScheme("xml"))
+        with pytest.raises(PreexistingMarkerError, match="marker fragment"):
+            mark_ranges(text, [(len(text) - 1, len(text))], MarkerScheme("xml"))
+
+    @pytest.mark.parametrize("text", ["if x<c then b", "x<ab then b", "a</b then b", "x <A b"])
+    def test_fragment_of_another_tag_kept(self, text):
+        # one span gets tag a, and "<ab" names ab, not a
+        sent = AnnotatedSentence(text, (LabeledSpan(0, len(text) - 1, len(text), "V"),))
+        marked = insert_markers(sent, MarkerScheme("xml"))
+        result = extract_markers(marked.text, MarkerScheme("xml"), marked.marker_map)
+        assert (result.status, result.clean_text) == (VALID, text)
 
     def test_placeholder_token_followed_by_a_digit_is_not_that_token(self):
         scheme = MarkerScheme("placeholder")
@@ -372,6 +389,26 @@ class TestExtractNeverRaises:
         assert all(e <= s for (_, e), (s, _) in zip(bounds, bounds[1:]))
 
 
+def _reference_tag_damage(
+    text: str, tokens: list[tuple[int, int, str]], known: set[str],
+    expected: tuple[tuple[int, str, str], ...],
+) -> ExtractionResult | None:
+    """An unknown tag, or a garbled fragment of an expected tag such as "<e，"
+    or a bare "/e>"; None if the tags are intact."""
+    for _, _, tok in tokens:
+        if tok not in known:
+            return ExtractionResult(text, (), COUNT_MISMATCH, f"unknown tag {tok}")
+    for _, open_tok, _ in expected:
+        name = re.escape(open_tok[1:-1])
+        for pattern in (rf"</?{name}(?![a-zA-Z>])", rf"(?<!<)/{name}>"):
+            m = re.search(pattern, text)
+            if m:
+                return ExtractionResult(
+                    text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {m.start()}"
+                )
+    return None
+
+
 def _reference_extract_markers(translated, scheme, expected):
     """extract_markers as it was before insertion and extraction shared one
     splice, kept as the reference: one rebuild loop per scheme family, and one
@@ -387,7 +424,7 @@ def _reference_extract_markers(translated, scheme, expected):
     if syntax.identity:
         open_for = {open_tok: span_id for span_id, open_tok, _ in expected}
         close_for = {close_tok: span_id for span_id, _, close_tok in expected}
-        damage = _tag_damage(text, tokens, open_for.keys() | close_for.keys(), expected)
+        damage = _reference_tag_damage(text, tokens, open_for.keys() | close_for.keys(), expected)
         if damage is not None:
             return damage
     pairs = []
@@ -484,6 +521,34 @@ class TestExtractEqualsReference:
             translated = "  ".join(reversed(translated.split(" ")))
         assert extract_markers(translated, scheme, marked.marker_map) == \
             _reference_extract_markers(translated, scheme, marked.marker_map)
+
+
+class TestTagFragments:
+    @given(DAMAGED, st.integers(1, 30))
+    @settings(max_examples=500)
+    @example("<aa </aa> /aa>", 27)
+    @example("/b> <a </b", 2)
+    def test_equals_one_search_per_tag(self, translated, n_spans):
+        # past 26 spans tags have two-letter names: aa holds a and starts ab
+        scheme = MarkerScheme("xml")
+        expected = tuple((i, *_SYNTAX["xml"].tokens(i)) for i in range(n_spans))
+        assert extract_markers(translated, scheme, expected) == \
+            _reference_extract_markers(translated, scheme, expected)
+
+    def test_no_pattern_is_searched_or_built_per_tag(self, monkeypatch):
+        scheme = MarkerScheme("xml")
+        sentence = AnnotatedSentence(
+            " ".join("w" for _ in range(300)),
+            tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(300)))
+        marked = insert_markers(sentence, scheme)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a regex was searched or compiled during extraction")
+
+        monkeypatch.setattr(re, "search", refuse)
+        monkeypatch.setattr(re, "compile", refuse)
+        result = extract_markers(marked.text, scheme, marked.marker_map)
+        assert (result.status, len(result.found_spans)) == (VALID, 300)
 
 
 @st.composite
