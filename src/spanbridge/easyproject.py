@@ -19,6 +19,7 @@ from .markers import (
     MarkerScheme,
     PreexistingMarkerError,
     carries_identity,
+    check_translatable,
     extract_markers,
     insert_markers,
 )
@@ -216,6 +217,7 @@ def _plan(sentence: AnnotatedSentence, scheme: MarkerScheme, cfg: MatcherConfig
         return ProjectionOutcome(PROJECTED, sentence=sentence), None, ()
     try:
         marked = insert_markers(sentence, scheme)
+        check_translatable(sentence, scheme)
     except PreexistingMarkerError as e:
         return ProjectionOutcome(FILTERED, "PreexistingMarker", diagnostics=(str(e),)), None, ()
     # identity-carrying markers need no matching; sequential matching is positional

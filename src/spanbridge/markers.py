@@ -5,9 +5,15 @@ extraction/validation of markers from translated text. All functions are
 pure and thread-safe.
 
 Brackets, xml and quotes wrap each span in an open and a close token; what
-sets them apart is one entry each in `_SYNTAX`. Placeholder replaces each
-span with a `{label}{id}` word and finds it again by exact match. Every
-scheme inserts and extracts through one region splice, `_splice`.
+sets them apart is one entry each in `_SYNTAX`. Span ids run 0..n-1, so a
+wrapping scheme's marker map depends only on the span count: all maps of one
+scheme are slices of one table. Their extraction reads the marker pairs from
+one split of the translation into text and tokens. Placeholder replaces each
+span with a `{label}{id}` word and finds it again by exact match, so a span
+followed directly by a digit is refused before translation
+(`check_translatable`): the digit would run on from its token. All
+insertion, and placeholder extraction, go through one region splice,
+`_splice`.
 """
 
 from __future__ import annotations
@@ -117,6 +123,25 @@ _SYNTAX = {
     DOUBLE_QUOTE: _Syntax(lambda i: ('"', '"'), re.compile('"'), None, fold_quotes=True),
 }
 
+# split() by a token_re wrapped in one group alternates text and tokens, so a
+# group of its own would add pieces
+assert not any(syntax.token_re.groups for syntax in _SYNTAX.values())
+_SPLIT = {kind: re.compile(f"({syntax.token_re.pattern})") for kind, syntax in _SYNTAX.items()}
+
+# per scheme, the marker map of the most spans yet: the map of n spans is its
+# first n entries, so the table holds only as many entries as the longest sentence.
+# Threads may race to grow it; whichever table is stored last is still correct.
+_MAPS: dict[str, tuple[tuple[int, str, str], ...]] = dict.fromkeys(_SYNTAX, ())
+
+
+def _marker_map(kind: str, n: int) -> tuple[tuple[int, str, str], ...]:
+    """(span id, open, close) of spans 0..n-1 under the wrapping scheme `kind`."""
+    table = _MAPS[kind]
+    if len(table) < n:
+        tokens = _SYNTAX[kind].tokens
+        table = _MAPS[kind] = table + tuple([(i, *tokens(i)) for i in range(len(table), n)])
+    return table[:n]
+
 
 _bounds = attrgetter("start", "end")  # span -> (start, end), without a Python-level call
 
@@ -143,11 +168,27 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
         regions = [(s.start, s.end, token) for s, (_, token, _) in zip(sentence.spans, marker_map)]
         return MarkedText(_splice(text, regions)[0], marker_map)
 
-    syntax = _SYNTAX[scheme.kind]
-    # a list comprehension and map() keep short sentences as fast as before
-    marker_map = tuple([(s.id, *syntax.tokens(s.id)) for s in sentence.spans])
-    ranges = map(_bounds, sentence.spans)
-    return MarkedText(_wrap(text, ranges, marker_map, scheme), marker_map)
+    spans = sentence.spans
+    marker_map = _marker_map(scheme.kind, len(spans))  # span ids run 0..n-1
+    return MarkedText(_wrap(text, map(_bounds, spans), marker_map, scheme), marker_map)
+
+
+def check_translatable(sentence: AnnotatedSentence, scheme: MarkerScheme) -> None:
+    """Raise PreexistingMarkerError if the marked sentence would not read back
+    even from an unchanged translation. Under placeholder that is a span followed
+    directly by a digit (as `\\d` matches, which is what str.isdecimal accepts):
+    the digit would run on from its token, so LOC0 then 2008 reads as LOC02008.
+    Wrapping schemes pass."""
+    if scheme.kind != PLACEHOLDER:
+        return
+    text, spans = sentence.text, sentence.spans
+    for s, after in zip(spans, spans[1:] + (None,)):
+        # the character after the token: the next token's first if it is glued on
+        follows = after.label[0] if after and after.start == s.end else text[s.end:s.end + 1]
+        if follows.isdecimal():
+            raise PreexistingMarkerError(
+                f"span {s.id} is followed directly by digit {follows!r}, "
+                f"which would extend its placeholder {s.label + str(s.id)!r}")
 
 
 def mark_ranges(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) -> str:
@@ -160,8 +201,7 @@ def mark_ranges(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) 
     """
     if scheme.kind == PLACEHOLDER:
         raise ValueError("mark_ranges needs a wrapping scheme, not placeholder")
-    tokens = _SYNTAX[scheme.kind].tokens
-    return _wrap(text, ranges, [(i, *tokens(i)) for i in range(len(ranges))], scheme)
+    return _wrap(text, ranges, _marker_map(scheme.kind, len(ranges)), scheme)
 
 
 def _splice(text: str, regions: Iterable[tuple[int, int, str]]) -> tuple[str, Iterator[int]]:
@@ -239,12 +279,11 @@ def _tag_fragments(
 
 
 def _tag_damage(
-    text: str, tokens: list[tuple[int, int, str]], known: set[str],
-    expected: tuple[tuple[int, str, str], ...],
+    text: str, tokens: list[str], known: set[str], expected: tuple[tuple[int, str, str], ...],
 ) -> ExtractionResult | None:
     """An unknown tag, or a garbled fragment of an expected tag such as "<e，"
     or a bare "/e>"; None if the tags are intact."""
-    for _, _, tok in tokens:
+    for tok in tokens:
         if tok not in known:
             return ExtractionResult(text, (), COUNT_MISMATCH, f"unknown tag {tok}")
     fragments = _tag_fragments(text, expected)
@@ -273,7 +312,10 @@ def extract_markers(
         return _extract_placeholders(translated, expected)
     syntax = _SYNTAX[scheme.kind]
     text = syntax.fold(translated)
-    tokens = [(m.start(), m.end(), m.group()) for m in syntax.token_re.finditer(text)]
+    # outside text, then token and the text after it, for each token in turn:
+    # token j is parts[2j + 1], between the text parts[2j] and parts[2j + 2]
+    parts = _SPLIT[scheme.kind].split(text)
+    tokens = parts[1::2]
 
     # anonymous markers map to no id, so every pair reads back as None
     open_for: dict[str, int] = {}
@@ -286,34 +328,36 @@ def extract_markers(
             return damage
 
     ids: list[int | None] = []  # marker id of each complete pair
-    regions: list[tuple[int, int, str]] = []  # (open start, close end, inner text) of each pair
-    pending: tuple[int | None, int, int] | None = None  # (id, start, end) of open token
+    pieces: list[str] = []  # text before each pair's open token, then its stripped inner text
+    pending = -1  # index of the open token waiting for its close, or -1
     close_prefix = syntax.close_prefix
-    for start, end, tok in tokens:
-        is_open = pending is None if close_prefix is None else not tok.startswith(close_prefix)
+    for j, tok in enumerate(tokens):
+        is_open = pending < 0 if close_prefix is None else not tok.startswith(close_prefix)
         if is_open:
-            if pending is not None:
+            if pending >= 0:
                 return ExtractionResult(
                     text, (), STRUCTURE_ERROR, f"marker {tok!r} opened inside another pair"
                 )
-            pending = (open_for.get(tok), start, end)
+            pending = j
         else:
-            if pending is None:
+            if pending < 0:
                 return ExtractionResult(
                     text, (), STRUCTURE_ERROR, f"closing marker {tok!r} without open"
                 )
-            marker_id, o_start, o_end = pending
+            marker_id = open_for.get(tokens[pending])
             if close_for.get(tok) != marker_id:
                 return ExtractionResult(
                     text, (), STRUCTURE_ERROR, f"close tag {tok} does not match open tag"
                 )
             ids.append(marker_id)
-            # drop padding plus any whitespace variation the MT system introduced
-            regions.append((o_start, end, text[o_end:start].strip(" ")))
-            pending = None
+            # a pair's tokens are adjacent (j is pending + 1), so parts[2j] is its inner
+            # text; drop padding plus any whitespace variation the MT system introduced
+            pieces.append(parts[2 * pending])
+            pieces.append(parts[2 * j].strip(" "))
+            pending = -1
 
     n_expected = len(expected)
-    if pending is not None or len(ids) != n_expected:
+    if pending >= 0 or len(ids) != n_expected:
         return ExtractionResult(
             text, (), COUNT_MISMATCH,
             f"expected {2 * n_expected} markers forming {n_expected} pairs, "
@@ -321,8 +365,10 @@ def extract_markers(
         )
     if syntax.identity and sorted(ids) != sorted(span_id for span_id, _, _ in expected):
         return ExtractionResult(text, (), COUNT_MISMATCH, "tag identities do not match")
-    clean_text, bounds = _splice(text, regions)
-    return ExtractionResult(clean_text, tuple(zip(ids, bounds, bounds)), VALID)
+    pieces.append(parts[-1])
+    # pieces alternate outside and inner text, so the running length gives both bounds
+    bounds = accumulate(map(len, pieces))
+    return ExtractionResult("".join(pieces), tuple(zip(ids, bounds, bounds)), VALID)
 
 
 def _extract_placeholders(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import MarkerDropBackend, make_corpus, make_entity_corpus
+from test_markers import DAMAGED
 from spanbridge import easyproject
 from spanbridge.core import AnnotatedSentence, LabeledSpan, QaExample, RelationLink
 from spanbridge.easyproject import (
@@ -20,7 +21,7 @@ from spanbridge.easyproject import (
     project_qa,
     project_sentence,
 )
-from spanbridge.markers import MarkerScheme, insert_markers
+from spanbridge.markers import SCHEME_KINDS, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
     IdentityBackend,
     LexiconBackend,
@@ -252,6 +253,21 @@ class TestProjectSentence:
         assert (outcome.status, outcome.reason) == (FILTERED, "PreexistingMarker")
         assert backend.requests == []
 
+    @pytest.mark.parametrize("text, digit", [("在北京2008年", "2"), ("在北京２００８年", "２"),
+                                             ("在北京٣年", "٣")])
+    def test_placeholder_before_a_digit_filtered_before_translation(self, text, digit):
+        # LOC0 and the digit after it would read back as one word, LOC02008
+        sent = AnnotatedSentence(text, (LabeledSpan(0, 1, 3, "LOC"),))
+        backend = Recording()
+        outcome = project_sentence(sent, backend, MarkerScheme("placeholder"))
+        assert (outcome.status, outcome.reason) == (FILTERED, "PreexistingMarker")
+        assert outcome.diagnostics == (f"span 0 is followed directly by digit {digit!r}, "
+                                       f"which would extend its placeholder 'LOC0'",)
+        assert backend.requests == []
+        # the wrapping schemes mark the same sentence and project it
+        for kind in ("brackets", "xml", "quotes"):
+            assert project_sentence(sent, IdentityBackend(), MarkerScheme(kind)).sentence == sent
+
     def test_xml_fragment_of_another_tag_projects(self):
         sent = AnnotatedSentence("if x<c then b", (LabeledSpan(0, 12, 13, "V"),))
         outcome = project_sentence(sent, IdentityBackend(), MarkerScheme("xml"))
@@ -392,6 +408,69 @@ class TestProjectCorpus:
         assert report.failed == sum(hit) > 0
         assert report.reasons == {"BackendError": sum(hit)}
         assert projected == [s for s, h in zip(corpus, hit) if not h]
+
+
+class DamagingBackend:
+    """Adversarial MT output: each item may have its words shuffled and then
+    characters deleted, swapped or inserted, the inserted pieces drawn from
+    `pieces`. The damage is seeded by the item's own text, so an item comes back
+    the same in whatever batch it travels."""
+
+    def __init__(self, pieces, seed):
+        self.pieces, self.seed = pieces, seed
+
+    def damage(self, text: str) -> str:
+        rng = random.Random(f"{self.seed}:{text}")
+        words = text.split(" ")
+        if rng.random() < 0.3:
+            rng.shuffle(words)
+        chars = list(" ".join(words))
+        for _ in range(rng.choice([0, 0, 1, 2, 4])):
+            op = rng.randrange(3)
+            if op == 0 and chars:
+                del chars[rng.randrange(len(chars))]
+            elif op == 1 and len(chars) > 1:
+                i = rng.randrange(len(chars) - 1)
+                chars[i], chars[i + 1] = chars[i + 1], chars[i]
+            else:
+                chars.insert(rng.randrange(len(chars) + 1), rng.choice(self.pieces))
+        return "".join(chars)
+
+    def translate(self, request):
+        return TranslateResponse(tuple(TranslatedItem(self.damage(t)) for t in request.items))
+
+
+MATCHERS = [MatcherConfig(), MatcherConfig(mode="sequential"), MatcherConfig(on_no_match="drop")]
+
+
+class TestAdversarialTranslations:
+    @given(st.integers(0, 10**6), st.integers(1, 12), st.sampled_from(SCHEME_KINDS),
+           st.booleans(), st.sampled_from(MATCHERS),
+           st.lists(st.one_of(DAMAGED, st.sampled_from(["X10", "7", "٣", "中"])),
+                    min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_project_corpus_over_damaged_output(self, seed, n, kind, pad, cfg, pieces):
+        scheme = MarkerScheme(kind, pad_with_space=pad)
+        corpus = [AnnotatedSentence(s.text, s.spans, {"i": str(i)}, s.relations)
+                  for i, s in enumerate(make_corpus(n, seed, max_spans=4, with_relations=True))]
+        backend = DamagingBackend(pieces, seed)
+        projected, report = project_corpus(corpus, backend, scheme, cfg, jobs=1)
+        assert report.total == report.projected + report.filtered + report.failed == n
+        assert report.projected == len(projected)
+        parallel, parallel_report = project_corpus(corpus, backend, scheme, cfg, jobs=4)
+        assert (parallel, parallel_report.to_json()) == (projected, report.to_json())
+        for out in projected:
+            source = corpus[int(dict(out.meta)["i"])]
+            assert len(out.spans) == len(source.spans)
+            assert len(out.relations) == len(source.relations)
+            assert sorted(s.label for s in out.spans) == sorted(s.label for s in source.spans)
+            if kind in ("xml", "placeholder"):
+                # each span takes the label of the source span whose marker it came back in
+                marked = insert_markers(source, scheme)
+                found = extract_markers(backend.damage(marked.text), scheme,
+                                        marked.marker_map).found_spans
+                assert [(s.label, s.start, s.end) for s in out.spans] == \
+                    [(source.spans[i].label, start, end) for i, start, end in found]
 
 
 class TestProjectQa:

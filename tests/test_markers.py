@@ -12,12 +12,13 @@ from spanbridge.markers import (
     ExtractionResult,
     MarkerScheme,
     PreexistingMarkerError,
+    check_translatable,
     extract_markers,
     insert_markers,
     mark_ranges,
     strip_markers,
 )
-from spanbridge.markers import _SYNTAX
+from spanbridge.markers import _MAPS, _SYNTAX
 
 CHURCHILL = AnnotatedSentence(
     "Churchill was born in England in 1874 .",
@@ -119,6 +120,21 @@ class TestInsert:
         assert (result.status, result.clean_text) == (VALID, "a b")
         assert [(i, result.clean_text[s:e]) for i, s, e in result.found_spans] == \
             [(0, "a"), (1, "b")]
+
+    def test_marker_maps_are_slices_of_one_table(self):
+        # a 40-span sentence grows the table to tags aa..an; a 3-span map is its prefix
+        scheme = MarkerScheme("xml")
+        long = AnnotatedSentence(" ".join("t" * 40),
+                                 tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(40)))
+        tokens = _SYNTAX["xml"].tokens
+        assert insert_markers(long, scheme).marker_map[26:] == tuple(
+            (i, f"<a{c}>", f"</a{c}>") for i, c in enumerate("abcdefghijklmn", 26))
+        short = insert_markers(CHURCHILL, scheme).marker_map
+        assert short == tuple((i, *tokens(i)) for i in range(3))
+        assert mark_ranges("ab cd", [(0, 2), (3, 5)], scheme) == "<a> ab </a> <b> cd </b>"
+        # one tuple per scheme, as long as the longest map asked for
+        assert isinstance(_MAPS["xml"], tuple) and len(_MAPS["xml"]) >= 40
+        assert _MAPS["xml"][:40] == tuple((i, *tokens(i)) for i in range(40))
 
     def test_xml_tag_alphabet_past_z(self):
         spans = tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(28))
@@ -498,11 +514,14 @@ def _reference_extract_placeholders(translated, expected):
 
 
 class TestExtractEqualsReference:
-    @given(DAMAGED, st.sampled_from(SCHEME_KINDS), st.integers(0, 3), st.booleans())
+    @given(DAMAGED, st.sampled_from(SCHEME_KINDS), st.integers(0, 12), st.booleans())
     @settings(max_examples=500)
     def test_damaged_text(self, translated, kind, n_spans, pad):
         scheme = MarkerScheme(kind, pad_with_space=pad)
-        labels = ["PER", "LOC", "X"]
+        # distinct letter labels: no placeholder token is a prefix of another, such as
+        # X1 of X10, where the reference's substring scan differs on purpose
+        labels = ["PER", "LOC", "X", "ORG", "DATE", "MISC", "EVT", "GPE", "FAC", "LAW",
+                  "NORP", "WORK"]
         source = AnnotatedSentence(
             " ".join("w" for _ in range(n_spans)),
             tuple(LabeledSpan(i, 2 * i, 2 * i + 1, labels[i]) for i in range(n_spans)),
@@ -580,6 +599,58 @@ class TestPlaceholderDigits:
             assert result.clean_text == clean
             assert [(i, clean[s:e]) for i, s, e in sorted(result.found_spans)] == \
                 [(i, f"w{i}") for i in range(n)]
+
+
+@st.composite
+def _digit_sentence(draw):
+    """Words and spans glued to digits of several scripts, with labels that may
+    start with a digit: distinct, digit-free at the end, so no two tokens are equal."""
+    words = draw(st.lists(st.text(alphabet="ab12２٣中", min_size=1, max_size=3),
+                          min_size=1, max_size=6))
+    text = "".join(words)
+    cuts = sorted(draw(st.sets(st.integers(0, len(text)), max_size=8)))
+    ranges = [(a, b) for a, b in zip(cuts, cuts[1:]) if draw(st.booleans())]
+    labels = draw(st.lists(st.sampled_from(["X", "LOC", "2X", "٣Y"]),
+                           min_size=len(ranges), max_size=len(ranges)))
+    return AnnotatedSentence(text, tuple(LabeledSpan(i, a, b, label) for i, ((a, b), label)
+                                         in enumerate(zip(ranges, labels))))
+
+
+class TestCheckTranslatable:
+    @pytest.mark.parametrize("text, digit", [("在北京2008年", "2"), ("在北京２００８年", "２"),
+                                             ("在北京٣年", "٣")])
+    def test_placeholder_span_before_a_digit(self, text, digit):
+        sent = AnnotatedSentence(text, (LabeledSpan(0, 1, 3, "LOC"),))
+        scheme = MarkerScheme("placeholder")
+        with pytest.raises(PreexistingMarkerError, match=f"span 0 .* digit '{digit}'.* 'LOC0'"):
+            check_translatable(sent, scheme)
+        # marking itself is unchanged, so `mark` output stays as it was
+        assert insert_markers(sent, scheme).text == f"在LOC0{text[3:]}"
+        for kind in ("brackets", "xml", "quotes"):
+            check_translatable(sent, MarkerScheme(kind))
+
+    def test_next_token_starting_with_a_digit(self):
+        glued = AnnotatedSentence("ab", (LabeledSpan(0, 0, 1, "LOC"), LabeledSpan(1, 1, 2, "2X")))
+        with pytest.raises(PreexistingMarkerError, match="span 0 .* digit '2'"):
+            check_translatable(glued, MarkerScheme("placeholder"))
+        apart = AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "LOC"), LabeledSpan(1, 2, 3, "2X")))
+        check_translatable(apart, MarkerScheme("placeholder"))
+
+    @given(_digit_sentence())
+    @settings(max_examples=400)
+    def test_refused_exactly_when_an_unchanged_translation_does_not_read_back(self, sentence):
+        scheme = MarkerScheme("placeholder")
+        try:
+            marked = insert_markers(sentence, scheme)
+        except PreexistingMarkerError:
+            return
+        result = extract_markers(marked.text, scheme, marked.marker_map)
+        try:
+            check_translatable(sentence, scheme)
+        except PreexistingMarkerError:
+            assert result.status != VALID
+        else:
+            assert (result.status, result.clean_text) == (VALID, sentence.text)
 
 
 # the str.translate table quote folding used before the regex, kept as the reference
