@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drop-unmatched", action="store_true",
                    help="drop sentences with no confident fuzzy match instead of "
                         "falling back to positional assignment")
-    p.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_positive_int, default=tr.DEFAULT_MAX_IN_FLIGHT,
                    help="batches in flight, at least 1")
 
     p = sub.add_parser("align-project", help="word-alignment baseline projection")

@@ -9,8 +9,9 @@ translated mentions (brackets, quotes).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate, pairwise
 
 from .core import AnnotatedSentence, FormatError, QaExample, gc_paused, record
 from .markers import (
@@ -19,7 +20,6 @@ from .markers import (
     MarkerScheme,
     PreexistingMarkerError,
     carries_identity,
-    check_translatable,
     extract_markers,
     insert_markers,
 )
@@ -217,7 +217,6 @@ def _plan(sentence: AnnotatedSentence, scheme: MarkerScheme, cfg: MatcherConfig
         return ProjectionOutcome(PROJECTED, sentence=sentence), None, ()
     try:
         marked = insert_markers(sentence, scheme)
-        check_translatable(sentence, scheme)
     except PreexistingMarkerError as e:
         return ProjectionOutcome(FILTERED, "PreexistingMarker", diagnostics=(str(e),)), None, ()
     # identity-carrying markers need no matching; sequential matching is positional
@@ -261,22 +260,26 @@ def _resolve(sentence: AnnotatedSentence, marked: MarkedText, items: tuple[Trans
         diagnostics=("positional fallback used for some spans",) if low_confidence else ())
 
 
+def translate_each(groups: Sequence[Sequence[str]], backend, src_lang: str, tgt_lang: str,
+                   jobs: int) -> Iterator[tuple[TranslatedItem, ...]]:
+    """The translations of each group of texts, group by group in order, from one
+    translate() call of all their texts with `jobs` batches in flight."""
+    texts = tuple([text for group in groups for text in group])
+    translated = translate(TranslateRequest(texts, src_lang, tgt_lang), backend,
+                           max_in_flight=jobs).items
+    return (translated[start:end]
+            for start, end in pairwise(accumulate(map(len, groups), initial=0)))
+
+
 def _project(sentences: list[AnnotatedSentence], backend, scheme: MarkerScheme,
              cfg: MatcherConfig, src_lang: str, tgt_lang: str,
-             jobs: int = DEFAULT_MAX_IN_FLIGHT) -> Iterator[ProjectionOutcome]:
+             jobs: int) -> Iterator[ProjectionOutcome]:
     """Outcome of each sentence in input order: all are planned, their items go through
-    one translate() call with `jobs` batches in flight, and each is resolved from its own."""
+    one translate_each() call, and each is resolved from its own."""
     plans = [_plan(s, scheme, cfg) for s in sentences]
-    items = tuple([item for _, _, sentence_items in plans for item in sentence_items])
-    translated = translate(TranslateRequest(items, src_lang, tgt_lang), backend,
-                           max_in_flight=jobs).items
-    cursor = 0
-    for sentence, (outcome, marked, sentence_items) in zip(sentences, plans):
-        if outcome is None:
-            n = len(sentence_items)
-            outcome = _resolve(sentence, marked, translated[cursor:cursor + n], scheme, cfg)
-            cursor += n
-        yield outcome
+    replies = translate_each([items for _, _, items in plans], backend, src_lang, tgt_lang, jobs)
+    for sentence, (outcome, marked, _), items in zip(sentences, plans, replies):
+        yield _resolve(sentence, marked, items, scheme, cfg) if outcome is None else outcome
 
 
 def _tally(outcomes: Iterable[ProjectionOutcome]
@@ -300,7 +303,8 @@ def project_sentence(
     tgt_lang: str = "tgt",
 ) -> ProjectionOutcome:
     """Project one sentence's annotations onto its translation."""
-    return next(_project([sentence], backend, scheme, cfg or MatcherConfig(), src_lang, tgt_lang))
+    return next(_project([sentence], backend, scheme, cfg or MatcherConfig(), src_lang, tgt_lang,
+                         DEFAULT_MAX_IN_FLIGHT))
 
 
 @gc_paused()
@@ -311,7 +315,7 @@ def project_corpus(
     cfg: MatcherConfig | None = None,
     src_lang: str = "src",
     tgt_lang: str = "tgt",
-    jobs: int = 1,
+    jobs: int = DEFAULT_MAX_IN_FLIGHT,
 ) -> tuple[list[AnnotatedSentence], ProjectionReport]:
     """Project a corpus; returns projected sentences in input order plus a
     report tallying projected/filtered/failed counts per reason. All items go
@@ -336,7 +340,8 @@ def project_qa(
     cfg = MatcherConfig(mode=MATCH_SEQUENTIAL)  # a single span needs no matching
     sentences = [AnnotatedSentence(example.context, (example.answer,)),
                  AnnotatedSentence(example.question)]
-    outcomes = tuple(_project(sentences, backend, scheme, cfg, src_lang, tgt_lang))
+    outcomes = tuple(_project(sentences, backend, scheme, cfg, src_lang, tgt_lang,
+                              DEFAULT_MAX_IN_FLIGHT))
     for outcome in outcomes:
         if outcome.status != PROJECTED:
             return outcome

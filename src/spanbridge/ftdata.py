@@ -11,8 +11,9 @@ length-sorted and the output is truncated to the pair budget.
 from __future__ import annotations
 
 from .core import AnnotatedSentence, gc_paused, record
+from .easyproject import translate_each
 from .markers import SQUARE_BRACKET, MarkerScheme, PreexistingMarkerError, mark_ranges
-from .translate import TranslateRequest, translate
+from .translate import DEFAULT_MAX_IN_FLIGHT
 
 SORT_DESCENDING = "descending"
 SORT_ASCENDING = "ascending"
@@ -103,16 +104,12 @@ def build_ft_pairs(
     cfg = cfg or FtDataConfig()
     scheme = MarkerScheme(SQUARE_BRACKET)
 
-    mentions = tuple([text for pair in pairs for text in pair.src.span_texts()])
-    translated = translate(TranslateRequest(mentions, src_lang, tgt_lang), backend).items
+    replies = translate_each([pair.src.span_texts() for pair in pairs], backend,
+                             src_lang, tgt_lang, DEFAULT_MAX_IN_FLIGHT)
 
     multi: list[tuple[str, str]] = []
     single: list[tuple[int, str, str]] = []  # (src_len, marked_src, marked_tgt)
-    cursor = 0
-    for pair in pairs:
-        n = len(pair.src.spans)
-        items = translated[cursor:cursor + n]
-        cursor += n
+    for pair, items in zip(pairs, replies):
         src_ranges: list[tuple[int, int]] = []
         tgt_ranges: list[tuple[int, int]] = []
         for span, item in zip(pair.src.spans, items):

@@ -9,11 +9,10 @@ sets them apart is one entry each in `_SYNTAX`. Span ids run 0..n-1, so a
 wrapping scheme's marker map depends only on the span count: all maps of one
 scheme are slices of one table. Their extraction reads the marker pairs from
 one split of the translation into text and tokens. Placeholder replaces each
-span with a `{label}{id}` word and finds it again by exact match, so a span
-followed directly by a digit is refused before translation
-(`check_translatable`): the digit would run on from its token. All
-insertion, and placeholder extraction, go through one region splice,
-`_splice`.
+span with a `{label}{id}` word and finds it again by exact match, so
+`insert_markers` refuses a span followed directly by a digit: the digit would
+run on from its token. All insertion, and placeholder extraction, go through
+one region splice, `_splice`.
 """
 
 from __future__ import annotations
@@ -157,38 +156,29 @@ def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedT
     Raises PreexistingMarkerError if a source with spans already contains any
     marker token of the scheme, known or not (Placeholder: any of its tokens),
     or, for xml, a fragment of one of its own tags such as "<a" or "/a>".
+    Placeholder also refuses a span followed directly by a digit (as `\\d`
+    matches, which is what str.isdecimal accepts): the digit would run on from
+    its token, so LOC0 then 2008 reads back as LOC02008.
     """
-    text = sentence.text
+    text, spans = sentence.text, sentence.spans
     if scheme.kind == PLACEHOLDER:
-        marker_map = tuple([(s.id, f"{s.label}{s.id}", s.slice(text)) for s in sentence.spans])
+        marker_map = tuple([(s.id, f"{s.label}{s.id}", s.slice(text)) for s in spans])
         found = _find_placeholders(text, {token for _, token, _ in marker_map})
         if found:
             raise PreexistingMarkerError(
                 f"source text already contains marker token {found[0].group()!r}")
-        regions = [(s.start, s.end, token) for s, (_, token, _) in zip(sentence.spans, marker_map)]
+        for s, after in zip(spans, spans[1:] + (None,)):
+            # the character after the token: the next token's first if it is glued on
+            follows = after.label[0] if after and after.start == s.end else text[s.end:s.end + 1]
+            if follows.isdecimal():
+                raise PreexistingMarkerError(
+                    f"span {s.id} is followed directly by digit {follows!r}, "
+                    f"which would extend its placeholder {s.label + str(s.id)!r}")
+        regions = [(s.start, s.end, token) for s, (_, token, _) in zip(spans, marker_map)]
         return MarkedText(_splice(text, regions)[0], marker_map)
 
-    spans = sentence.spans
     marker_map = _marker_map(scheme.kind, len(spans))  # span ids run 0..n-1
     return MarkedText(_wrap(text, map(_bounds, spans), marker_map, scheme), marker_map)
-
-
-def check_translatable(sentence: AnnotatedSentence, scheme: MarkerScheme) -> None:
-    """Raise PreexistingMarkerError if the marked sentence would not read back
-    even from an unchanged translation. Under placeholder that is a span followed
-    directly by a digit (as `\\d` matches, which is what str.isdecimal accepts):
-    the digit would run on from its token, so LOC0 then 2008 reads as LOC02008.
-    Wrapping schemes pass."""
-    if scheme.kind != PLACEHOLDER:
-        return
-    text, spans = sentence.text, sentence.spans
-    for s, after in zip(spans, spans[1:] + (None,)):
-        # the character after the token: the next token's first if it is glued on
-        follows = after.label[0] if after and after.start == s.end else text[s.end:s.end + 1]
-        if follows.isdecimal():
-            raise PreexistingMarkerError(
-                f"span {s.id} is followed directly by digit {follows!r}, "
-                f"which would extend its placeholder {s.label + str(s.id)!r}")
 
 
 def mark_ranges(text: str, ranges: list[tuple[int, int]], scheme: MarkerScheme) -> str:

@@ -392,6 +392,7 @@ def warm_cache(requests_list: list[TranslateRequest], backend,
     cache = TranslationCache(cache_path)
     before = len(cache)
     cached = CacheBackend(cache, backend)
+    # one batch in flight: batches append in order, so each run writes the same file
     errors = sum(not item.ok for req in requests_list
                  for item in translate(req, cached, max_in_flight=1).items)
     return len(cache) - before, errors

@@ -8,7 +8,7 @@ import os
 import pytest
 
 from conftest import make_entity_corpus
-from spanbridge import easyproject, translate
+from spanbridge import easyproject, ftdata, translate
 from spanbridge.core import LabeledSpan, QaExample
 from spanbridge.markers import MarkerScheme
 from spanbridge.translate import LexiconBackend, LexiconBackendConfig, TranslateRequest
@@ -68,21 +68,25 @@ def test_instrument_counts_cache_hits_misses_and_appends(spans, tmp_path):
     assert len(translate.TranslationCache(path)) == len(recording.items)
 
 
-@pytest.mark.parametrize("entry", ["project_sentence", "project_qa"])
+@pytest.mark.parametrize("entry", ["project_sentence", "project_qa", "build_ft_pairs"])
 def test_one_input_calls_translate_through_the_patched_name(spans, entry):
     sentences, token_map = make_entity_corpus(1, seed=4)
     sentence = sentences[0]
     backend = LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse"))
     scheme = MarkerScheme("brackets")
+    target = backend.translate(TranslateRequest((sentence.text,), "src", "tgt")).items[0].output
     rec = spans.SpanRecorder()
     with spans.instrument(rec):
         if entry == "project_sentence":
             outcome = easyproject.project_sentence(sentence, backend, scheme)
-        else:
+            assert outcome.status == easyproject.PROJECTED
+        elif entry == "project_qa":
             span = sentence.spans[0]
             example = QaExample("q", "what ?", sentence.text,
                                 LabeledSpan(0, span.start, span.end, "ANSWER"))
             outcome = easyproject.project_qa(example, backend, scheme)
-    assert outcome.status == easyproject.PROJECTED
+            assert outcome.status == easyproject.PROJECTED
+        else:
+            assert ftdata.build_ft_pairs([ftdata.ParallelPair(sentence, target)], backend)
     assert [span[1] for span in rec.spans].count("translate.call") == 1
     assert rec.counts["translate.calls"] == 1

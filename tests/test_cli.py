@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from conftest import make_corpus, make_entity_corpus
-from spanbridge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, run
+from spanbridge import easyproject, translate as tr
+from spanbridge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, run
 from spanbridge.core import AnnotatedSentence, LabeledSpan, RelationLink, emit_jsonl, parse_jsonl
 from spanbridge.markers import MarkerScheme, insert_markers
 
@@ -180,6 +182,12 @@ class TestProjectCommand:
             outputs.append((out.read_bytes(), rep.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_jobs_defaults_to_the_translate_default(self):
+        args = build_parser().parse_args(["project", "--in", "x", "--out", "y"])
+        jobs = inspect.signature(easyproject.project_corpus).parameters["jobs"].default
+        max_in_flight = inspect.signature(tr.translate).parameters["max_in_flight"].default
+        assert args.jobs == jobs == max_in_flight == tr.DEFAULT_MAX_IN_FLIGHT
+
     def test_lexicon_backend_flags(self, tmp_path):
         sentences, token_map = make_entity_corpus(10, seed=6)
         path = tmp_path / "in.jsonl"
@@ -229,6 +237,20 @@ class TestMarkCommand:
                               ensure_ascii=False, sort_keys=True) + "\n"
         assert out.read_bytes() == expected.encode("utf-8")
         assert "北京" in out.read_text(encoding="utf-8")
+
+    def test_placeholder_span_before_a_digit_is_skipped(self, tmp_path, capsys):
+        sentences = [AnnotatedSentence("在北京2008年", (LabeledSpan(0, 1, 3, "LOC"),)),
+                     AnnotatedSentence("Anna met Bob", (LabeledSpan(0, 0, 4, "PER"),))]
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl(sentences), encoding="utf-8")
+        out = tmp_path / "marked.jsonl"
+        assert run(["mark", "--in", str(path), "--out", str(out),
+                    "--scheme", "placeholder"]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == (
+            "skipped: span 0 is followed directly by digit '2', "
+            "which would extend its placeholder 'LOC0'\n")
+        assert [json.loads(line)["text"] for line in out.read_text(encoding="utf-8")
+                .splitlines()] == ["PER0 met Bob"]
 
 
 class TestAlignProjectCommand:

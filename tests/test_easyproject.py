@@ -2,9 +2,10 @@ import difflib
 import math
 import random
 import zlib
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import MarkerDropBackend, make_corpus, make_entity_corpus
 from test_markers import DAMAGED
@@ -471,6 +472,30 @@ class TestAdversarialTranslations:
                                         marked.marker_map).found_spans
                 assert [(s.label, s.start, s.end) for s in out.spans] == \
                     [(source.spans[i].label, start, end) for i, start, end in found]
+
+
+class ParityBackend:
+    """Deterministic per item: reverses a text, and fails one whose number is odd."""
+
+    def translate(self, request):
+        return TranslateResponse(tuple(
+            backend_error("odd") if int(t) % 2 else TranslatedItem(t[::-1]) for t in request.items))
+
+
+class TestTranslateEach:
+    # numbers from a small range repeat across groups; up to 61 distinct straddle batches of 32
+    @given(st.lists(st.lists(st.integers(0, 60).map(str), max_size=40), max_size=6),
+           st.integers(1, 4))
+    @example([[str(i) for i in range(30)], [], [str(i) for i in range(25, 40)], ["3", "3"]], 2)
+    @settings(max_examples=200)
+    def test_each_group_as_if_translated_alone_in_one_call(self, groups, jobs):
+        backend = ParityBackend()
+        alone = [translate(TranslateRequest(tuple(g), "src", "tgt"), backend).items
+                 for g in groups]
+        with mock.patch.object(easyproject, "translate", wraps=translate) as spy:
+            replies = list(easyproject.translate_each(groups, backend, "src", "tgt", jobs))
+        assert replies == alone
+        assert spy.call_count == 1
 
 
 class TestProjectQa:

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import pytest
@@ -159,6 +160,59 @@ class TestBuildFtPairs:
             assert marked_src.count("[") == marked_tgt.count("[")
             assert marked_src.count("]") == marked_tgt.count("]")
             assert strip_markers(marked_src, scheme) == strip_markers(marked_tgt, scheme)
+
+
+def _batched_pairs():
+    """40 pairs of two entities each, the second five of them repeating mentions
+    of the first five: 80 distinct mentions, more than two batches of 32."""
+    pairs = [_pair(f"Anna{i} met Bob{i}", [f"Anna{i}", f"Bob{i}"], f"Anna{i} trifft Bob{i}")
+             for i in range(40)]
+    pairs += [_pair(f"Bob{i} saw Anna{i + 1}", [f"Bob{i}", f"Anna{i + 1}"],
+                    f"Bob{i} sah Anna{i + 1}") for i in range(5)]
+    distinct = {text for pair in pairs for text in pair.src.span_texts()}
+    assert len(distinct) == 80 < sum(len(pair.src.spans) for pair in pairs)
+    return pairs, distinct
+
+
+class TestBatching:
+    def test_one_request_per_batch_of_distinct_mentions(self):
+        pairs, distinct = _batched_pairs()
+        requests = []
+
+        class Counting:
+            def translate(self, request):
+                requests.append(request.items)
+                return IdentityBackend().translate(request)
+
+        assert build_ft_pairs(pairs, Counting(), CFG) == build_ft_pairs(pairs, IdentityBackend(),
+                                                                          CFG)
+        assert len(requests) == math.ceil(len(distinct) / 32) == 3
+        assert sorted(text for items in requests for text in items) == sorted(distinct)
+
+    def test_failed_batch_skips_only_its_mentions(self):
+        pairs, _ = _batched_pairs()
+        failed = []
+
+        class FailOneBatch:
+            def translate(self, request):
+                if "Anna20" in request.items:
+                    failed.extend(request.items)
+                    raise RuntimeError("down")
+                return IdentityBackend().translate(request)
+
+        out = build_ft_pairs(pairs, FailOneBatch(), CFG)
+        assert 0 < len(failed) <= 32
+        # the same pairs with the failed batch's mentions not annotated
+        kept = [_pair(p.src.text, [t for t in p.src.span_texts() if t not in failed], p.tgt)
+                for p in pairs]
+        assert out == build_ft_pairs(kept, IdentityBackend(), CFG)
+        clean = build_ft_pairs(pairs, IdentityBackend(), CFG)
+        untouched = [p for p in pairs if not set(p.src.span_texts()) & set(failed)]
+        assert untouched
+        for pair in untouched:
+            marked = [m for m in clean if strip_markers(m[0], MarkerScheme("brackets"))
+                      == pair.src.text]
+            assert marked and marked[0] in out
 
 
 def _bracket(text, ranges, scheme):

@@ -181,7 +181,7 @@ CALLEES = {
     "parse_jsonl": (core, "sentence_from_json"),
     "project_corpus": (easyproject, "translate"),
     "project_corpus_aligned": (alignproject, "project_sentence_aligned"),
-    "build_ft_pairs": (ftdata, "translate"),
+    "build_ft_pairs": (ftdata, "translate_each"),
 }
 
 
