@@ -21,7 +21,7 @@ EXIT_USAGE = 1
 EXIT_PARTIAL = 2
 EXIT_FATAL = 3
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -89,17 +89,15 @@ def _backend_from_args(args):
                 raise UsageError(f"--lexicon {args.lexicon}: expected a JSON object, "
                                  f"got {type(token_map).__name__}")
         return tr.LexiconBackend(tr.LexiconBackendConfig(token_map, reorder=args.reorder))
-    url = os.environ.get("SPANBRIDGE_MT_URL", args.mt_url)
+    url = os.environ.get("SPANBRIDGE_MT_URL") or args.mt_url
     http = tr.HttpBackend(url, timeout_ms=args.timeout_ms, retries=args.retries) if url else None
     if args.backend == "cache":
         if not args.cache:
             raise UsageError("--backend cache requires --cache PATH")
         return tr.CacheBackend(tr.TranslationCache(args.cache), None if args.offline else http)
-    if args.backend == "http":
-        if http is None:
-            raise UsageError("--backend http requires --mt-url or SPANBRIDGE_MT_URL")
-        return http
-    raise UsageError(f"unknown backend {args.backend!r}")
+    if http is None:
+        raise UsageError("--backend http requires --mt-url or SPANBRIDGE_MT_URL")
+    return http
 
 
 def _positive_int(value: str) -> int:
@@ -221,8 +219,12 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             break
     else:
         return argv
+    try:
+        text = _read(path)
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"cannot read config file: {e}") from None
     pre: list[str] = []
-    for line in _read(path).splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -350,9 +352,9 @@ def _cmd_rate(args) -> int:
             and all(type(report.get(key)) is int for key in ("total", "projected"))
             and 0 <= report["projected"] <= report["total"]):
         raise UsageError(f"{args.report}: not a projection report")
-    if report["total"] < 1:
-        raise UsageError("projection rate undefined: report has no sentences")
-    print(json.dumps({"projection_rate": report["projected"] / report["total"]}))
+    rate = metrics.projection_rate(
+        easyproject.ProjectionReport(total=report["total"], projected=report["projected"]))
+    print(json.dumps({"projection_rate": rate}))
     return EXIT_OK
 
 
@@ -378,28 +380,15 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        argv = _apply_config_file(list(argv))
-    except OSError as e:
-        print(f"error: cannot read config file: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    try:
+        args = build_parser().parse_args(_apply_config_file(list(argv)))
         return _COMMANDS[args.command](args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as e:  # argparse has printed its usage error or --help
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except tr.CorruptCacheError as e:  # an unreadable file, not a usage error
         print(f"fatal: {e}", file=sys.stderr)
         return EXIT_FATAL
-    except ValueError as e:  # includes FormatError from parsers
+    except (ValueError, RecursionError) as e:  # UsageError, FormatError; JSON nested too deep
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as e:

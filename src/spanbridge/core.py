@@ -223,7 +223,6 @@ def spans_from_bio(tokens: list[str], tags: list[str], lenient: bool = False) ->
     if len(tokens) != len(tags):
         raise FormatError(f"length mismatch: {len(tokens)} tokens vs {len(tags)} tags")
     spans: list[LabeledSpan] = []
-    offset = 0
     cur_label = None
     cur_start = 0
     cur_end = 0
@@ -234,10 +233,7 @@ def spans_from_bio(tokens: list[str], tags: list[str], lenient: bool = False) ->
             spans.append(LabeledSpan(len(spans), cur_start, cur_end, cur_label))
             cur_label = None
 
-    for i, (token, tag) in enumerate(zip(tokens, tags)):
-        tok_start = offset
-        tok_end = offset + len(token)
-        offset = tok_end + 1  # joining space
+    for i, ((tok_start, tok_end), tag) in enumerate(zip(token_bounds(tokens), tags)):
         if tag == "O":
             close_run()
         elif tag.startswith("B-"):
@@ -315,12 +311,8 @@ def parse_conll(text: str, lenient: bool = False) -> list[AnnotatedSentence]:
                 spans = spans_from_bio(tokens, tags, lenient=lenient)
             except FormatError as e:
                 # spans_from_bio reports a token index; translate it to a line number
-                msg = str(e)
-                for i, ln in enumerate(lines):
-                    if msg.endswith(f"at token {i}"):
-                        msg = msg[: -len(f"at token {i}")] + f"at line {ln}"
-                        break
-                raise FormatError(msg) from None
+                msg, at, index = str(e).rpartition(" at token ")
+                raise FormatError(f"{msg} at line {lines[int(index)]}" if at else str(e)) from None
             sentences.append(AnnotatedSentence(" ".join(tokens), tuple(spans)))
         tokens, tags, lines = [], [], []
 
@@ -400,7 +392,7 @@ def parse_jsonl(text: str) -> list[AnnotatedSentence]:
             continue
         try:
             sentences.append(sentence_from_json(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, FormatError) as e:
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError, FormatError) as e:
             raise FormatError(f"line {lineno}: {e}") from None
     return sentences
 
@@ -420,7 +412,7 @@ def parse_squad(text: str) -> list[QaExample]:
     FormatError, naming the qa being read if there is one."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
         raise FormatError(f"bad JSON: {e}") from None
     examples, qa = [], {}  # qa: the one being read, named in error messages
     try:

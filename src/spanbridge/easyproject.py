@@ -114,21 +114,22 @@ def assign_labels_fuzzy(
     candidate_mentions: list[str],
     cfg: MatcherConfig,
 ) -> Assignment | None:
-    """One-to-one assignment of candidates to bracketed spans.
+    """One-to-one assignment of candidates to bracketed spans. Sequential
+    matching is positional, span t taking candidate t, and reads no candidates.
 
-    Greedy in descending ratio order; only pairs with ratio strictly above
-    the threshold are confident. Leftovers are matched left-to-right with
-    the low-confidence flag, or the whole sentence is dropped (None),
-    depending on cfg.on_no_match.
+    Fuzzy matching is greedy in descending ratio order; only pairs with ratio
+    strictly above the threshold are confident. Leftovers are matched
+    left-to-right with the low-confidence flag, or the whole sentence is
+    dropped (None), depending on cfg.on_no_match.
 
     Equal strings are exactly the pairs with ratio 1.0, so they are settled
     first without scoring; ratios are computed only for the pairs left.
     """
     n = len(bracketed_texts)
+    if cfg.mode == MATCH_SEQUENTIAL:  # positional; no mentions are translated for it
+        return Assignment(tuple(range(n)), False)
     if n != len(candidate_mentions):
         raise ValueError("bracketed span count must equal candidate count")
-    if cfg.mode == MATCH_SEQUENTIAL:
-        return Assignment(tuple(range(n)), False)
 
     cand_for: list[int | None] = [None] * n
     used_cand = [False] * n
@@ -241,15 +242,12 @@ def _resolve(sentence: AnnotatedSentence, marked: MarkedText, items: tuple[Trans
     # (source span id, start, end) of each found span, in found (target) order
     placed = result.found_spans  # identity markers name their source span
     if not carries_identity(scheme):
-        source_for = range(len(placed))  # sequential matching is positional
-        if cfg.mode == MATCH_FUZZY:
-            found_texts = [result.clean_text[s:e] for _, s, e in placed]
-            assignment = assign_labels_fuzzy(found_texts, candidate_mentions, cfg)
-            if assignment is None:
-                return ProjectionOutcome(FILTERED, "NoConfidentMatch")
-            source_for = assignment.candidate_for
-            low_confidence = assignment.low_confidence
-        placed = [(c, s, e) for c, (_, s, e) in zip(source_for, placed)]
+        found_texts = [result.clean_text[s:e] for _, s, e in placed]
+        assignment = assign_labels_fuzzy(found_texts, candidate_mentions, cfg)
+        if assignment is None:
+            return ProjectionOutcome(FILTERED, "NoConfidentMatch")
+        low_confidence = assignment.low_confidence
+        placed = [(c, s, e) for c, (_, s, e) in zip(assignment.candidate_for, placed)]
 
     try:
         out = sentence.onto(result.clean_text, placed)

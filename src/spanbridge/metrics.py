@@ -12,7 +12,7 @@ from .easyproject import ProjectionReport
 def projection_rate(report: ProjectionReport) -> float:
     """Fraction of sentences whose annotations survived projection."""
     if report.total == 0:
-        raise ValueError("projection rate undefined for an empty report")
+        raise ValueError("projection rate undefined: report has no sentences")
     return report.projected / report.total
 
 

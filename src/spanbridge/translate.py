@@ -191,7 +191,7 @@ class TranslationCache:
                         raise TypeError(f"input and output must be strings, got "
                                         f"{type(text).__name__} and {type(output).__name__}")
                     self._entries.setdefault((rec["src_lang"], rec["tgt_lang"], text), output)
-                except (ValueError, KeyError, TypeError) as e:
+                except (ValueError, RecursionError, KeyError, TypeError) as e:
                     if lineno < len(lines):  # not the final line, which has no newline
                         raise CorruptCacheError(
                             f"{path}: line {lineno}: corrupt record: {e}") from None
@@ -321,9 +321,9 @@ class HttpBackend:
             except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)
                 continue
-            try:
+            try:  # not JSON, JSON nested too deep to decode, or no "translations" key
                 translations = json.loads(data)["translations"]
-            except (ValueError, KeyError, TypeError):  # not JSON, or no "translations" key
+            except (ValueError, RecursionError, KeyError, TypeError):
                 translations = None
             if not isinstance(translations, list) or \
                     not all(isinstance(t, str) for t in translations):

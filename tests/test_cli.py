@@ -123,14 +123,28 @@ class TestProjectCommand:
          "error: reorder must be none, reverse or seed:<int>, got 'revrse'\n"),
         (["--backend", "lexicon", "--reorder", "seed:x"],
          "error: reorder must be none, reverse or seed:<int>, got 'seed:x'\n"),
+        (["--backend", "http"], "error: --backend http requires --mt-url or SPANBRIDGE_MT_URL\n"),
+        (["--backend", "cache"], "error: --backend cache requires --cache PATH\n"),
     ])
-    def test_setting_that_never_works_exit_1(self, tmp_path, corpus_file, capsys, flags,
-                                             message):
+    def test_setting_that_never_works_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch,
+                                             flags, message):
+        monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
         path, _ = corpus_file
         code = run(["project", "--in", str(path), "--out", str(tmp_path / "o")] + flags)
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == message
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("env, url", [("", "localhost:9"), ("localhost:8", "localhost:8")])
+    def test_a_non_empty_mt_url_variable_overrides_the_flag(self, tmp_path, corpus_file, capsys,
+                                                            monkeypatch, env, url):
+        # the URL in use is the one the scheme check names; nothing is sent
+        monkeypatch.setenv("SPANBRIDGE_MT_URL", env)
+        path, _ = corpus_file
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--backend", "http", "--mt-url", "localhost:9"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: MT URL {url!r} must start with ")
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_is_refused_where_the_flag_is_parsed(self, tmp_path, capsys, jobs):
@@ -421,6 +435,13 @@ class TestMetricsCommands:
         assert run(["rate", "--report", str(report)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {report}: not a projection report\n"
 
+    def test_rate_of_an_empty_report_is_undefined(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        report.write_text('{"total": 0, "projected": 0}', encoding="utf-8")
+        assert run(["rate", "--report", str(report)]) == EXIT_USAGE
+        assert capsys.readouterr() == \
+            ("", "error: projection rate undefined: report has no sentences\n")
+
     def test_bleu_reads_one_line_per_newline(self, tmp_path, capsys):
         (tmp_path / "h.txt").write_text("a b c d\x85e\n", encoding="utf-8")
         (tmp_path / "r.txt").write_text("a b c d e\n", encoding="utf-8")
@@ -539,6 +560,44 @@ class TestCorruptCache:
         assert "line 2: corrupt record" in capsys.readouterr().err
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # nested deeper than json.loads can recurse
+
+
+class TestDeeplyNestedJson:
+    """JSON nested too deep to decode is malformed input: one diagnostic line and the
+    exit code of any other malformed file, not a traceback."""
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["stats", "--in", "{deep}"], EXIT_USAGE, "error: line 1: "),
+        (["project", "--in", "{corpus}", "--out", "{out}", "--backend", "lexicon",
+          "--lexicon", "{deep}"], EXIT_USAGE, "error: "),
+        (["rate", "--report", "{deep}"], EXIT_USAGE, "error: "),
+        (["warm-cache", "--in", "{texts}", "--backend", "identity", "--cache-out", "{deep}"],
+         EXIT_FATAL, "fatal: {deep}: line 1: corrupt record: "),
+    ], ids=["stats", "lexicon", "rate", "cache"])
+    def test_is_malformed_input(self, tmp_path, corpus_file, capsys, argv, code, err):
+        files = {"deep": tmp_path / "deep.json", "corpus": corpus_file[0],
+                 "out": tmp_path / "o", "texts": tmp_path / "texts.txt"}
+        files["deep"].write_text(DEEP_JSON + "\n", encoding="utf-8")
+        files["texts"].write_text("hello\n", encoding="utf-8")
+        assert run([arg.format(**files) for arg in argv]) == code
+        out, stderr = capsys.readouterr()
+        assert stderr.startswith(err.format(**files) + "maximum recursion depth exceeded")
+        assert stderr.count("\n") == 1
+        assert out == ""
+        assert not files["out"].exists()
+
+    def test_as_the_torn_final_cache_line_it_is_skipped_and_cut(self, tmp_path, capsys):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(DEEP_JSON, encoding="utf-8")  # no newline: an interrupted append
+        (tmp_path / "texts.txt").write_text("hello\n", encoding="utf-8")
+        assert run(["warm-cache", "--in", str(tmp_path / "texts.txt"), "--backend", "identity",
+                    "--cache-out", str(cache)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {"new_entries": 1, "errors": 0}
+        assert cache.read_text(encoding="utf-8") == \
+            '{"input": "hello", "output": "hello", "src_lang": "src", "tgt_lang": "tgt"}\n'
+
+
 class TestConfigFile:
     def test_config_presets_flags_and_flags_win(self, tmp_path, corpus_file):
         path, corpus = corpus_file
@@ -565,6 +624,23 @@ class TestConfigFile:
         code = run(["mark", "--in", str(path), "--out", str(tmp_path / "m.jsonl"), "--config"])
         assert code == EXIT_USAGE
         assert "--config requires a FILE" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe=1\n",
+         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (None, "[Errno 2] No such file or directory: '{cfg}'"),
+    ], ids=["not-utf-8", "missing"])
+    def test_unreadable_config_is_usage_error(self, tmp_path, corpus_file, capsys, content,
+                                              reason):
+        path, _ = corpus_file
+        cfg, out = tmp_path / "cfg.ini", tmp_path / "m.jsonl"
+        if content is not None:
+            cfg.write_bytes(content)
+        assert run(["mark", "--config", str(cfg), "--in", str(path), "--out", str(out)]) \
+            == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: cannot read config file: {reason.format(cfg=cfg)}\n"
+        assert not out.exists()
 
     def test_abbreviated_config_is_usage_error(self, tmp_path, corpus_file):
         path, _ = corpus_file

@@ -62,6 +62,16 @@ class TestParseConll:
         with pytest.raises(FormatError, match="label change inside run at line 2"):
             parse_conll("John\tB-PER\nSmith\tI-LOC\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("Anna\tO\nYork\tI-LOC\n", "I-LOC without preceding B-LOC at line 2"),
+        ("-DOCSTART-\tO\n\n" + "w\tO\n" * 11 + "x\tQ at token 0\n",
+         "bad BIO tag 'Q at token 0' at line 14"),
+    ])
+    def test_bio_error_names_the_line(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            parse_conll(text)
+        assert str(raised.value) == message
+
     def test_stray_i_tag_strict_vs_lenient(self):
         with pytest.raises(FormatError):
             parse_conll("York\tI-LOC\n")
@@ -223,6 +233,10 @@ class TestSquad:
         assert message in str(raised.value)
         if "q1" not in message:  # raised before any qa was read
             assert "q1" not in str(raised.value)
+
+    def test_json_nested_too_deep_is_a_format_error(self):
+        with pytest.raises(FormatError, match="^bad JSON: maximum recursion depth exceeded"):
+            parse_squad("[" * 100_000 + "]" * 100_000)
 
     @pytest.mark.parametrize("start", [True, 0.0, "0"])
     def test_answer_start_must_be_an_integer(self, start):

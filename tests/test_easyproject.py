@@ -117,6 +117,8 @@ class TestAssignLabels:
         cfg = MatcherConfig(mode="sequential")
         result = assign_labels_fuzzy(["纽约", "丘吉尔"], ["丘吉尔", "纽约"], cfg)
         assert result.candidate_for == (0, 1)
+        # projection translates no mentions for sequential matching
+        assert assign_labels_fuzzy(["纽约", "丘吉尔"], [], cfg) == result
 
     def test_threshold_is_strict(self):
         # ratio exactly 0.5 must not be a confident match

@@ -27,7 +27,8 @@ class TestProjectionRate:
         assert projection_rate(_report(0, 5)) == 0.0
 
     def test_empty_undefined(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="^projection rate undefined: report has no sentences$"):
             projection_rate(_report(0, 0))
 
 
