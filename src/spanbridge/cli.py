@@ -45,8 +45,8 @@ def _read(path: str) -> str:
 
 
 def _read_lines(path: str) -> list[str]:
-    """Lines of a plain-text file, split at "\n" only, as parse_jsonl splits;
-    str.splitlines() would also break a line at U+0085, U+2028 and the like."""
+    """Lines of a plain-text file, read with universal newlines: "\n", "\r\n" and a lone
+    "\r" end a line; str.splitlines() would also break one at U+0085, U+2028 and the like."""
     lines = _read(path).split("\n")
     if lines[-1] == "":
         lines.pop()

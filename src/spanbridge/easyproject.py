@@ -40,46 +40,41 @@ FAILED = "Failed"
 # Fuzzy ratio (gestalt pattern matching over codepoints, no junk heuristics)
 
 
-def _longest_match(a: str, b: str, alo: int, ahi: int, blo: int, bhi: int):
-    """Longest common substring of a[alo:ahi] and b[blo:bhi].
-
-    Ties go to the earliest start in a, then the earliest start in b.
-    """
-    best_i, best_j, best_size = alo, blo, 0
-    j2len: dict[int, int] = {}
-    for i in range(alo, ahi):
-        new_j2len: dict[int, int] = {}
-        ch = a[i]
-        for j in range(blo, bhi):
-            if b[j] == ch:
-                k = j2len.get(j - 1, 0) + 1
-                new_j2len[j] = k
-                if k > best_size:
-                    best_i, best_j, best_size = i - k + 1, j - k + 1, k
-        j2len = new_j2len
-    return best_i, best_j, best_size
-
-
-def _matching_blocks(a: str, b: str, alo: int, ahi: int, blo: int, bhi: int) -> int:
-    i, j, k = _longest_match(a, b, alo, ahi, blo, bhi)
-    if k == 0:
-        return 0
-    return (
-        k
-        + _matching_blocks(a, b, alo, i, blo, j)
-        + _matching_blocks(a, b, i + k, ahi, j + k, bhi)
-    )
-
-
 def fuzzy_ratio(a: str, b: str) -> float:
-    """Similarity in [0, 1]: 2*M / (len(a) + len(b)), where M is the total
-    length of matching blocks found by recursively taking the longest common
-    substring and recursing on both remainders. Two empty strings -> 1.0."""
+    """Similarity in [0, 1]: 2*M / (len(a) + len(b)), where M is the total length
+    of the longest common substring (earliest in a, then in b) and of the blocks
+    found the same way on the unmatched text to either side of it; equal to
+    difflib.SequenceMatcher(None, a, b, autojunk=False).ratio(). Two empty strings -> 1.0."""
     total = len(a) + len(b)
     if total == 0:
         return 1.0
-    m = _matching_blocks(a, b, 0, len(a), 0, len(b))
-    return 2.0 * m / total
+    positions: dict[str, list[int]] = {}  # character -> its ascending indices in b
+    for j, ch in enumerate(b):
+        positions.setdefault(ch, []).append(j)
+    matched = 0
+    pending = [(0, len(a), 0, len(b))]  # unmatched (alo, ahi, blo, bhi) ranges
+    while pending:
+        alo, ahi, blo, bhi = pending.pop()
+        best_i, best_j, best_size = alo, blo, 0
+        j2len: dict[int, int] = {}  # length of the match ending at a[i-1], b[j]
+        for i in range(alo, ahi):
+            new_j2len: dict[int, int] = {}
+            for j in positions.get(a[i], ()):
+                if j < blo:
+                    continue
+                if j >= bhi:
+                    break
+                k = new_j2len[j] = j2len.get(j - 1, 0) + 1
+                if k > best_size:
+                    best_i, best_j, best_size = i - k + 1, j - k + 1, k
+            j2len = new_j2len
+        if best_size:
+            matched += best_size
+            if alo < best_i and blo < best_j:
+                pending.append((alo, best_i, blo, best_j))
+            if best_i + best_size < ahi and best_j + best_size < bhi:
+                pending.append((best_i + best_size, ahi, best_j + best_size, bhi))
+    return 2.0 * matched / total
 
 
 # ---------------------------------------------------------------------------

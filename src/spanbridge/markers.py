@@ -40,8 +40,9 @@ STRUCTURE_ERROR = "StructureError"
 # (one regex pass; str.translate looks every character up in a dict)
 _LOCALE_QUOTE_RE = re.compile("[«»“”„‟‹›「」『』]")
 
-# placeholder tokens as they may come back: any word starting with a letter, then digits
-_PLACEHOLDER_RE = re.compile(r"(?<![\w])[^\W\d]\w*?\d+(?![\w])")
+# placeholder tokens as they may come back: any word starting with a letter and ending
+# in a digit, checked by lookbehind (a lazy \w*?\d+ backtracks quadratically on digits)
+_PLACEHOLDER_RE = re.compile(r"(?<!\w)[^\W\d]\w*(?<=\d)(?!\w)")
 
 # a fragment of an xml tag, named by its whole letter run: "<" or "</" and a
 # name that no ">" closes (group 1), or "/", a name and ">" with no "<" before

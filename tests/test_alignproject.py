@@ -182,6 +182,11 @@ class TestProjectSentenceAligned:
         for src, out in zip(corpus, projected):
             assert out.text == src.text and out.spans == src.spans
 
+    def test_one_pair_per_sentence(self):
+        corpus = make_corpus(3, seed=9)
+        with pytest.raises(FormatError, match="^3 sentences but 2 aligned pairs$"):
+            project_corpus_aligned(corpus, [identity_pair(s) for s in corpus[:2]])
+
     def test_partial_alignment_boundary_risk(self):
         # "the Bronx , New York City" style: final span token unaligned
         sent = AnnotatedSentence("he lives in New York", (LabeledSpan(0, 12, 20, "LOC"),))

@@ -118,6 +118,16 @@ class TestProjectCommand:
                     "--out", str(tmp_path / "o")])
         assert code == EXIT_FATAL
 
+    def test_out_naming_a_directory_exit_3_without_a_temp_file(self, tmp_path, corpus_file,
+                                                               capsys):
+        path, _ = corpus_file
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["project", "--in", str(path), "--out", str(out)]) == EXIT_FATAL
+        assert capsys.readouterr().err.startswith("fatal: [Errno 21] Is a directory")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out"]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("flags, message", [
         (["--backend", "lexicon", "--reorder", "revrse"],
          "error: reorder must be none, reverse or seed:<int>, got 'revrse'\n"),
@@ -146,14 +156,18 @@ class TestProjectCommand:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"error: MT URL {url!r} must start with ")
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_is_refused_where_the_flag_is_parsed(self, tmp_path, capsys, jobs):
+    @pytest.mark.parametrize("jobs, problem", [("0", "must be at least 1, got 0"),
+                                               ("-3", "must be at least 1, got -3"),
+                                               ("x", "invalid int value: 'x'")],
+                             ids=["0", "-3", "x"])
+    def test_jobs_below_one_is_refused_where_the_flag_is_parsed(self, tmp_path, capsys, jobs,
+                                                                problem):
         # the input does not exist: the flag is refused before any file is read
         code = run(["project", "--in", str(tmp_path / "missing.jsonl"),
                     "--out", str(tmp_path / "o"), "--jobs", jobs])
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
-        assert err.endswith(f"error: argument --jobs: must be at least 1, got {jobs}\n")
+        assert err.endswith(f"error: argument --jobs: {problem}\n")
         assert "missing.jsonl" not in err
 
     @pytest.mark.parametrize("lexicon, message", [
@@ -358,6 +372,19 @@ class TestAlignProjectCommand:
         assert code == EXIT_OK
         assert out.read_text(encoding="utf-8") == "[ alpha ] bravo\tp\u2028[ alpha ] q\n"
 
+    def test_build_ftdata_index_mismatch_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "src.jsonl"
+        src.write_text(emit_jsonl([AnnotatedSentence("alpha", ()), AnnotatedSentence("bravo", ())]),
+                       encoding="utf-8")
+        (tmp_path / "tgt.txt").write_text("alpha\n", encoding="utf-8")
+        out = tmp_path / "pairs.tsv"
+        code = run(["build-ftdata", "--src", str(src), "--tgt", str(tmp_path / "tgt.txt"),
+                    "--out", str(out), "--backend", "identity"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: index mismatch: 2 source sentences, 1 target lines\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("src_text, tgt_line", [
         ("alpha bravo", "p\talpha q"),
         ("alpha\tbravo", "p alpha q"),
@@ -448,6 +475,14 @@ class TestMetricsCommands:
         assert run(["bleu", "--hyp", str(tmp_path / "h.txt"),
                     "--ref", str(tmp_path / "r.txt")]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["bleu"] == pytest.approx(1.0)
+
+    def test_bleu_ends_a_line_at_a_carriage_return_too(self, tmp_path, capsys):
+        # line files are read with universal newlines: "\r\n" and a lone "\r" end a line
+        (tmp_path / "r.txt").write_bytes(b"a b c d\r\n")
+        (tmp_path / "h.txt").write_bytes(b"a b\rc d\n")
+        assert run(["bleu", "--hyp", str(tmp_path / "h.txt"),
+                    "--ref", str(tmp_path / "r.txt")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: 2 hypotheses but 1 references\n"
 
     def test_stats_rejects_a_wrongly_typed_field(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -609,6 +644,19 @@ class TestConfigFile:
                     "--out", str(out), "--scheme", "brackets"])
         assert code == EXIT_OK
         assert parse_jsonl(out.read_text(encoding="utf-8")) == corpus
+
+    def test_config_comments_blank_lines_and_switches(self, tmp_path, corpus_file):
+        path, corpus = corpus_file
+        cfg = tmp_path / "cfg.ini"
+        # "no_pad = TRUE" sets the switch, "lenient_bio=false" leaves it off
+        cfg.write_text("# marking\n\n  scheme = xml\nno_pad = TRUE\n  # lenient_bio=true\n"
+                       "lenient_bio=false\n", encoding="utf-8")
+        out = tmp_path / "marked.jsonl"
+        assert run(["mark", "--config", str(cfg), "--in", str(path), "--out", str(out)]) == EXIT_OK
+        texts = [json.loads(line)["text"] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert texts == [insert_markers(s, MarkerScheme("xml", pad_with_space=False)).text
+                         for s in corpus]
+        assert texts != [insert_markers(s, MarkerScheme("xml")).text for s in corpus]
 
     def test_config_equals_form_applies_file(self, tmp_path, corpus_file):
         path, corpus = corpus_file

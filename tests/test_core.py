@@ -222,8 +222,10 @@ class TestSquad:
         (lambda doc: TestSquad._para(doc)["qas"][0].update(question=7),
          "q1: question must be a string, got int"),
         (lambda doc: TestSquad._para(doc)["qas"].append("q2"), "AttributeError"),
+        (lambda doc: TestSquad._para(doc)["qas"][0]["answers"].append(
+            {"answer_start": 0, "text": "Norman"}), "q1: expected exactly one answer, got 2"),
     ], ids=["list", "data-str", "no-context", "no-question", "str-start", "int-context",
-            "int-question", "str-qa-after-q1"])
+            "int-question", "str-qa-after-q1", "two-answers"])
     def test_malformed_document_is_a_format_error(self, change, message):
         doc = json.loads(SQUAD_FIXTURE)
         changed = change(doc)

@@ -63,6 +63,13 @@ def reference_assignment(texts: list[str], mentions: list[str], cfg: MatcherConf
     return tuple(cand_for), bool(leftovers_t)
 
 
+# 1200 distinct CJK characters, and the same with "x" after each one: 1200
+# one-character matching blocks, ratio 2/3
+LONG_SPAN = "".join(chr(0x4E00 + i) for i in range(1200))
+LONG_SPAN_X = "".join(ch + "x" for ch in LONG_SPAN)
+RATIO_ALPHABETS = ["ab", "abcdefgh", "ab中ж x", "".join(chr(0x4E00 + i) for i in range(200))]
+
+
 class TestFuzzyRatio:
     def test_identity(self):
         assert fuzzy_ratio("abc", "abc") == 1.0
@@ -82,6 +89,25 @@ class TestFuzzyRatio:
     @settings(max_examples=500)
     def test_matches_oracle(self, a, b):
         assert fuzzy_ratio(a, b) == oracle_ratio(a, b)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_oracle_on_long_strings(self, data):
+        alphabet = data.draw(st.sampled_from(RATIO_ALPHABETS))
+        a = data.draw(st.text(alphabet, min_size=17, max_size=400))
+        # b is unrelated to a, or a with pieces cut out and others put in
+        edits = st.lists(st.tuples(st.integers(0, len(a)), st.integers(0, 40),
+                                   st.text(alphabet, max_size=40)), max_size=8)
+        if data.draw(st.booleans()):
+            b = data.draw(st.text(alphabet, max_size=400))
+        else:
+            b = a
+            for at, cut, put in data.draw(edits):
+                b = b[:at] + put + b[at + cut:]
+        assert fuzzy_ratio(a, b) == oracle_ratio(a, b)
+
+    def test_many_blocks_need_no_recursion(self):
+        assert fuzzy_ratio(LONG_SPAN, LONG_SPAN_X) == oracle_ratio(LONG_SPAN, LONG_SPAN_X) == 2 / 3
 
     @given(st.text(alphabet="ab中ж", max_size=12), st.text(alphabet="ab中ж", max_size=12))
     @settings(max_examples=200)
@@ -393,6 +419,23 @@ class TestProjectCorpus:
         projected, report = project_corpus(corpus, Counting(), scheme, jobs=3)
         assert Counting.requests == math.ceil(len(distinct) / 32)
         assert report.projected == len(corpus)
+
+    def test_a_long_span_is_scored_without_recursion(self):
+        sent = AnnotatedSentence(LONG_SPAN + " 在 .", (LabeledSpan(0, 0, 1200, "LOC"),))
+
+        class SpreadMarkedSpans:
+            """Puts "x" after each CJK character of a marked text; mentions come back as sent."""
+
+            def translate(self, request):
+                return TranslateResponse(tuple(
+                    TranslatedItem("".join(ch + "x" if ch >= "\u4e00" else ch for ch in t)
+                                   if "[" in t else t)
+                    for t in request.items))
+
+        projected, report = project_corpus([sent], SpreadMarkedSpans(), MarkerScheme("brackets"))
+        assert report.projected == 1
+        (span,) = projected[0].spans
+        assert (span.label, span.slice(projected[0].text)) == ("LOC", LONG_SPAN_X)
 
     def test_faulted_batch_fails_exactly_its_sentences(self):
         corpus = make_corpus(200, seed=8)

@@ -17,7 +17,7 @@ from spanbridge.markers import (
     mark_ranges,
     strip_markers,
 )
-from spanbridge.markers import _MAPS, _SYNTAX
+from spanbridge.markers import _MAPS, _PLACEHOLDER_RE, _SYNTAX
 
 CHURCHILL = AnnotatedSentence(
     "Churchill was born in England in 1874 .",
@@ -182,6 +182,12 @@ class TestExtract:
         result = extract_markers("<q> x </q>", scheme, ((0, "<a>", "</a>"),))
         assert result.status == COUNT_MISMATCH
 
+    def test_tag_identities_must_match(self):
+        # two complete pairs, but both are tag a and none is tag b
+        expected = ((0, "<a>", "</a>"), (1, "<b>", "</b>"))
+        result = extract_markers("<a> x </a> <a> y </a>", MarkerScheme("xml"), expected)
+        assert (result.status, result.diagnostic) == (COUNT_MISMATCH, "tag identities do not match")
+
     def test_locale_quote_folding(self):
         scheme = MarkerScheme("quotes")
         expected = ((0, '"', '"'),)
@@ -204,6 +210,22 @@ class TestExtract:
         expected = ((0, "PER0", "Churchill"), (1, "LOC1", "England"))
         result = extract_markers("PER0 was born .", scheme, expected)
         assert result.status == COUNT_MISMATCH
+
+    @pytest.mark.parametrize("a12_count, status, diagnostic", [
+        (1, STRUCTURE_ERROR, "placeholder tokens overlap"),
+        (2, COUNT_MISMATCH, "placeholder 'A12' occurs 2 times, expected 1"),
+    ])
+    def test_placeholder_tokens_shared_by_two_spans(self, a12_count, status, diagnostic):
+        # span 2 labelled A1 and span 12 labelled A both get the token A12
+        labels = ["B"] * 13
+        labels[2], labels[12] = "A1", "A"
+        sent = AnnotatedSentence(" ".join("abcdefghijklm"), tuple(
+            LabeledSpan(i, 2 * i, 2 * i + 1, label) for i, label in enumerate(labels)))
+        marked = insert_markers(sent, MarkerScheme("placeholder"))
+        assert marked.text.count("A12") == 2
+        translated = marked.text.replace("A12", "c", 2 - a12_count)
+        result = extract_markers(translated, MarkerScheme("placeholder"), marked.marker_map)
+        assert (result.status, result.diagnostic) == (status, diagnostic)
 
     @pytest.mark.parametrize("kind, text", [
         ("brackets", "a [b] c"),
@@ -243,6 +265,21 @@ class TestStrip:
         scheme = MarkerScheme("placeholder")
         assert strip_markers("PER0 met per1", scheme) == "met"
         assert strip_markers("Loc_2 in 2020 .", scheme) == "in 2020 ."
+
+    # the placeholder pattern before it was made linear: a lazy word run before \d+
+    REFERENCE_PLACEHOLDER_RE = re.compile(r"(?<![\w])[^\W\d]\w*?\d+(?![\w])")
+
+    @given(st.text(alphabet="aZж_中文019٣٤０５ .,-'", max_size=40))
+    @settings(max_examples=2000)
+    def test_placeholder_pattern_matches_the_reference(self, text):
+        assert ([m.span() for m in _PLACEHOLDER_RE.finditer(text)]
+                == [m.span() for m in self.REFERENCE_PLACEHOLDER_RE.finditer(text)])
+
+    def test_placeholder_strip_of_a_long_digit_run(self):
+        scheme = MarkerScheme("placeholder")
+        # the reference pattern backtracks quadratically on these
+        assert strip_markers("x a" + "1" * 200_000 + " y", scheme) == "x y"
+        assert strip_markers("a" + "1" * 200_000 + "x", scheme) == "a" + "1" * 200_000 + "x"
 
 
 SENT = st.builds(

@@ -72,6 +72,10 @@ class TestCorpusBleu:
         with pytest.raises(ValueError):
             corpus_bleu([["a"]], [["a"], ["b"]])
 
+    def test_empty_corpus_error(self):
+        with pytest.raises(ValueError, match="^empty corpus$"):
+            corpus_bleu([], [])
+
     def test_strip_then_bleu_against_unmarked_twin(self):
         corpus = make_corpus(100, seed=12)
         scheme = MarkerScheme("brackets")

@@ -47,6 +47,31 @@ SAMPLES = {
 }
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: markers.MarkerScheme("parens"), ValueError, "unknown marker scheme 'parens'"),
+    (lambda: easyproject.MatcherConfig(threshold=1.5), ValueError, "threshold must be in [0, 1]"),
+    (lambda: easyproject.MatcherConfig(mode="exact"), ValueError, "unknown matcher mode 'exact'"),
+    (lambda: easyproject.MatcherConfig(on_no_match="skip"), ValueError,
+     "unknown fallback 'skip'"),
+    (lambda: ftdata.FtDataConfig(k=0), ValueError, "pair budget k must be >= 1"),
+    (lambda: ftdata.FtDataConfig(length_sort="up"), ValueError, "unknown sort direction 'up'"),
+    (lambda: metrics.BleuConfig(max_n=0), ValueError, "max_n must be >= 1"),
+    (lambda: translate.TranslateRequest(("ab",), "", "de"), ValueError,
+     "src_lang and tgt_lang must be non-empty"),
+    (lambda: translate.TranslateRequest(("ab", ""), "en", "de"), ValueError,
+     "request items must be non-empty strings"),
+    (lambda: alignproject.AlignedPair(("ab",), ("ba",), alignproject.Alignment({(0, 1)})),
+     FormatError, "alignment link 0-1 out of range"),
+    (lambda: core.QaExample("q0", "who?", "ab", LabeledSpan(0, 0, 3, "ANSWER")), FormatError,
+     "q0: answer span exceeds context length"),
+], ids=["scheme-kind", "threshold", "mode", "fallback", "k", "length-sort", "max-n",
+        "request-lang", "request-item", "link-range", "answer-past-context"])
+def test_record_refuses_a_bad_value(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert str(raised.value) == message
+
+
 def test_every_dataclass_has_a_sample():
     found = {cls for module in (alignproject, core, easyproject, ftdata, markers, metrics,
                                 translate)
