@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from typing import TYPE_CHECKING
 
 from .core import AnnotatedSentence, record
-from .easyproject import ProjectionReport
+
+if TYPE_CHECKING:  # an annotation only: metrics loads core alone
+    from .easyproject import ProjectionReport
 
 
 def projection_rate(report: ProjectionReport) -> float:

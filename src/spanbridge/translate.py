@@ -18,7 +18,6 @@ import re
 import threading
 import time
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import JSONL_ENCODER, record
 
@@ -40,11 +39,17 @@ class TranslateRequest:
     tgt_lang: str
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(self.items))
+        if isinstance(self.items, str):
+            raise ValueError("request items must be a sequence of strings, not one string")
+        items = tuple(self.items)
+        object.__setattr__(self, "items", items)
         if not self.src_lang or not self.tgt_lang:
             raise ValueError("src_lang and tgt_lang must be non-empty")
-        if not all(self.items):
-            raise ValueError("request items must be non-empty strings")
+        for item in items:
+            if not isinstance(item, str):
+                raise ValueError(f"request items must be strings, got {type(item).__name__}")
+            if not item:
+                raise ValueError("request items must be non-empty strings")
 
 
 @record
@@ -364,7 +369,9 @@ def translate(request: TranslateRequest, backend,
     """Translate a request in batches, preserving item order and length.
     Each distinct item is sent once, in first-seen order. A batch the backend
     raises on or answers against the contract fails its own items only.
-    At least one batch must be allowed in flight."""
+    Batches hold at least one item, and at least one must be allowed in flight."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
     unique = tuple(dict.fromkeys(request.items))
@@ -375,6 +382,9 @@ def translate(request: TranslateRequest, backend,
     if len(batches) <= 1 or max_in_flight <= 1:
         replies = [_checked_reply(backend, b) for b in batches]
     else:
+        # imported here: concurrent.futures costs every process that never pools
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
             replies = list(pool.map(_checked_reply, itertools.repeat(backend), batches))
     result_of = dict(zip(unique, itertools.chain.from_iterable(replies)))

@@ -60,12 +60,17 @@ SAMPLES = {
      "src_lang and tgt_lang must be non-empty"),
     (lambda: translate.TranslateRequest(("ab", ""), "en", "de"), ValueError,
      "request items must be non-empty strings"),
+    (lambda: translate.TranslateRequest("abc", "en", "de"), ValueError,
+     "request items must be a sequence of strings, not one string"),
+    (lambda: translate.TranslateRequest(("ab", 5), "en", "de"), ValueError,
+     "request items must be strings, got int"),
     (lambda: alignproject.AlignedPair(("ab",), ("ba",), alignproject.Alignment({(0, 1)})),
      FormatError, "alignment link 0-1 out of range"),
     (lambda: core.QaExample("q0", "who?", "ab", LabeledSpan(0, 0, 3, "ANSWER")), FormatError,
      "q0: answer span exceeds context length"),
 ], ids=["scheme-kind", "threshold", "mode", "fallback", "k", "length-sort", "max-n",
-        "request-lang", "request-item", "link-range", "answer-past-context"])
+        "request-lang", "request-item", "request-str", "request-item-type", "link-range",
+        "answer-past-context"])
 def test_record_refuses_a_bad_value(build, error, message):
     with pytest.raises(error) as raised:
         build()

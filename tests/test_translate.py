@@ -550,11 +550,48 @@ class TestHttp:
             HttpBackend(url)
 
     def test_import_leaves_the_http_client_unloaded(self):
-        code = ("import spanbridge, spanbridge.cli, sys; "
-                "assert 'urllib.request' not in sys.modules")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(translate_module.__file__)))
-        subprocess.run([sys.executable, "-c", code], check=True,
-                       env={**os.environ, "PYTHONPATH": src})
+        run_fresh("import spanbridge, spanbridge.cli, sys; "
+                  "assert 'urllib.request' not in sys.modules")
+
+
+def run_fresh(code: str) -> str:
+    """Run `code` in a fresh interpreter that imports this package; return its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(translate_module.__file__)))
+    return subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
+class TestLazyPackage:
+    @pytest.mark.parametrize("statement, loaded", [
+        ("import spanbridge", []),
+        ("import spanbridge.translate", ["spanbridge.core", "spanbridge.translate"]),
+        ("from spanbridge import corpus_bleu", ["spanbridge.core", "spanbridge.metrics"]),
+    ], ids=["package", "translate", "corpus_bleu"])
+    def test_import_loads_only_what_it_names(self, statement, loaded):
+        new = json.loads(run_fresh(
+            f"import json, sys; before = set(sys.modules); {statement}; "
+            f"print(json.dumps(sorted(set(sys.modules) - before)))"))
+        assert [m for m in new if m.startswith("spanbridge.")] == loaded
+        assert "spanbridge" in new and "concurrent.futures" not in new
+
+    def test_every_public_name_imports_on_first_use(self):
+        out = run_fresh(
+            "import spanbridge\n"
+            "print(dir(spanbridge) == sorted(spanbridge.__all__))\n"
+            "for name in spanbridge.__all__:\n"
+            "    exec(f'from spanbridge import {name}')\n"
+            "star = {}\n"
+            "exec('from spanbridge import *', star)\n"
+            "print(sorted(set(spanbridge.__all__) - set(star)))")
+        assert out.split("\n") == ["True", "[]", ""]
+
+    def test_unknown_name_raises_attribute_error(self):
+        import spanbridge
+
+        with pytest.raises(AttributeError, match="module 'spanbridge' has no attribute 'nope'"):
+            spanbridge.nope
+        with pytest.raises(ImportError):
+            from spanbridge import nope  # noqa: F401
 
 
 class TestBatching:
@@ -575,6 +612,18 @@ class TestBatching:
             translate(TranslateRequest(("a",), "en", "de"), backend, max_in_flight=in_flight)
         assert str(e.value) == f"max_in_flight must be at least 1, got {in_flight}"
         assert backend.requests == []
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_empty_batches_rejected(self, batch_size):
+        backend = CountingBackend()
+        with pytest.raises(ValueError) as e:
+            translate(TranslateRequest(("a b", "c"), "en", "de"), backend, batch_size=batch_size)
+        assert str(e.value) == f"batch_size must be at least 1, got {batch_size}"
+        assert backend.requests == []
+
+    def test_list_and_tuple_items_accepted(self):
+        for items in (["a", "b"], ("a", "b")):
+            assert TranslateRequest(items, "en", "de").items == ("a", "b")
 
 
 class CountingBackend:
