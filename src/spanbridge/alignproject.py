@@ -8,10 +8,10 @@ outputs always keep source-equal span counts, and with them every relation.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from operator import itemgetter
 
-from .core import (AnnotatedSentence, FormatError, gc_paused, record, span_token_ranges,
-                   token_bounds)
+from .core import AnnotatedSentence, FormatError, gc_paused, record, span_token_ranges
 from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport, _tally
 
 
@@ -59,26 +59,39 @@ def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> Alignment:
     return Alignment(frozenset(links))
 
 
-def _target_bounds(alignment: Alignment) -> dict[int, tuple[int, int]]:
-    """Lowest and highest target token index of each aligned source token."""
-    bounds: dict[int, tuple[int, int]] = {}
+def _target_bounds(alignment: Alignment) -> dict[int, list[int]]:
+    """Lowest and highest target token index of each aligned source token,
+    as a [lo, hi] pair updated in place."""
+    bounds: dict[int, list[int]] = {}
     for i, j in alignment.links:
-        lo, hi = bounds.get(i, (j, j))
-        bounds[i] = (lo if lo < j else j, hi if hi > j else j)
+        b = bounds.get(i)
+        if b is None:
+            bounds[i] = [j, j]
+        elif j < b[0]:
+            b[0] = j
+        elif j > b[1]:
+            b[1] = j
     return bounds
 
 
-def _project_range(span_range: tuple[int, int], bounds: dict[int, tuple[int, int]]
-                   ) -> tuple[int, int] | None:
-    lo = hi = None
-    for i in range(*span_range):
+def _project_range(first: int, stop: int, bounds: dict[int, list[int]]
+                   ) -> tuple[tuple[int, int] | None, list[int]]:
+    """The [lo, hi + 1) target range of source tokens first..stop - 1, None if
+    none is aligned, and the unaligned ones among them."""
+    lo = hi = -1
+    unaligned = []
+    for i in range(first, stop):
         b = bounds.get(i)
-        if b is not None:
-            if lo is None or b[0] < lo:
+        if b is None:
+            unaligned.append(i)
+        elif lo < 0:
+            lo, hi = b
+        else:
+            if b[0] < lo:
                 lo = b[0]
-            if hi is None or b[1] > hi:
+            if b[1] > hi:
                 hi = b[1]
-    return None if lo is None else (lo, hi + 1)
+    return (None if lo < 0 else (lo, hi + 1)), unaligned
 
 
 def project_span_aligned(span_range: tuple[int, int], alignment: Alignment) -> tuple[int, int] | None:
@@ -86,7 +99,7 @@ def project_span_aligned(span_range: tuple[int, int], alignment: Alignment) -> t
 
     Returns None (unprojectable) when no source token in the range is aligned.
     """
-    return _project_range(span_range, _target_bounds(alignment))
+    return _project_range(*span_range, _target_bounds(alignment))[0]
 
 
 def project_sentence_aligned(
@@ -95,35 +108,39 @@ def project_sentence_aligned(
     """Project all spans of a sentence through a word alignment.
 
     The sentence must whitespace-tokenize to pair.src_tokens with every span
-    on token boundaries (contract error otherwise). Unprojectable spans and
-    overlapping projected ranges filter the sentence.
+    on token boundaries (contract error otherwise, checked for every span
+    before any is filtered). Unprojectable spans and overlapping projected
+    ranges filter the sentence.
     """
     if tuple(sentence.text.split(" ")) != pair.src_tokens:
         raise FormatError("sentence text does not match the aligned source tokens")
-    tok_ranges = span_token_ranges(pair.src_tokens, sentence.spans)
+    tok_ranges = span_token_ranges(sentence.text, sentence.spans)
     bounds = _target_bounds(pair.alignment)  # once per sentence, not per span
-    tgt_bounds = token_bounds(pair.tgt_tokens)
 
     diagnostics: list[str] = []
-    placed: list[tuple[int, int, int]] = []  # (source span id, start, end) in the target text
-    for span, tok_range in zip(sentence.spans, tok_ranges):
-        target = _project_range(tok_range, bounds)
+    placed: list[tuple[int, int, int]] = []  # (source span id, lo, hi + 1) target tokens
+    for span, (first, stop) in zip(sentence.spans, tok_ranges):
+        target, unaligned = _project_range(first, stop, bounds)
         if target is None:
             return ProjectionOutcome(
                 FILTERED, "Unprojectable",
                 diagnostics=(f"span {span.id} has no aligned target tokens",),
             )
-        unaligned = [i for i in range(*tok_range) if i not in bounds]
         if unaligned:
             diagnostics.append(
                 f"boundary-risk: span {span.id} has unaligned source tokens {unaligned}; "
                 "target range may be truncated"
             )
-        placed.append((span.id, tgt_bounds[target[0]][0], tgt_bounds[target[1] - 1][1]))
+        placed.append((span.id, *target))
 
     placed.sort(key=itemgetter(1))
+    tgt_tokens = pair.tgt_tokens
+    # lengths[k]: the length of tokens 0..k-1, so token k is at lengths[k] + k
+    lengths = list(accumulate(map(len, tgt_tokens), initial=0))
     try:  # target tokens are non-empty, so overlap is all that onto() can reject
-        out = sentence.onto(" ".join(pair.tgt_tokens), placed)
+        out = sentence.onto(" ".join(tgt_tokens),
+                            [(s, lengths[lo] + lo, lengths[stop] + stop - 1)
+                             for s, lo, stop in placed])
     except FormatError:
         return ProjectionOutcome(FILTERED, "Overlap",
                                  diagnostics=("two spans project to overlapping target ranges",))

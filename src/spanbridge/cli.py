@@ -291,10 +291,16 @@ def _cmd_align_project(args) -> int:
             f"translations, {len(alignment_lines)} alignment lines"
         )
     pairs = []
-    for sentence, translation, line in zip(sentences, translations, alignment_lines):
+    for n, (sentence, translation, line) in enumerate(
+            zip(sentences, translations, alignment_lines), start=1):
         src_tokens = tuple(sentence.text.split(" "))
         tgt_tokens = tuple(translation.split())
-        alignment = alignproject.parse_pharaoh(line, len(src_tokens), len(tgt_tokens))
+        try:
+            alignment = alignproject.parse_pharaoh(line, len(src_tokens), len(tgt_tokens))
+            # the corpus pass would raise the same, but without the line
+            core.span_token_ranges(sentence.text, sentence.spans)
+        except core.FormatError as e:
+            raise core.FormatError(f"line {n}: {e}") from None
         pairs.append(alignproject.AlignedPair(src_tokens, tgt_tokens, alignment))
     projected, report = alignproject.project_corpus_aligned(sentences, pairs)
     return _write_projection(args, projected, report)

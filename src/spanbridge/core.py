@@ -179,10 +179,6 @@ class AnnotatedSentence:
                      for r in self.relations]
         return AnnotatedSentence(text, target_spans, self.meta, relations)
 
-    @property
-    def meta_dict(self) -> dict[str, str]:
-        return dict(self.meta)
-
     def span_texts(self) -> list[str]:
         return [s.slice(self.text) for s in self.spans]
 
@@ -267,16 +263,34 @@ def token_bounds(tokens) -> list[tuple[int, int]]:
 
 
 def span_token_ranges(tokens, spans) -> list[tuple[int, int]]:
-    """[first, last + 1) token range of each span over the single-space-joined
-    tokens; every span must start and end on a token boundary."""
-    bounds = token_bounds(tokens)
-    starts = {s: i for i, (s, _) in enumerate(bounds)}
-    ends = {e: i + 1 for i, (_, e) in enumerate(bounds)}
+    """[first, last + 1) token range of each span over the tokens, none of
+    which may hold a space, joined by single spaces; `tokens` may also be that
+    text (a str), split at each space. Every span must start and end on a
+    token boundary: in the text, a space or the text's start before it and a
+    space or the text's end after it. Its first token is the number of spaces
+    before it, counted on from the previous span's end, so ordered spans
+    scan the text once."""
+    if isinstance(tokens, str):
+        text = tokens
+    else:
+        text = " ".join(tokens)
+        if tokens and text.count(" ") >= len(tokens):
+            k = next(k for k, token in enumerate(tokens) if " " in token)
+            raise FormatError(f"token {k} holds a space")
+    n = len(text)
     ranges = []
+    at = spaces = 0  # spaces == text.count(" ", 0, at)
     for span in spans:
-        if span.start not in starts or span.end not in ends:
-            raise FormatError(f"span {span.id} ({span.start},{span.end}) not on token boundary")
-        ranges.append((starts[span.start], ends[span.end]))
+        start, end = span.start, span.end
+        if (end > n or (end < n and text[end] != " ")
+                or (start and text[start - 1] != " ")):
+            raise FormatError(f"span {span.id} ({start},{end}) not on token boundary")
+        if start < at:  # out of order: count from the text's start
+            at = spaces = 0
+        first = spaces + text.count(" ", at, start)
+        spaces = first + text.count(" ", start, end)
+        at = end
+        ranges.append((first, spaces + 1))
     return ranges
 
 
@@ -353,7 +367,7 @@ def sentence_to_json(sent: AnnotatedSentence) -> dict:
     obj: dict = {
         "text": sent.text,
         "spans": [{"start": s.start, "end": s.end, "label": s.label} for s in sent.spans],
-        "meta": sent.meta_dict,
+        "meta": dict(sent.meta),
     }
     if sent.relations:
         obj["relations"] = [

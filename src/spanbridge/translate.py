@@ -173,7 +173,8 @@ class TranslationCache:
     record for a key wins. A record is corrupt if it does not parse or its
     input or output is not a string. A corrupt final line (no newline) is
     torn: skipped and cut off before the next append; a corrupt earlier line
-    raises.
+    raises. A good final line without a newline is kept, and the next append
+    starts with one.
     """
 
     def __init__(self, path: str):
@@ -181,6 +182,7 @@ class TranslationCache:
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str, str], str] = {}
         self._torn_at: int | None = None  # byte offset of a torn final line
+        self._unterminated = False  # the file ends in a good line without "\n"
         if os.path.exists(path):
             with open(path, "rb") as f:
                 data = f.read()
@@ -201,6 +203,7 @@ class TranslationCache:
                         raise CorruptCacheError(
                             f"{path}: line {lineno}: corrupt record: {e}") from None
                     self._torn_at = len(data) - len(line)
+            self._unterminated = self._torn_at is None and data[-1:] not in (b"", b"\n")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -227,7 +230,10 @@ class TranslationCache:
                         if self._torn_at is not None:
                             f.truncate(self._torn_at)
                             self._torn_at = None
+                        elif self._unterminated:
+                            lines = "\n" + lines
                         f.write(lines)
+                        self._unterminated = False
                 except OSError as e:
                     raise CacheWriteError(str(e)) from e
                 self._entries.update(((src_lang, tgt_lang, t), o) for t, o in new.items())

@@ -1,13 +1,12 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_corpus
 from spanbridge.alignproject import (
     AlignedPair,
     Alignment,
-    _project_range,
-    _target_bounds,
     parse_pharaoh,
     project_corpus_aligned,
     project_sentence_aligned,
@@ -18,18 +17,52 @@ from spanbridge.core import (AnnotatedSentence, FormatError, LabeledSpan, Relati
 from spanbridge.easyproject import FILTERED, PROJECTED, ProjectionOutcome
 
 
+def _reference_span_token_ranges(tokens, spans):
+    """span_token_ranges by lookup: every token's bounds laid out, and two
+    offset -> token index tables."""
+    bounds = token_bounds(tokens)
+    starts = {s: i for i, (s, _) in enumerate(bounds)}
+    ends = {e: i + 1 for i, (_, e) in enumerate(bounds)}
+    ranges = []
+    for span in spans:
+        if span.start not in starts or span.end not in ends:
+            raise FormatError(f"span {span.id} ({span.start},{span.end}) not on token boundary")
+        ranges.append((starts[span.start], ends[span.end]))
+    return ranges
+
+
+def _reference_target_bounds(alignment):
+    bounds = {}
+    for i, j in alignment.links:
+        lo, hi = bounds.get(i, (j, j))
+        bounds[i] = (lo if lo < j else j, hi if hi > j else j)
+    return bounds
+
+
+def _reference_project_range(span_range, bounds):
+    lo = hi = None
+    for i in range(*span_range):
+        b = bounds.get(i)
+        if b is not None:
+            if lo is None or b[0] < lo:
+                lo = b[0]
+            if hi is None or b[1] > hi:
+                hi = b[1]
+    return None if lo is None else (lo, hi + 1)
+
+
 def _reference_project_sentence_aligned(sentence, pair):
     """project_sentence_aligned as it was before AnnotatedSentence.onto: its own
     overlap scan over the sorted token ranges, and no relations carried."""
     if tuple(sentence.text.split(" ")) != pair.src_tokens:
         raise FormatError("sentence text does not match the aligned source tokens")
-    tok_ranges = span_token_ranges(pair.src_tokens, sentence.spans)
-    bounds = _target_bounds(pair.alignment)
+    tok_ranges = _reference_span_token_ranges(pair.src_tokens, sentence.spans)
+    bounds = _reference_target_bounds(pair.alignment)
 
     diagnostics = []
     projected_ranges = []
     for span, tok_range in zip(sentence.spans, tok_ranges):
-        target = _project_range(tok_range, bounds)
+        target = _reference_project_range(tok_range, bounds)
         if target is None:
             return ProjectionOutcome(
                 FILTERED, "Unprojectable",
@@ -324,6 +357,86 @@ class TestRelations:
                 for r in sent.relations)
             carried += len(out.relations)
         assert carried > 200
+
+
+@st.composite
+def _aligned_sentences(draw):
+    """(sentence, pair): source tokens that may be empty (a double space),
+    spans mostly on token boundaries but some off them, and a Pharaoh line
+    that may repeat a link or link one source token to several targets."""
+    tokens = draw(st.lists(st.text(alphabet="ab中", max_size=3), min_size=1, max_size=7))
+    text = " ".join(tokens)
+    boundaries = sorted({p for b in token_bounds(tokens) for p in b})
+    points = draw(st.lists(st.one_of(st.sampled_from(boundaries), st.integers(0, len(text))),
+                           max_size=8))
+    points.sort()
+    spans = []
+    for start, end in zip(points[::2], points[1::2]):
+        if start < end:
+            spans.append(LabeledSpan(len(spans), start, end, draw(st.sampled_from("XY"))))
+    tgt = draw(st.lists(st.text(alphabet="pq", min_size=1, max_size=3), min_size=1, max_size=7))
+    links = draw(st.lists(st.tuples(st.integers(0, len(tokens) - 1),
+                                    st.integers(0, len(tgt) - 1)), max_size=12))
+    line = " ".join(f"{i}-{j}" for i, j in links)
+    sentence = AnnotatedSentence(text, spans, {"i": "0"})
+    return sentence, AlignedPair(tokens, tgt, parse_pharaoh(line, len(tokens), len(tgt)))
+
+
+def _sentence(text, *offsets):
+    return AnnotatedSentence(text, [LabeledSpan(k, s, e, "X") for k, (s, e) in enumerate(offsets)])
+
+
+def _pair(text, tgt, line):
+    src = text.split(" ")
+    return AlignedPair(src, tgt, parse_pharaoh(line, len(src), len(tgt)))
+
+
+class TestAgainstReference:
+    """project_sentence_aligned and span_token_ranges against the lookup-table
+    versions they replaced, kept above as _reference_*."""
+
+    @given(_aligned_sentences())
+    @settings(max_examples=600, deadline=None)
+    # an empty token (double space) inside a span of several tokens
+    @example((_sentence("a  b c", (0, 4)), _pair("a  b c", ("p", "q"), "0-1 2-0")))
+    # spans at either end of the text, one link repeated
+    @example((_sentence("a b c", (0, 1), (4, 5)), _pair("a b c", ("p", "q"), "0-0 0-0 2-1")))
+    # an off-boundary span after an unprojectable one
+    @example((_sentence("a b c", (0, 1), (2, 4)), _pair("a b c", ("p",), "1-0")))
+    # one source token linked to several targets, and an overlap
+    @example((_sentence("a b c", (0, 1), (2, 5)), _pair("a b c", ("p", "q", "r"), "0-0 0-2 1-1")))
+    def test_equal_outcomes_and_errors(self, case):
+        sentence, pair = case
+        try:
+            want = _reference_project_sentence_aligned(sentence, pair)
+        except FormatError as e:
+            with pytest.raises(FormatError) as got:
+                project_sentence_aligned(sentence, pair)
+            assert str(got.value) == str(e)
+        else:
+            # no relations drawn, so the reference's sentence is the whole outcome
+            assert project_sentence_aligned(sentence, pair) == want
+
+    @given(st.lists(st.text(alphabet="ab中", max_size=3), max_size=7), st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_span_token_ranges_equal_the_token_bounds_rule(self, tokens, data):
+        n = len(" ".join(tokens))
+        offsets = data.draw(st.lists(st.tuples(st.integers(0, n + 1), st.integers(1, n + 1)),
+                                     max_size=5))
+        # any order, and some past the text's end
+        spans = [LabeledSpan(k, s, s + length, "X") for k, (s, length) in enumerate(offsets)]
+        try:
+            want = _reference_span_token_ranges(tokens, spans)
+        except FormatError as e:
+            with pytest.raises(FormatError) as got:
+                span_token_ranges(tokens, spans)
+            assert str(got.value) == str(e)
+        else:
+            assert span_token_ranges(tokens, spans) == want
+
+    def test_span_token_ranges_refuses_a_token_holding_a_space(self):
+        with pytest.raises(FormatError, match="^token 1 holds a space$"):
+            span_token_ranges(["a", "b c"], [])
 
 
 class TestAlignedPair:

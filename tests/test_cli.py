@@ -326,6 +326,28 @@ class TestAlignProjectCommand:
         assert code == EXIT_USAGE
 
 
+    @pytest.mark.parametrize("alignments, spans, message", [
+        ("0-0 x-1", [(0, 1)], "malformed alignment pair 'x-1' at position 1"),
+        ("0-0 1-5", [(0, 1)],
+         "alignment pair '1-5' at position 1 out of range (2 source / 2 target tokens)"),
+        ("0-0 1-1", [(0, 2)], "span 0 (0,2) not on token boundary"),
+    ])
+    def test_errors_name_the_input_line(self, tmp_path, capsys, alignments, spans, message):
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl([
+            AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "X"),)),
+            AnnotatedSentence("c d", [LabeledSpan(k, s, e, "Y") for k, (s, e) in enumerate(spans)]),
+        ]), encoding="utf-8")
+        (tmp_path / "t.txt").write_text("p q\nr s\n", encoding="utf-8")
+        (tmp_path / "a.txt").write_text(f"0-0 1-1\n{alignments}\n", encoding="utf-8")
+        code = run(["align-project", "--in", str(path),
+                    "--translations", str(tmp_path / "t.txt"),
+                    "--alignments", str(tmp_path / "a.txt"),
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: line 2: {message}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_relations_follow_their_spans(self, tmp_path):
         path = tmp_path / "in.jsonl"
         path.write_text(emit_jsonl([AnnotatedSentence(

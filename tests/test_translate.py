@@ -281,6 +281,27 @@ class TestCache:
         assert [json.loads(line)["output"] for line in lines[5:]] == ["five", "six"]
         assert all(line.endswith("\n") for line in lines)
 
+    def test_a_cut_at_any_byte_loses_no_complete_record_after_an_append(self, tmp_path):
+        whole = tmp_path / "whole.jsonl"
+        batches = [[("Anna", "Anna"), ("丘吉尔", "丘吉尔")], [("Zoë", "Zoë")]]
+        cache = TranslationCache(str(whole))
+        for batch in batches:
+            cache.put("en", "de", batch)
+        data = whole.read_bytes()
+        ends = [i for i, b in enumerate(data) if b == ord("\n")]  # each record ends before one
+        records = [json.loads(line) for line in data.splitlines()]
+        path = tmp_path / "c.jsonl"
+        for cut in range(len(data) + 1):
+            path.write_bytes(data[:cut])
+            cut_cache = TranslationCache(str(path))
+            assert cut_cache.put("en", "de", [("new", "neu")]) == 1
+            reloaded = TranslationCache(str(path))
+            complete = {(r["input"], r["output"]) for r, end in zip(records, ends) if end <= cut}
+            held = {(t, reloaded.get("en", "de", t)) for t in ("Anna", "丘吉尔", "Zoë", "new")}
+            assert held - {(t, None) for t in ("Anna", "丘吉尔", "Zoë")} == \
+                complete | {("new", "neu")}, f"cut at byte {cut}"
+            assert len(reloaded) == len(complete) + 1
+
     def test_short_upstream_reply_fails_every_miss_and_writes_nothing(self, tmp_path):
         path = tmp_path / "c.jsonl"
         warm_cache([TranslateRequest(("one",), "en", "de")], IdentityBackend(), str(path))
