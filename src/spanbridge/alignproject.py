@@ -94,14 +94,6 @@ def _project_range(first: int, stop: int, bounds: dict[int, list[int]]
     return (None if lo < 0 else (lo, hi + 1)), unaligned
 
 
-def project_span_aligned(span_range: tuple[int, int], alignment: Alignment) -> tuple[int, int] | None:
-    """Map a [s, e) source token range to the min..max covered target range.
-
-    Returns None (unprojectable) when no source token in the range is aligned.
-    """
-    return _project_range(*span_range, _target_bounds(alignment))[0]
-
-
 def project_sentence_aligned(
     sentence: AnnotatedSentence, pair: AlignedPair
 ) -> ProjectionOutcome:

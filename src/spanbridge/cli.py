@@ -251,9 +251,9 @@ def _cmd_mark(args) -> int:
             print(f"skipped: {e}", file=sys.stderr)
             skipped += 1
             continue
-        lines.append(core.JSONL_ENCODER.encode(
+        lines.append(core.encode_line(
             {"text": marked.text, "marker_map": list(marked.marker_map)}))
-    _atomic_write(args.out, "".join(line + "\n" for line in lines))
+    _atomic_write(args.out, "".join(lines))
     return EXIT_PARTIAL if skipped else EXIT_OK
 
 

@@ -53,9 +53,42 @@ def record(cls):
     return cls
 
 
-# one encoder for every JSONL line: json.dumps with these arguments builds a new one per call;
-# records are acyclic, so no per-container markers dict is needed to detect cycles
+# the settings of every JSONL line; records are acyclic, so no per-container
+# markers dict is needed to detect cycles
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, check_circular=False)
+
+# JSONL_ENCODER's C encoder, made once where encode() makes one per call
+# (no markers: check_circular is off); None on an interpreter without _json
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, JSONL_ENCODER.default, json.encoder.encode_basestring, JSONL_ENCODER.indent,
+    JSONL_ENCODER.key_separator, JSONL_ENCODER.item_separator, JSONL_ENCODER.sort_keys,
+    JSONL_ENCODER.skipkeys, JSONL_ENCODER.allow_nan)
+
+
+def encode_line(obj) -> str:
+    """One JSONL line: JSONL_ENCODER.encode(obj) + "\\n", exactly."""
+    if _C_ENCODER is None:
+        return JSONL_ENCODER.encode(obj) + "\n"
+    return "".join(_C_ENCODER(obj, 0)) + "\n"
+
+
+_SCAN_ONCE = json.JSONDecoder().scan_once
+
+
+def decode_line(line: str | bytes):
+    """What json.loads(line) gives: the same value or the same exception.
+    A line that is one JSON value from its first character to its last, in
+    UTF-8 if bytes, is read by one scanner call; any other (whitespace at
+    either end, a BOM, another encoding, bad JSON) goes to json.loads itself,
+    so its errors and its rules for bytes hold."""
+    try:
+        text = line if isinstance(line, str) else line.decode()
+        value, end = _SCAN_ONCE(text, 0)
+        if end == len(text):
+            return value
+    except (ValueError, StopIteration, RecursionError, AttributeError):
+        pass
+    return json.loads(line)
 
 
 # makes each read-and-disable of the collector and each re-enable one step, so
@@ -311,7 +344,8 @@ def bio_from_spans(tokens: list[str], spans: list[LabeledSpan]) -> list[str]:
 def parse_conll(text: str, lenient: bool = False) -> list[AnnotatedSentence]:
     """Parse token TAB tag lines (BIO2), blank line separated sentences.
 
-    "-DOCSTART-" lines are skipped. Tokens are joined with single spaces.
+    "-DOCSTART-" lines are skipped. Tokens are joined with single spaces, so
+    a token that holds a space is a FormatError.
     """
     sentences: list[AnnotatedSentence] = []
     tokens: list[str] = []
@@ -339,6 +373,8 @@ def parse_conll(text: str, lenient: bool = False) -> list[AnnotatedSentence]:
         parts = line.split("\t")
         if len(parts) != 2:
             raise FormatError(f"line {lineno}: expected 'token<TAB>tag', got {len(parts)} columns")
+        if " " in parts[0]:  # the joined text would split it into other tokens
+            raise FormatError(f"line {lineno}: token holds a space")
         tokens.append(parts[0])
         tags.append(parts[1])
         lines.append(lineno)
@@ -405,15 +441,14 @@ def parse_jsonl(text: str) -> list[AnnotatedSentence]:
         if not line.strip():
             continue
         try:
-            sentences.append(sentence_from_json(json.loads(line)))
+            sentences.append(sentence_from_json(decode_line(line)))
         except (json.JSONDecodeError, RecursionError, KeyError, TypeError, FormatError) as e:
             raise FormatError(f"line {lineno}: {e}") from None
     return sentences
 
 
 def emit_jsonl(sentences: list[AnnotatedSentence]) -> str:
-    encode = JSONL_ENCODER.encode
-    return "".join([encode(sentence_to_json(s)) + "\n" for s in sentences])
+    return "".join([encode_line(sentence_to_json(s)) for s in sentences])
 
 
 # ---------------------------------------------------------------------------

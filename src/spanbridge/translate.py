@@ -19,7 +19,7 @@ import threading
 import time
 from collections.abc import Iterable, Mapping
 
-from .core import JSONL_ENCODER, record
+from .core import decode_line, encode_line, record
 
 OK = "Ok"
 
@@ -191,7 +191,7 @@ class TranslationCache:
                 if not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = decode_line(line)
                     text, output = rec["input"], rec["output"]
                     # a null output would be a miss on every run, and never re-recorded
                     if type(text) is not str or type(output) is not str:
@@ -220,10 +220,9 @@ class TranslationCache:
                 if (src_lang, tgt_lang, text) not in self._entries:
                     new.setdefault(text, output)
             if new:
-                encode = JSONL_ENCODER.encode
                 lines = "".join([
-                    encode({"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text,
-                            "output": output}) + "\n"
+                    encode_line({"src_lang": src_lang, "tgt_lang": tgt_lang, "input": text,
+                                 "output": output})
                     for text, output in new.items()])
                 try:
                     with open(self.path, "a", encoding="utf-8") as f:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from spanbridge.core import AnnotatedSentence, LabeledSpan
+from spanbridge.alignproject import AlignedPair, Alignment, project_sentence_aligned
+from spanbridge.core import AnnotatedSentence, LabeledSpan, token_bounds
+from spanbridge.easyproject import FILTERED
 from spanbridge.translate import TranslatedItem, TranslateRequest, TranslateResponse
 
 # word pool mixing scripts; none contain marker characters
@@ -51,6 +53,28 @@ def make_corpus(n: int, seed: int, max_spans: int = 3,
                 with_relations: bool = False) -> list[AnnotatedSentence]:
     rng = random.Random(seed)
     return [make_sentence(rng, max_spans, with_relations) for _ in range(n)]
+
+
+def project_token_range(span_range: tuple[int, int], links, n_src: int,
+                        n_tgt: int) -> tuple[int, int] | None:
+    """The [lo, hi + 1) target token range project_sentence_aligned gives the
+    one span of an n_src-token sentence that covers source tokens span_range,
+    through `links` onto n_tgt target tokens; None when the sentence is
+    filtered as Unprojectable."""
+    src = tuple(f"s{i}" for i in range(n_src))
+    tgt = tuple(f"t{j}" for j in range(n_tgt))
+    first, stop = span_range
+    src_bounds = token_bounds(src)
+    sentence = AnnotatedSentence(" ".join(src), (
+        LabeledSpan(0, src_bounds[first][0], src_bounds[stop - 1][1], "X"),))
+    outcome = project_sentence_aligned(sentence, AlignedPair(src, tgt, Alignment(links)))
+    if outcome.status == FILTERED:
+        assert outcome.reason == "Unprojectable"
+        return None
+    (span,) = outcome.sentence.spans
+    tgt_bounds = token_bounds(tgt)
+    return ([start for start, _ in tgt_bounds].index(span.start),
+            [end for _, end in tgt_bounds].index(span.end) + 1)
 
 
 def annotate_with_gazetteer(text: str, gazetteer: dict[str, str]) -> AnnotatedSentence:

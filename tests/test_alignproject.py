@@ -3,14 +3,13 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import make_corpus
+from conftest import make_corpus, project_token_range
 from spanbridge.alignproject import (
     AlignedPair,
     Alignment,
     parse_pharaoh,
     project_corpus_aligned,
     project_sentence_aligned,
-    project_span_aligned,
 )
 from spanbridge.core import (AnnotatedSentence, FormatError, LabeledSpan, RelationLink,
                              span_token_ranges, token_bounds)
@@ -138,17 +137,16 @@ class TestParsePharaoh:
 
 
 class TestProjectSpan:
+    """One span through project_sentence_aligned, read back as a target token range."""
+
     def test_min_max_rule(self):
-        a = Alignment(frozenset({(0, 2), (1, 3), (2, 4)}))
-        assert project_span_aligned((0, 3), a) == (2, 5)
+        assert project_token_range((0, 3), {(0, 2), (1, 3), (2, 4)}, 3, 5) == (2, 5)
 
     def test_unprojectable(self):
-        a = Alignment(frozenset({(5, 5)}))
-        assert project_span_aligned((0, 3), a) is None
+        assert project_token_range((0, 3), {(5, 5)}, 6, 6) is None
 
     def test_gap_covered(self):
-        a = Alignment(frozenset({(0, 1), (1, 5)}))
-        assert project_span_aligned((0, 2), a) == (1, 6)
+        assert project_token_range((0, 2), {(0, 1), (1, 5)}, 2, 6) == (1, 6)
 
     def test_matches_oracle_random(self):
         rng = random.Random(17)
@@ -158,7 +156,7 @@ class TestProjectSpan:
                      for _ in range(rng.randint(0, 15))}
             s = rng.randrange(n_src)
             e = rng.randint(s + 1, n_src)
-            assert project_span_aligned((s, e), Alignment(frozenset(links))) == \
+            assert project_token_range((s, e), links, n_src, n_tgt) == \
                 oracle_project((s, e), sorted(links))
 
     def test_sentence_matches_per_span_oracle_random(self):

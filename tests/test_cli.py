@@ -241,6 +241,16 @@ class TestProjectCommand:
         assert sent.text == "John lives"
         assert sent.spans[0].label == "PER"
 
+    def test_conll_token_holding_a_space_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "in.conll"
+        path.write_text("New York\tB-LOC\nis\tO\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        code = run(["project", "--in", str(path), "--format", "conll",
+                    "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "line 1: token holds a space" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMarkCommand:
     def test_mark_output(self, tmp_path, corpus_file):

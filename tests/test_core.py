@@ -1,21 +1,25 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spanbridge.core import (
+    JSONL_ENCODER,
     AnnotatedSentence,
     FormatError,
     LabeledSpan,
     QaExample,
     RelationLink,
     bio_from_spans,
+    decode_line,
     emit_conll,
     emit_jsonl,
     emit_squad,
+    encode_line,
     parse_conll,
     parse_jsonl,
     parse_squad,
+    sentence_to_json,
     span_token_ranges,
     spans_from_bio,
     token_bounds,
@@ -57,6 +61,16 @@ class TestParseConll:
     def test_wrong_column_count(self):
         with pytest.raises(FormatError, match="line 2"):
             parse_conll("ok\tO\nbad line without tab\n")
+
+    @pytest.mark.parametrize("text, line", [
+        ("New York\tB-LOC\nis\tO\n", 1),
+        ("John\tB-PER\n\nlives\tO\nin \tO\n", 4),
+    ])
+    def test_token_holding_a_space_names_the_line(self, text, line):
+        # joined, "New York" would come back from emit_conll as two tokens
+        with pytest.raises(FormatError) as raised:
+            parse_conll(text)
+        assert str(raised.value) == f"line {line}: token holds a space"
 
     def test_label_change_inside_run_strict(self):
         with pytest.raises(FormatError, match="label change inside run at line 2"):
@@ -322,6 +336,113 @@ class TestJsonl:
                   for text in ("a\u2028b", "c\u2029d", "e\x85f", "g\x1ch", "i\x0bj")]
         assert parse_jsonl(emit_jsonl(corpus)) == corpus
         assert parse_jsonl(emit_jsonl(corpus).replace("\n", "\r\n")) == corpus
+
+
+def _outcome(fn, x):
+    """fn(x) as ("value", its repr), or as the type and message of what it
+    raised; repr tells 1 from 1.0 and True, and a nan equals itself in it."""
+    try:
+        return "value", repr(fn(x))
+    except Exception as e:  # whatever it raises is compared, not handled
+        return type(e), str(e)
+
+
+def _encode_reference(obj):
+    return JSONL_ENCODER.encode(obj) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=4), kids,
+                                                              max_size=4),
+    max_leaves=10)
+# spliced into a line: whitespace, a BOM, NUL, a lone surrogate raw and as an
+# escape, and pieces that end a value early or leave extra data after it
+_SPLICES = ["", " ", "\t", "\r\n", "\n", "\ufeff", "\x00", "\ud800", '"\\ud800"',
+            "x", "[", "]", "}", '"', "1", "{} {}"]
+
+
+@st.composite
+def _json_lines(draw):
+    """A JSON value's text, maybe damaged, as str or bytes in some encoding,
+    maybe cut at any byte."""
+    text = json.dumps(draw(_JSON_VALUES), ensure_ascii=draw(st.booleans()))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_SPLICES)) + text[at:]
+    encoding = draw(st.sampled_from([None, "utf-8", "utf-8", "utf-8-sig", "utf-16",
+                                     "utf-16-be", "utf-32-le"]))
+    if encoding is None:
+        return text
+    data = text.encode(encoding, "surrogatepass")
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)) | st.sampled_from(
+    ["\x00", "\x1f", "\x7f", "\u2028", "\u2029", "\x85", "\U0001f600", "\ud800", "\\", '"']))
+
+
+@st.composite
+def _records(draw):
+    """sentence_to_json of a sentence whose meta holds nested values and
+    non-finite floats, a translation cache record, or any JSON value."""
+    kind = draw(st.sampled_from(["sentence", "cache", "value"]))
+    if kind == "value":
+        return draw(_JSON_VALUES)
+    if kind == "cache":
+        return {"src_lang": draw(_TEXT), "tgt_lang": draw(_TEXT), "input": draw(_TEXT),
+                "output": draw(_TEXT)}
+    text = draw(_TEXT)
+    spans = (LabeledSpan(0, 0, len(text), "X"),) if text else ()
+    meta = draw(st.dictionaries(_TEXT, _JSON_VALUES | st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, [[{"a": [1.5]}]]]), max_size=4))
+    relations = (RelationLink("R", 0, 0),) if spans and draw(st.booleans()) else ()
+    return sentence_to_json(AnnotatedSentence(text, spans, meta, relations))
+
+
+_LINES = {
+    "space-before": ' {"a": 1}', "crlf-after": b'{"a": 1}\r\n', "bom": "\ufeff{}",
+    "bom-bytes": b"\xef\xbb\xbf{}", "nul-inside": "[1, \x00]", "nul-first": b"\x00{}",
+    "nul-second": b"1\x00", "surrogate-escape": '"\\ud800"',
+    "surrogate-escape-bytes": b'"\\ud800"', "surrogatepass-bytes": b'"\xed\xa0\x80"',
+    "cut-utf8": b'"\xc3"', "cut-line": b'{"a": "\xe2\x82', "extra-data": "{} {}",
+    "extra-data-bytes": b"1 2", "utf16-bom": b"\xff\xfe{\x00}\x00", "empty": "",
+    "empty-bytes": b"", "deep": "[" * 5000 + "]" * 5000, "deep-bytes": b"[" * 5000 + b"]" * 5000,
+}
+_OBJECTS = {
+    "set": {"a": {1, 2}}, "tuple-key": {(1,): 2}, "scalar-keys": {1: "a", 1.5: "b", None: "c"},
+    "str": "\ud800\u2028", "nan": float("nan"), "nested": {"b": 1, "a": [{"d": 0, "c": 0}]},
+}
+
+
+class TestLineCodec:
+    @settings(max_examples=800, deadline=None)
+    @given(_json_lines())
+    def test_decode_line_equals_json_loads(self, line):
+        assert _outcome(decode_line, line) == _outcome(json.loads, line)
+
+    @pytest.mark.parametrize("line", _LINES.values(), ids=_LINES)
+    def test_decode_line_equals_json_loads_on(self, line):
+        assert _outcome(decode_line, line) == _outcome(json.loads, line)
+
+    def test_a_whole_utf8_line_is_read_without_json_loads(self, monkeypatch):
+        def refuse(line):
+            raise AssertionError("json.loads called")
+        monkeypatch.setattr(json, "loads", refuse)
+        assert decode_line(b'{"input": "\xc3\x9cnal", "n": [1.5, null]}') == \
+            {"input": "Ünal", "n": [1.5, None]}
+        assert decode_line('"\u2028"') == "\u2028"
+
+    @settings(max_examples=500, deadline=None)
+    @given(_records())
+    def test_encode_line_equals_the_encoder(self, obj):
+        assert _outcome(encode_line, obj) == _outcome(_encode_reference, obj)
+
+    @pytest.mark.parametrize("obj", _OBJECTS.values(), ids=_OBJECTS)
+    def test_encode_line_equals_the_encoder_on(self, obj):
+        assert _outcome(encode_line, obj) == _outcome(_encode_reference, obj)
 
 
 class TestInvariants:
