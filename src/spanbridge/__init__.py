@@ -32,7 +32,6 @@ _SOURCES = {
     "extract_markers": "markers",
     "insert_markers": "markers",
     "strip_markers": "markers",
-    "BleuConfig": "metrics",
     "corpus_bleu": "metrics",
     "corpus_stats": "metrics",
     "projection_rate": "metrics",

@@ -16,32 +16,23 @@ from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionRepor
 
 
 @record
-class Alignment:
-    """0-based (src_token_index, tgt_token_index) link set."""
-
-    links: frozenset[tuple[int, int]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "links", frozenset(self.links))
-
-
-@record
 class AlignedPair:
     src_tokens: tuple[str, ...]
     tgt_tokens: tuple[str, ...]
-    alignment: Alignment
+    alignment: frozenset[tuple[int, int]]  # 0-based (source token, target token) links
 
     def __post_init__(self):
         object.__setattr__(self, "src_tokens", tuple(self.src_tokens))
         object.__setattr__(self, "tgt_tokens", tuple(self.tgt_tokens))
+        object.__setattr__(self, "alignment", frozenset(self.alignment))
         if "" in self.tgt_tokens:  # a span on it would be empty
             raise FormatError(f"target token {self.tgt_tokens.index('')} is empty")
-        for i, j in self.alignment.links:
+        for i, j in self.alignment:
             if not (0 <= i < len(self.src_tokens) and 0 <= j < len(self.tgt_tokens)):
                 raise FormatError(f"alignment link {i}-{j} out of range")
 
 
-def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> Alignment:
+def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> frozenset[tuple[int, int]]:
     """Parse whitespace-separated "i-j" pairs into a deduplicated link set."""
     links = set()
     for pos, token in enumerate(line.split()):
@@ -56,14 +47,14 @@ def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> Alignment:
                 f"({n_src} source / {n_tgt} target tokens)"
             )
         links.add((i, j))
-    return Alignment(frozenset(links))
+    return frozenset(links)
 
 
-def _target_bounds(alignment: Alignment) -> dict[int, list[int]]:
+def _target_bounds(links: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
     """Lowest and highest target token index of each aligned source token,
     as a [lo, hi] pair updated in place."""
     bounds: dict[int, list[int]] = {}
-    for i, j in alignment.links:
+    for i, j in links:
         b = bounds.get(i)
         if b is None:
             bounds[i] = [j, j]
@@ -143,9 +134,16 @@ def project_sentence_aligned(
 def project_corpus_aligned(
     sentences: list[AnnotatedSentence], pairs: list[AlignedPair]
 ) -> tuple[list[AnnotatedSentence], ProjectionReport]:
-    """Alignment-based analogue of project_corpus, with the same filtering rule."""
+    """Alignment-based analogue of project_corpus, with the same filtering rule.
+    A sentence's contract error names its 1-based position as `line N`."""
     if len(sentences) != len(pairs):
-        raise FormatError(
-            f"{len(sentences)} sentences but {len(pairs)} aligned pairs"
-        )
-    return _tally(map(project_sentence_aligned, sentences, pairs))
+        raise FormatError(f"{len(sentences)} sentences but {len(pairs)} aligned pairs")
+    return _tally(_project_each(sentences, pairs))
+
+
+def _project_each(sentences, pairs):
+    for n, (sentence, pair) in enumerate(zip(sentences, pairs), start=1):
+        try:
+            yield project_sentence_aligned(sentence, pair)
+        except FormatError as e:
+            raise FormatError(f"line {n}: {e}") from None

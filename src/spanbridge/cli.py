@@ -297,8 +297,6 @@ def _cmd_align_project(args) -> int:
         tgt_tokens = tuple(translation.split())
         try:
             alignment = alignproject.parse_pharaoh(line, len(src_tokens), len(tgt_tokens))
-            # the corpus pass would raise the same, but without the line
-            core.span_token_ranges(sentence.text, sentence.spans)
         except core.FormatError as e:
             raise core.FormatError(f"line {n}: {e}") from None
         pairs.append(alignproject.AlignedPair(src_tokens, tgt_tokens, alignment))
@@ -332,8 +330,7 @@ def _cmd_build_ftdata(args) -> int:
 
 def _cmd_stats(args) -> int:
     sentences = _load_corpus(args.infile, args.format, args.lenient_bio)
-    stats = metrics.corpus_stats(sentences)
-    print(json.dumps(stats.to_json(), sort_keys=True))
+    print(json.dumps(metrics.corpus_stats(sentences), sort_keys=True))
     return EXIT_OK
 
 
@@ -346,7 +343,7 @@ def _cmd_bleu(args) -> int:
     score = metrics.corpus_bleu(
         [h.split() for h in hyp_lines],
         [r.split() for r in ref_lines],
-        metrics.BleuConfig(max_n=args.max_n),
+        max_n=args.max_n,
     )
     print(json.dumps({"bleu": score}))
     return EXIT_OK

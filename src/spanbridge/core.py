@@ -253,28 +253,32 @@ def spans_from_bio(tokens: list[str], tags: list[str], lenient: bool = False) ->
         raise FormatError(f"length mismatch: {len(tokens)} tokens vs {len(tags)} tags")
     spans: list[LabeledSpan] = []
     cur_label = None
-    cur_start = 0
+    cur_first = 0  # the run's first token
     cur_end = 0
+    bounds = token_bounds(tokens)
 
     def close_run():
         nonlocal cur_label
         if cur_label is not None:
-            spans.append(LabeledSpan(len(spans), cur_start, cur_end, cur_label))
+            try:
+                spans.append(LabeledSpan(len(spans), bounds[cur_first][0], cur_end, cur_label))
+            except FormatError as e:  # the label is empty or holds whitespace
+                raise FormatError(f"{e} at token {cur_first}") from None
             cur_label = None
 
-    for i, ((tok_start, tok_end), tag) in enumerate(zip(token_bounds(tokens), tags)):
+    for i, ((_, tok_end), tag) in enumerate(zip(bounds, tags)):
         if tag == "O":
             close_run()
         elif tag.startswith("B-"):
             close_run()
-            cur_label, cur_start, cur_end = tag[2:], tok_start, tok_end
+            cur_label, cur_first, cur_end = tag[2:], i, tok_end
         elif tag.startswith("I-"):
             label = tag[2:]
             if cur_label == label:
                 cur_end = tok_end
             elif lenient:
                 close_run()
-                cur_label, cur_start, cur_end = label, tok_start, tok_end
+                cur_label, cur_first, cur_end = label, i, tok_end
             elif cur_label is None:
                 raise FormatError(f"I-{label} without preceding B-{label} at token {i}")
             else:

@@ -6,7 +6,7 @@ import math
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from .core import AnnotatedSentence, record
+from .core import AnnotatedSentence
 
 if TYPE_CHECKING:  # an annotation only: metrics loads core alone
     from .easyproject import ProjectionReport
@@ -19,31 +19,21 @@ def projection_rate(report: ProjectionReport) -> float:
     return report.projected / report.total
 
 
-@record
-class BleuConfig:
-    max_n: int = 4
-    # orders with zero hypothesis n-grams corpus-wide are excluded from the
-    # geometric mean; there is no other smoothing
-
-    def __post_init__(self):
-        if self.max_n < 1:
-            raise ValueError("max_n must be >= 1")
-
-
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def corpus_bleu(
-    hyps: list[list[str]], refs: list[list[str]], cfg: BleuConfig | None = None
-) -> float:
+def corpus_bleu(hyps: list[list[str]], refs: list[list[str]], max_n: int = 4) -> float:
     """Corpus BLEU with clipped n-gram counts and brevity penalty.
 
-    Single reference per hypothesis. Precisions are summed corpus-wide;
+    Single reference per hypothesis, n-gram orders 1..max_n. Precisions are
+    summed corpus-wide; orders with zero hypothesis n-grams corpus-wide are
+    excluded from the geometric mean, and there is no other smoothing.
     BP = 1 if the hypothesis corpus is longer than the reference corpus,
     else exp(1 - r/c). Any defined precision of zero gives score 0.
     """
-    cfg = cfg or BleuConfig()
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
     if len(hyps) != len(refs):
         raise ValueError(f"{len(hyps)} hypotheses but {len(refs)} references")
     if not hyps:
@@ -53,10 +43,10 @@ def corpus_bleu(
     if hyp_len == 0:
         return 0.0
 
-    matched = [0] * cfg.max_n
-    total = [0] * cfg.max_n
+    matched = [0] * max_n
+    total = [0] * max_n
     for hyp, ref in zip(hyps, refs):
-        for n in range(1, cfg.max_n + 1):
+        for n in range(1, max_n + 1):
             hyp_counts = _ngrams(hyp, n)
             if not hyp_counts:
                 continue
@@ -74,33 +64,18 @@ def corpus_bleu(
     return bp * math.exp(log_precision)
 
 
-@record
-class CorpusStats:
-    n_sentences: int
-    avg_tokens_per_sentence: float
-    avg_spans_per_sentence: float
-    label_histogram: tuple[tuple[str, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "n_sentences": self.n_sentences,
-            "avg_tokens_per_sentence": self.avg_tokens_per_sentence,
-            "avg_spans_per_sentence": self.avg_spans_per_sentence,
-            "label_histogram": dict(self.label_histogram),
-        }
-
-
-def corpus_stats(sentences: list[AnnotatedSentence]) -> CorpusStats:
-    """Whitespace-token and span counts averaged over the corpus."""
+def corpus_stats(sentences: list[AnnotatedSentence]) -> dict:
+    """Whitespace-token and span counts averaged over the corpus, and the
+    span count of each label, as the JSON object `stats` prints."""
     if not sentences:
         raise ValueError("corpus statistics undefined for an empty corpus")
     n = len(sentences)
     tokens = sum(len(s.text.split()) for s in sentences)
     spans = sum(len(s.spans) for s in sentences)
     hist = Counter(span.label for s in sentences for span in s.spans)
-    return CorpusStats(
-        n_sentences=n,
-        avg_tokens_per_sentence=tokens / n,
-        avg_spans_per_sentence=spans / n,
-        label_histogram=tuple(sorted(hist.items())),
-    )
+    return {
+        "n_sentences": n,
+        "avg_tokens_per_sentence": tokens / n,
+        "avg_spans_per_sentence": spans / n,
+        "label_histogram": dict(sorted(hist.items())),
+    }

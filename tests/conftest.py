@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from spanbridge.alignproject import AlignedPair, Alignment, project_sentence_aligned
+from spanbridge.alignproject import AlignedPair, project_sentence_aligned
 from spanbridge.core import AnnotatedSentence, LabeledSpan, token_bounds
 from spanbridge.easyproject import FILTERED
 from spanbridge.translate import TranslatedItem, TranslateRequest, TranslateResponse
@@ -67,7 +67,7 @@ def project_token_range(span_range: tuple[int, int], links, n_src: int,
     src_bounds = token_bounds(src)
     sentence = AnnotatedSentence(" ".join(src), (
         LabeledSpan(0, src_bounds[first][0], src_bounds[stop - 1][1], "X"),))
-    outcome = project_sentence_aligned(sentence, AlignedPair(src, tgt, Alignment(links)))
+    outcome = project_sentence_aligned(sentence, AlignedPair(src, tgt, frozenset(links)))
     if outcome.status == FILTERED:
         assert outcome.reason == "Unprojectable"
         return None

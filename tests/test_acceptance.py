@@ -9,7 +9,7 @@ import random
 import time
 
 from conftest import MarkerDropBackend, make_corpus, make_entity_corpus, project_token_range
-from spanbridge.alignproject import AlignedPair, Alignment, project_corpus_aligned
+from spanbridge.alignproject import AlignedPair, project_corpus_aligned
 from spanbridge.cli import EXIT_OK, run
 from spanbridge.core import (
     bio_from_spans,
@@ -29,7 +29,7 @@ from spanbridge.easyproject import (
 )
 from spanbridge.ftdata import FtDataConfig, ParallelPair, build_ft_pairs
 from spanbridge.markers import MarkerScheme, insert_markers, strip_markers
-from spanbridge.metrics import BleuConfig, corpus_bleu, projection_rate
+from spanbridge.metrics import corpus_bleu, projection_rate
 from spanbridge.translate import IdentityBackend, LexiconBackend, LexiconBackendConfig
 
 
@@ -151,7 +151,7 @@ def test_criterion_05_alignment_oracle():
     for sent in corpus:
         tokens = tuple(sent.text.split(" "))
         pairs.append(AlignedPair(tokens, tokens,
-                                 Alignment(frozenset((i, i) for i in range(len(tokens))))))
+                                 frozenset((i, i) for i in range(len(tokens)))))
     projected, report = project_corpus_aligned(corpus, pairs)
     assert report.projected == 1000
     for src, out in zip(corpus, projected):
@@ -164,7 +164,7 @@ def test_criterion_06_bleu():
     corpus = [s.text.split() for s in CORPUS_1K if len(s.text.split()) >= 4][:200]
     assert corpus_bleu(corpus, corpus) == 1.0
     clipped = corpus_bleu([["the", "the", "the", "the"]], [["the", "cat"]],
-                          BleuConfig(max_n=1))
+                          max_n=1)
     assert abs(clipped - 0.25) <= 1e-9
     scheme = MarkerScheme("brackets")
     marked = [strip_markers(insert_markers(s, scheme).text, scheme).split()

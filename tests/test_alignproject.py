@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import make_corpus, project_token_range
 from spanbridge.alignproject import (
     AlignedPair,
-    Alignment,
     parse_pharaoh,
     project_corpus_aligned,
     project_sentence_aligned,
@@ -30,9 +29,9 @@ def _reference_span_token_ranges(tokens, spans):
     return ranges
 
 
-def _reference_target_bounds(alignment):
+def _reference_target_bounds(links):
     bounds = {}
-    for i, j in alignment.links:
+    for i, j in links:
         lo, hi = bounds.get(i, (j, j))
         bounds[i] = (lo if lo < j else j, hi if hi > j else j)
     return bounds
@@ -109,13 +108,16 @@ def oracle_project(span_range, links):
 class TestParsePharaoh:
     def test_basic(self):
         a = parse_pharaoh("0-0 1-2 2-1", 3, 3)
-        assert a.links == {(0, 0), (1, 2), (2, 1)}
+        assert a == {(0, 0), (1, 2), (2, 1)}
 
     def test_empty(self):
-        assert parse_pharaoh("", 3, 3).links == frozenset()
+        assert parse_pharaoh("", 3, 3) == frozenset()
+
+    def test_returns_a_frozenset(self):
+        assert type(parse_pharaoh("0-1 1-0", 2, 2)) is frozenset
 
     def test_dedup(self):
-        assert len(parse_pharaoh("0-0 0-0", 1, 1).links) == 1
+        assert len(parse_pharaoh("0-0 0-0", 1, 1)) == 1
 
     def test_out_of_range(self):
         with pytest.raises(FormatError, match="position 0"):
@@ -133,7 +135,7 @@ class TestParsePharaoh:
         assert str(e.value) == f"malformed alignment pair {token!r} at position 1"
 
     def test_decimal_digits_of_other_scripts_are_read(self):
-        assert parse_pharaoh("٠-١ २-0", 3, 3).links == {(0, 1), (2, 0)}
+        assert parse_pharaoh("٠-١ २-0", 3, 3) == {(0, 1), (2, 0)}
 
 
 class TestProjectSpan:
@@ -168,7 +170,7 @@ class TestProjectSpan:
             tokens = tuple(sent.text.split(" "))
             n = len(tokens)
             links = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
-            outcome = project_sentence_aligned(sent, AlignedPair(tokens, tokens, Alignment(links)))
+            outcome = project_sentence_aligned(sent, AlignedPair(tokens, tokens, links))
             ranges = span_token_ranges(tokens, sent.spans)
             targets = [oracle_project(r, sorted(links)) for r in ranges]
             outcomes.add(outcome.reason or outcome.status)
@@ -193,7 +195,7 @@ class TestProjectSpan:
 def identity_pair(sentence: AnnotatedSentence) -> AlignedPair:
     tokens = tuple(sentence.text.split(" "))
     links = frozenset((i, i) for i in range(len(tokens)))
-    return AlignedPair(tokens, tokens, Alignment(links))
+    return AlignedPair(tokens, tokens, links)
 
 
 class TestProjectSentenceAligned:
@@ -213,6 +215,13 @@ class TestProjectSentenceAligned:
         for src, out in zip(corpus, projected):
             assert out.text == src.text and out.spans == src.spans
 
+    def test_contract_error_names_the_line(self):
+        corpus = [AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "X"),)),
+                  AnnotatedSentence("c d e", (LabeledSpan(0, 0, 1, "X"), LabeledSpan(1, 2, 4, "Y")))]
+        with pytest.raises(FormatError) as raised:
+            project_corpus_aligned(corpus, [identity_pair(s) for s in corpus])
+        assert str(raised.value) == "line 2: span 1 (2,4) not on token boundary"
+
     def test_one_pair_per_sentence(self):
         corpus = make_corpus(3, seed=9)
         with pytest.raises(FormatError, match="^3 sentences but 2 aligned pairs$"):
@@ -224,7 +233,7 @@ class TestProjectSentenceAligned:
         pair = AlignedPair(
             tuple(sent.text.split(" ")),
             ("他", "住", "在", "纽", "约"),
-            Alignment(frozenset({(0, 0), (1, 1), (2, 2), (3, 3)})),  # "York" unaligned
+            frozenset({(0, 0), (1, 1), (2, 2), (3, 3)}),  # "York" unaligned
         )
         outcome = project_sentence_aligned(sent, pair)
         assert outcome.status == PROJECTED
@@ -237,7 +246,7 @@ class TestProjectSentenceAligned:
                                  (LabeledSpan(0, 0, 1, "X"), LabeledSpan(1, 4, 5, "Y")))
         pair = AlignedPair(
             ("a", "b", "c", "d"), ("p", "q"),
-            Alignment(frozenset({(0, 0), (0, 1), (2, 0)})),
+            frozenset({(0, 0), (0, 1), (2, 0)}),
         )
         outcome = project_sentence_aligned(sent, pair)
         assert outcome.status == FILTERED
@@ -245,14 +254,14 @@ class TestProjectSentenceAligned:
 
     def test_unprojectable_filtered(self):
         sent = AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "X"),))
-        pair = AlignedPair(("a", "b"), ("p",), Alignment(frozenset({(1, 0)})))
+        pair = AlignedPair(("a", "b"), ("p",), frozenset({(1, 0)}))
         outcome = project_sentence_aligned(sent, pair)
         assert outcome.status == FILTERED
         assert outcome.reason == "Unprojectable"
 
     def test_token_mismatch_contract_error(self):
         sent = AnnotatedSentence("a b", ())
-        pair = AlignedPair(("a", "c"), ("p",), Alignment(frozenset()))
+        pair = AlignedPair(("a", "c"), ("p",), frozenset())
         with pytest.raises(FormatError):
             project_sentence_aligned(sent, pair)
 
@@ -261,7 +270,7 @@ class TestProjectSentenceAligned:
         # span 0 is unprojectable under the first link set; span 1 ("b ") is
         # off the token boundaries under both
         sent = AnnotatedSentence("a b c", (LabeledSpan(0, 0, 1, "X"), LabeledSpan(1, 2, 4, "Y")))
-        pair = AlignedPair(("a", "b", "c"), ("p", "q", "r"), Alignment(frozenset(links)))
+        pair = AlignedPair(("a", "b", "c"), ("p", "q", "r"), frozenset(links))
         with pytest.raises(FormatError, match=r"span 1 \(2,4\) not on token boundary"):
             project_sentence_aligned(sent, pair)
 
@@ -275,7 +284,7 @@ class TestProjectSentenceAligned:
             tgt = tuple(f"t{j}" for j in range(m))
             links = frozenset((rng.randrange(n), rng.randrange(m))
                               for _ in range(rng.randint(0, 2 * n)))
-            pair = AlignedPair(tokens, tgt, Alignment(links))
+            pair = AlignedPair(tokens, tgt, links)
             outcome = project_sentence_aligned(sent, pair)
             if outcome.status == PROJECTED:
                 assert len(outcome.sentence.spans) == len(sent.spans)
@@ -289,12 +298,12 @@ class TestProjectSentenceAligned:
         for _ in range(200):
             links = {(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randint(1, 10))}
             full = project_sentence_aligned(
-                sent, AlignedPair(tokens, tokens, Alignment(frozenset(links))))
+                sent, AlignedPair(tokens, tokens, frozenset(links)))
             smaller = set(links)
             if smaller:
                 smaller.pop()
             reduced = project_sentence_aligned(
-                sent, AlignedPair(tokens, tokens, Alignment(frozenset(smaller))))
+                sent, AlignedPair(tokens, tokens, frozenset(smaller)))
             if full.status == FILTERED and reduced.status == PROJECTED:
                 # labels must still be the source labels (spans may reorder in
                 # target position, but none may change or disappear)
@@ -317,7 +326,7 @@ def _random_aligned_corpus(n, seed):
         tgt = tuple(f"t{j}" * rng.randint(1, 3) for j in range(rng.randint(1, 2 * len(src))))
         links = {(rng.randrange(len(src)), rng.randrange(len(tgt)))
                  for _ in range(rng.randint(0, 3 * len(src)))}
-        items.append((sent, AlignedPair(src, tgt, Alignment(links))))
+        items.append((sent, AlignedPair(src, tgt, links)))
     return items
 
 
@@ -347,7 +356,7 @@ class TestRelations:
             at = {(s.start, s.end): s.id for s in out.spans}
             target_of = []
             for span, r in zip(sent.spans, span_token_ranges(pair.src_tokens, sent.spans)):
-                first, stop = oracle_project(r, sorted(pair.alignment.links))
+                first, stop = oracle_project(r, sorted(pair.alignment))
                 target_of.append(at[(bounds[first][0], bounds[stop - 1][1])])
                 assert out.spans[target_of[-1]].label == span.label
             assert out.relations == tuple(
@@ -438,10 +447,17 @@ class TestAgainstReference:
 
 
 class TestAlignedPair:
+    def test_links_from_a_set_a_list_or_a_frozenset_are_equal(self):
+        links = [(0, 0), (1, 0), (0, 0)]
+        pairs = [AlignedPair(("a", "b"), ("x",), make(links)) for make in (set, list, frozenset)]
+        assert all(type(p.alignment) is frozenset for p in pairs)
+        assert pairs[0] == pairs[1] == pairs[2]
+        assert len({hash(p) for p in pairs}) == 1
+
     def test_only_an_empty_target_token_is_rejected(self):
         for tgt, position in [(("",), 0), (("x", ""), 1), (("x", "", ""), 1)]:
             with pytest.raises(FormatError, match=f"^target token {position} is empty$"):
-                AlignedPair(("a",), tgt, Alignment(frozenset()))
+                AlignedPair(("a",), tgt, frozenset())
         # "a  b" splits into an empty middle token, and no span can sit on it
-        pair = AlignedPair(("a", "", "b"), ("x",), Alignment({(0, 0)}))
+        pair = AlignedPair(("a", "", "b"), ("x",), {(0, 0)})
         assert pair.src_tokens == ("a", "", "b")

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_corpus, make_entity_corpus
-from spanbridge import easyproject, translate as tr
+from spanbridge import easyproject, metrics, translate as tr
 from spanbridge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, run
 from spanbridge.core import AnnotatedSentence, LabeledSpan, RelationLink, emit_jsonl, parse_jsonl
 from spanbridge.markers import MarkerScheme, insert_markers
@@ -358,6 +358,24 @@ class TestAlignProjectCommand:
         assert capsys.readouterr().err == f"error: line 2: {message}\n"
         assert not (tmp_path / "o").exists()
 
+    def test_a_pharaoh_fault_is_reported_before_a_span_fault_on_an_earlier_line(
+            self, tmp_path, capsys):
+        # alignments are parsed for every line before any span is projected
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl([
+            AnnotatedSentence("a b", (LabeledSpan(0, 0, 2, "X"),)),
+            AnnotatedSentence("c d", (LabeledSpan(0, 0, 1, "Y"),)),
+        ]), encoding="utf-8")
+        (tmp_path / "t.txt").write_text("p q\nr s\n", encoding="utf-8")
+        (tmp_path / "a.txt").write_text("0-0 1-1\n0-0 x-1\n", encoding="utf-8")
+        code = run(["align-project", "--in", str(path),
+                    "--translations", str(tmp_path / "t.txt"),
+                    "--alignments", str(tmp_path / "a.txt"),
+                    "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: line 2: malformed alignment pair 'x-1' at position 1\n"
+
     def test_relations_follow_their_spans(self, tmp_path):
         path = tmp_path / "in.jsonl"
         path.write_text(emit_jsonl([AnnotatedSentence(
@@ -464,6 +482,20 @@ class TestMetricsCommands:
         assert run(["stats", "--in", str(path)]) == EXIT_OK
         stats = json.loads(capsys.readouterr().out)
         assert stats["n_sentences"] == 30
+
+    def test_stats_prints_the_corpus_stats_dict(self, corpus_file, capsys):
+        path, corpus = corpus_file
+        assert run(["stats", "--in", str(path)]) == EXIT_OK
+        stats = metrics.corpus_stats(corpus)
+        assert capsys.readouterr().out == json.dumps(stats, sort_keys=True) + "\n"
+        assert list(stats["label_histogram"]) == sorted(stats["label_histogram"])
+
+    def test_stats_of_a_conll_label_with_whitespace_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "in.conll"
+        path.write_text("w\tO\n\nx\tB-a b\ny\tO\n", encoding="utf-8")
+        assert run(["stats", "--in", str(path), "--format", "conll"]) == EXIT_USAGE
+        assert capsys.readouterr() == \
+            ("", "error: span 0: label must be non-empty without whitespace at line 3\n")
 
     def test_bleu_with_strip(self, tmp_path, corpus_file, capsys):
         _, corpus = corpus_file

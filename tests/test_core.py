@@ -86,6 +86,17 @@ class TestParseConll:
             parse_conll(text)
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize("text, line", [
+        ("x\tB-a b\ny\tO\n", 1),
+        ("w\tO\nx\tB-\n", 2),
+        ("x\tB-X\r\n", 1),
+    ], ids=["space", "empty", "carriage-return"])
+    def test_bad_label_names_the_line(self, text, line):
+        with pytest.raises(FormatError) as raised:
+            parse_conll(text)
+        assert str(raised.value) == \
+            f"span 0: label must be non-empty without whitespace at line {line}"
+
     def test_stray_i_tag_strict_vs_lenient(self):
         with pytest.raises(FormatError):
             parse_conll("York\tI-LOC\n")
@@ -123,6 +134,17 @@ class TestBioSpans:
     def test_length_mismatch(self):
         with pytest.raises(FormatError, match="length mismatch"):
             spans_from_bio(["a"], ["O", "O"])
+
+    @pytest.mark.parametrize("tokens, tags, token", [
+        (["x", "y"], ["B-a b", "O"], 0),
+        (["w", "x", "y"], ["O", "B-a b", "I-a b"], 1),
+        (["w", "x"], ["B-X", "I-"], 1),
+    ], ids=["space", "space-in-a-run", "empty"])
+    def test_bad_label_names_the_run_s_first_token(self, tokens, tags, token):
+        with pytest.raises(FormatError) as raised:
+            spans_from_bio(tokens, tags, lenient=True)
+        assert str(raised.value).endswith(
+            f": label must be non-empty without whitespace at token {token}")
 
     def test_adjacent_b_tags(self):
         spans = spans_from_bio(["a", "b"], ["B-X", "B-X"])

@@ -221,7 +221,7 @@ def test_state_restored_when_parse_jsonl_raises(enabled):
 @pytest.mark.parametrize("enabled", [True, False])
 def test_state_restored_when_project_corpus_aligned_raises(enabled):
     sentence = parse_jsonl('{"text": "a b"}')[0]
-    pair = alignproject.AlignedPair(("a", "c"), ("x", "y"), alignproject.Alignment({(0, 0)}))
+    pair = alignproject.AlignedPair(("a", "c"), ("x", "y"), {(0, 0)})
     gc.enable() if enabled else gc.disable()
     with pytest.raises(FormatError, match="does not match the aligned source tokens"):
         alignproject.project_corpus_aligned([sentence], [pair])

@@ -6,7 +6,7 @@ from conftest import make_corpus
 from spanbridge.core import AnnotatedSentence, LabeledSpan
 from spanbridge.easyproject import ProjectionReport
 from spanbridge.markers import MarkerScheme, insert_markers, strip_markers
-from spanbridge.metrics import BleuConfig, corpus_bleu, corpus_stats, projection_rate
+from spanbridge.metrics import corpus_bleu, corpus_stats, projection_rate
 
 
 def _report(projected, filtered, failed=0):
@@ -39,7 +39,7 @@ class TestCorpusBleu:
 
     def test_clipped_counts(self):
         score = corpus_bleu([["the", "the", "the", "the"]], [["the", "cat"]],
-                            BleuConfig(max_n=1))
+                            max_n=1)
         assert abs(score - 0.25) < 1e-12
 
     def test_empty_hypothesis_zero(self):
@@ -48,7 +48,7 @@ class TestCorpusBleu:
     def test_brevity_penalty(self):
         # hyp 2 tokens all matching, ref 4 tokens: p1=1, BP=exp(1-2)
         import math
-        score = corpus_bleu([["a", "b"]], [["a", "b", "c", "d"]], BleuConfig(max_n=1))
+        score = corpus_bleu([["a", "b"]], [["a", "b", "c", "d"]], max_n=1)
         assert abs(score - math.exp(-1.0)) < 1e-12
 
     def test_zero_precision_zero_score(self):
@@ -101,14 +101,14 @@ class TestCorpusStats:
                 LabeledSpan(i, 2 * i, 2 * i + 1, "Y") for i in range(3))),
         ]
         stats = corpus_stats(sents)
-        assert stats.avg_spans_per_sentence == 2.0
-        assert stats.avg_tokens_per_sentence == 3.0
-        assert dict(stats.label_histogram) == {"X": 1, "Y": 3}
+        assert stats["avg_spans_per_sentence"] == 2.0
+        assert stats["avg_tokens_per_sentence"] == 3.0
+        assert stats["label_histogram"] == {"X": 1, "Y": 3}
 
     def test_no_spans(self):
         stats = corpus_stats([AnnotatedSentence("a b c", ())])
-        assert stats.avg_tokens_per_sentence == 3.0
-        assert stats.avg_spans_per_sentence == 0.0
+        assert stats["avg_tokens_per_sentence"] == 3.0
+        assert stats["avg_spans_per_sentence"] == 0.0
 
     def test_wikiann_style_average(self):
         # 7 spans over 5 sentences -> 1.4 average
@@ -118,7 +118,7 @@ class TestCorpusStats:
             tokens = " ".join("tok" for _ in range(2 * n))
             spans = tuple(LabeledSpan(i, 8 * i, 8 * i + 3, "ENT") for i in range(n))
             sents.append(AnnotatedSentence(tokens, spans))
-        assert corpus_stats(sents).avg_spans_per_sentence == pytest.approx(1.4)
+        assert corpus_stats(sents)["avg_spans_per_sentence"] == pytest.approx(1.4)
 
     def test_empty_corpus_error(self):
         with pytest.raises(ValueError):

@@ -37,13 +37,9 @@ SAMPLES = {
     easyproject.Assignment: easyproject.Assignment((0,), False),
     easyproject.ProjectionOutcome: easyproject.ProjectionOutcome(easyproject.PROJECTED),
     easyproject.ProjectionReport: easyproject.ProjectionReport(),
-    alignproject.Alignment: alignproject.Alignment({(0, 0)}),
-    alignproject.AlignedPair: alignproject.AlignedPair(("ab",), ("ba",),
-                                                       alignproject.Alignment({(0, 0)})),
+    alignproject.AlignedPair: alignproject.AlignedPair(("ab",), ("ba",), {(0, 0)}),
     ftdata.ParallelPair: ftdata.ParallelPair(SENTENCE, "ab cd"),
     ftdata.FtDataConfig: ftdata.FtDataConfig(),
-    metrics.BleuConfig: metrics.BleuConfig(),
-    metrics.CorpusStats: metrics.corpus_stats([SENTENCE]),
 }
 
 
@@ -55,7 +51,8 @@ SAMPLES = {
      "unknown fallback 'skip'"),
     (lambda: ftdata.FtDataConfig(k=0), ValueError, "pair budget k must be >= 1"),
     (lambda: ftdata.FtDataConfig(length_sort="up"), ValueError, "unknown sort direction 'up'"),
-    (lambda: metrics.BleuConfig(max_n=0), ValueError, "max_n must be >= 1"),
+    (lambda: metrics.corpus_bleu([["ab"]], [["ab"]], max_n=0), ValueError,
+     "max_n must be >= 1"),
     (lambda: translate.TranslateRequest(("ab",), "", "de"), ValueError,
      "src_lang and tgt_lang must be non-empty"),
     (lambda: translate.TranslateRequest(("ab", ""), "en", "de"), ValueError,
@@ -64,7 +61,7 @@ SAMPLES = {
      "request items must be a sequence of strings, not one string"),
     (lambda: translate.TranslateRequest(("ab", 5), "en", "de"), ValueError,
      "request items must be strings, got int"),
-    (lambda: alignproject.AlignedPair(("ab",), ("ba",), alignproject.Alignment({(0, 1)})),
+    (lambda: alignproject.AlignedPair(("ab",), ("ba",), {(0, 1)}),
      FormatError, "alignment link 0-1 out of range"),
     (lambda: core.QaExample("q0", "who?", "ab", LabeledSpan(0, 0, 3, "ANSWER")), FormatError,
      "q0: answer span exceeds context length"),
