@@ -454,6 +454,16 @@ class TestAlignedPair:
         assert pairs[0] == pairs[1] == pairs[2]
         assert len({hash(p) for p in pairs}) == 1
 
+    def test_a_frozenset_is_kept_and_a_set_is_copied(self):
+        links = frozenset({(0, 0)})
+        assert AlignedPair(("a",), ("x",), links).alignment is links
+        mutable = {(0, 0)}
+        pair = AlignedPair(("a",), ("x",), mutable)
+        mutable.add((0, 1))  # out of range, had the pair kept the set
+        assert pair.alignment == frozenset({(0, 0)})
+        with pytest.raises(AttributeError):
+            pair.alignment.add((0, 0))
+
     def test_only_an_empty_target_token_is_rejected(self):
         for tgt, position in [(("",), 0), (("x", ""), 1), (("x", "", ""), 1)]:
             with pytest.raises(FormatError, match=f"^target token {position} is empty$"):

@@ -68,6 +68,21 @@ class TestCorpusBleu:
         assert corpus_bleu([hyps[i] for i in order], [refs[i] for i in order]) == \
             pytest.approx(base, abs=1e-15)
 
+    def test_max_n_defaults_to_four(self):
+        # unigrams all match but no bigram does: only max_n=1 leaves a nonzero score
+        hyps, refs = [["a", "b", "c", "d", "e"]], [["e", "d", "c", "b", "a"]]
+        assert corpus_bleu(hyps, refs, max_n=1) == 1.0
+        assert corpus_bleu(hyps, refs) == corpus_bleu(hyps, refs, max_n=4) == 0.0
+        # orders 1..4 all match, and order 5 is what max_n=5 would add
+        hyps, refs = [["a", "b", "c", "d", "x"]], [["a", "b", "c", "d", "y"]]
+        assert corpus_bleu(hyps, refs) == corpus_bleu(hyps, refs, max_n=4) > 0.0
+        assert corpus_bleu(hyps, refs, max_n=5) == 0.0
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_max_n_below_one_is_refused_before_the_corpus(self, max_n):
+        with pytest.raises(ValueError, match="^max_n must be >= 1$"):
+            corpus_bleu([], [["a"]], max_n=max_n)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             corpus_bleu([["a"]], [["a"], ["b"]])
@@ -123,3 +138,15 @@ class TestCorpusStats:
     def test_empty_corpus_error(self):
         with pytest.raises(ValueError):
             corpus_stats([])
+
+    def test_each_call_returns_a_fresh_dict(self):
+        sents = [AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "Y"), LabeledSpan(1, 2, 3, "X")))]
+        first = corpus_stats(sents)
+        assert list(first) == ["n_sentences", "avg_tokens_per_sentence",
+                               "avg_spans_per_sentence", "label_histogram"]
+        assert list(first["label_histogram"]) == ["X", "Y"]
+        first["n_sentences"] = 0
+        first["label_histogram"]["X"] = 0
+        assert corpus_stats(sents) == {"n_sentences": 1, "avg_tokens_per_sentence": 2.0,
+                                       "avg_spans_per_sentence": 2.0,
+                                       "label_histogram": {"X": 1, "Y": 1}}
