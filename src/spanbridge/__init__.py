@@ -22,8 +22,6 @@ _SOURCES = {
     "QaExample": "core",
     "RelationLink": "core",
     "MatcherConfig": "easyproject",
-    "ProjectionOutcome": "easyproject",
-    "ProjectionReport": "easyproject",
     "fuzzy_ratio": "easyproject",
     "project_corpus": "easyproject",
     "project_qa": "easyproject",
@@ -34,6 +32,8 @@ _SOURCES = {
     "strip_markers": "markers",
     "corpus_bleu": "metrics",
     "corpus_stats": "metrics",
+    "ProjectionOutcome": "metrics",
+    "ProjectionReport": "metrics",
     "projection_rate": "metrics",
 }
 

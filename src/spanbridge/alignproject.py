@@ -12,7 +12,7 @@ from itertools import accumulate
 from operator import itemgetter
 
 from .core import AnnotatedSentence, FormatError, gc_paused, record, span_token_ranges
-from .easyproject import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport, _tally
+from .metrics import FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport, tally
 
 
 @record
@@ -65,26 +65,6 @@ def _target_bounds(links: frozenset[tuple[int, int]]) -> dict[int, list[int]]:
     return bounds
 
 
-def _project_range(first: int, stop: int, bounds: dict[int, list[int]]
-                   ) -> tuple[tuple[int, int] | None, list[int]]:
-    """The [lo, hi + 1) target range of source tokens first..stop - 1, None if
-    none is aligned, and the unaligned ones among them."""
-    lo = hi = -1
-    unaligned = []
-    for i in range(first, stop):
-        b = bounds.get(i)
-        if b is None:
-            unaligned.append(i)
-        elif lo < 0:
-            lo, hi = b
-        else:
-            if b[0] < lo:
-                lo = b[0]
-            if b[1] > hi:
-                hi = b[1]
-    return (None if lo < 0 else (lo, hi + 1)), unaligned
-
-
 def project_sentence_aligned(
     sentence: AnnotatedSentence, pair: AlignedPair
 ) -> ProjectionOutcome:
@@ -103,8 +83,20 @@ def project_sentence_aligned(
     diagnostics: list[str] = []
     placed: list[tuple[int, int, int]] = []  # (source span id, lo, hi + 1) target tokens
     for span, (first, stop) in zip(sentence.spans, tok_ranges):
-        target, unaligned = _project_range(first, stop, bounds)
-        if target is None:
+        lo = hi = -1
+        unaligned = []
+        for i in range(first, stop):
+            b = bounds.get(i)
+            if b is None:
+                unaligned.append(i)
+            elif lo < 0:
+                lo, hi = b
+            else:
+                if b[0] < lo:
+                    lo = b[0]
+                if b[1] > hi:
+                    hi = b[1]
+        if lo < 0:
             return ProjectionOutcome(
                 FILTERED, "Unprojectable",
                 diagnostics=(f"span {span.id} has no aligned target tokens",),
@@ -114,7 +106,7 @@ def project_sentence_aligned(
                 f"boundary-risk: span {span.id} has unaligned source tokens {unaligned}; "
                 "target range may be truncated"
             )
-        placed.append((span.id, *target))
+        placed.append((span.id, lo, hi + 1))
 
     placed.sort(key=itemgetter(1))
     tgt_tokens = pair.tgt_tokens
@@ -138,7 +130,7 @@ def project_corpus_aligned(
     A sentence's contract error names its 1-based position as `line N`."""
     if len(sentences) != len(pairs):
         raise FormatError(f"{len(sentences)} sentences but {len(pairs)} aligned pairs")
-    return _tally(_project_each(sentences, pairs))
+    return tally(_project_each(sentences, pairs))
 
 
 def _project_each(sentences, pairs):

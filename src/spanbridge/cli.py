@@ -180,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True, help="annotated source JSONL")
     p.add_argument("--tgt", required=True, help="target sentences, one per line")
     p.add_argument("--out", required=True, help="output TSV: marked_src TAB marked_tgt")
-    p.add_argument("--k", type=int, default=5000)
+    p.add_argument("--k", type=_positive_int, default=5000, help="pair budget, at least 1")
     p.add_argument("--case-sensitive", action="store_true")
     p.add_argument("--sort", default="descending", choices=["descending", "ascending"])
     _add_backend_flags(p)
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--strip-scheme", choices=sorted(markers.SCHEME_KINDS))
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_positive_int, default=4, help="n-gram orders, at least 1")
 
     p = sub.add_parser("rate", help="projection rate from a report JSON")
     p.add_argument("--report", required=True)
@@ -220,11 +220,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     else:
         return argv
     try:
-        text = _read(path)
+        lines = _read_lines(path)
     except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read config file: {e}") from None
     pre: list[str] = []
-    for line in text.splitlines():
+    for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -356,7 +356,7 @@ def _cmd_rate(args) -> int:
             and 0 <= report["projected"] <= report["total"]):
         raise UsageError(f"{args.report}: not a projection report")
     rate = metrics.projection_rate(
-        easyproject.ProjectionReport(total=report["total"], projected=report["projected"]))
+        metrics.ProjectionReport(total=report["total"], projected=report["projected"]))
     print(json.dumps({"projection_rate": rate}))
     return EXIT_OK
 

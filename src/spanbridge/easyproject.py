@@ -9,8 +9,7 @@ translated mentions (brackets, quotes).
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterator, Sequence
 from itertools import accumulate, pairwise
 
 from .core import AnnotatedSentence, FormatError, QaExample, gc_paused, record
@@ -23,6 +22,7 @@ from .markers import (
     extract_markers,
     insert_markers,
 )
+from .metrics import FAILED, FILTERED, PROJECTED, ProjectionOutcome, ProjectionReport, tally
 from .translate import DEFAULT_MAX_IN_FLIGHT, TranslatedItem, TranslateRequest, translate
 
 MATCH_FUZZY = "fuzzy"
@@ -30,10 +30,6 @@ MATCH_SEQUENTIAL = "sequential"
 
 FALLBACK_POSITIONAL = "positional"
 FALLBACK_DROP = "drop"
-
-PROJECTED = "Projected"
-FILTERED = "Filtered"
-FAILED = "Failed"
 
 
 # ---------------------------------------------------------------------------
@@ -166,45 +162,6 @@ def assign_labels_fuzzy(
 # Projection pipeline
 
 
-@record
-class ProjectionOutcome:
-    status: str
-    reason: str = ""
-    sentence: AnnotatedSentence | None = None
-    qa: QaExample | None = None
-    diagnostics: tuple[str, ...] = ()
-    low_confidence: bool = False
-
-
-@dataclass(slots=True)
-class ProjectionReport:
-    total: int = 0
-    projected: int = 0
-    filtered: int = 0
-    failed: int = 0
-    reasons: dict[str, int] = field(default_factory=dict)
-
-    def add(self, outcome: ProjectionOutcome):
-        self.total += 1
-        if outcome.status == PROJECTED:
-            self.projected += 1
-        elif outcome.status == FILTERED:
-            self.filtered += 1
-        else:
-            self.failed += 1
-        if outcome.reason:
-            self.reasons[outcome.reason] = self.reasons.get(outcome.reason, 0) + 1
-
-    def to_json(self) -> dict:
-        return {
-            "total": self.total,
-            "projected": self.projected,
-            "filtered": self.filtered,
-            "failed": self.failed,
-            "reasons": dict(sorted(self.reasons.items())),
-        }
-
-
 def _plan(sentence: AnnotatedSentence, scheme: MarkerScheme, cfg: MatcherConfig
           ) -> tuple[ProjectionOutcome | None, MarkedText | None, tuple[str, ...]]:
     """(outcome, marked, items) of one sentence: its outcome if decided before
@@ -275,18 +232,6 @@ def _project(sentences: list[AnnotatedSentence], backend, scheme: MarkerScheme,
         yield _resolve(sentence, marked, items, scheme, cfg) if outcome is None else outcome
 
 
-def _tally(outcomes: Iterable[ProjectionOutcome]
-           ) -> tuple[list[AnnotatedSentence], ProjectionReport]:
-    """Projected sentences in order plus the report of all outcomes, in one pass."""
-    report = ProjectionReport()
-    projected: list[AnnotatedSentence] = []
-    for outcome in outcomes:
-        report.add(outcome)
-        if outcome.status == PROJECTED:
-            projected.append(outcome.sentence)
-    return projected, report
-
-
 def project_sentence(
     sentence: AnnotatedSentence,
     backend,
@@ -316,8 +261,8 @@ def project_corpus(
     fails every sentence with an item in the faulted batch. The cyclic
     collector is off throughout (core.gc_paused): cycles the backend makes
     are freed after it returns."""
-    return _tally(_project(sentences, backend, scheme, cfg or MatcherConfig(),
-                           src_lang, tgt_lang, jobs))
+    return tally(_project(sentences, backend, scheme, cfg or MatcherConfig(),
+                          src_lang, tgt_lang, jobs))
 
 
 def project_qa(

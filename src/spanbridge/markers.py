@@ -239,11 +239,20 @@ def _wrap(text: str, ranges: Iterable[tuple[int, int]],
 
 def _find_placeholders(text: str, tokens: Collection[str]) -> list[re.Match]:
     """The placeholder `tokens` in `text`, left to right, each matched with every
-    digit after it: a token followed by a digit, as X1 in X10, is not found."""
+    digit after it: a token followed by a digit, as X1 in X10, is not found, but
+    one that a longer label runs into, as X1 in 2X1, is."""
     if not any(token in text for token in tokens):  # most sources hold none: skip the pattern
         return []
-    labels = frozenset([token.rstrip("0123456789") for token in tokens])
-    return [m for m in _label_re(labels).finditer(text) if m.group() in tokens]
+    pattern = _label_re(frozenset([token.rstrip("0123456789") for token in tokens]))
+    found = []
+    pos = 0
+    while m := pattern.search(text, pos):
+        if m.group() in tokens:
+            found.append(m)
+            pos = m.end()
+        else:
+            pos = m.start() + 1
+    return found
 
 
 @functools.lru_cache(maxsize=1024)

@@ -1,15 +1,69 @@
-"""Evaluation: projection rate, corpus BLEU, and corpus statistics."""
+"""Projection results of either method and their evaluation: outcomes, the
+report tallying them, projection rate, corpus BLEU, and corpus statistics."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import TYPE_CHECKING
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
-from .core import AnnotatedSentence
+from .core import AnnotatedSentence, QaExample, record
 
-if TYPE_CHECKING:  # an annotation only: metrics loads core alone
-    from .easyproject import ProjectionReport
+PROJECTED = "Projected"
+FILTERED = "Filtered"
+FAILED = "Failed"
+
+
+@record
+class ProjectionOutcome:
+    status: str
+    reason: str = ""
+    sentence: AnnotatedSentence | None = None
+    qa: QaExample | None = None
+    diagnostics: tuple[str, ...] = ()
+    low_confidence: bool = False
+
+
+@dataclass(slots=True)
+class ProjectionReport:
+    total: int = 0
+    projected: int = 0
+    filtered: int = 0
+    failed: int = 0
+    reasons: dict[str, int] = field(default_factory=dict)
+
+    def add(self, outcome: ProjectionOutcome):
+        self.total += 1
+        if outcome.status == PROJECTED:
+            self.projected += 1
+        elif outcome.status == FILTERED:
+            self.filtered += 1
+        else:
+            self.failed += 1
+        if outcome.reason:
+            self.reasons[outcome.reason] = self.reasons.get(outcome.reason, 0) + 1
+
+    def to_json(self) -> dict:
+        return {
+            "total": self.total,
+            "projected": self.projected,
+            "filtered": self.filtered,
+            "failed": self.failed,
+            "reasons": dict(sorted(self.reasons.items())),
+        }
+
+
+def tally(outcomes: Iterable[ProjectionOutcome]
+          ) -> tuple[list[AnnotatedSentence], ProjectionReport]:
+    """Projected sentences in order plus the report of all outcomes, in one pass."""
+    report = ProjectionReport()
+    projected: list[AnnotatedSentence] = []
+    for outcome in outcomes:
+        report.add(outcome)
+        if outcome.status == PROJECTED:
+            projected.append(outcome.sentence)
+    return projected, report
 
 
 def projection_rate(report: ProjectionReport) -> float:

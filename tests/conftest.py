@@ -6,7 +6,7 @@ import random
 
 from spanbridge.alignproject import AlignedPair, project_sentence_aligned
 from spanbridge.core import AnnotatedSentence, LabeledSpan, token_bounds
-from spanbridge.easyproject import FILTERED
+from spanbridge.metrics import FILTERED
 from spanbridge.translate import TranslatedItem, TranslateRequest, TranslateResponse
 
 # word pool mixing scripts; none contain marker characters

@@ -12,7 +12,7 @@ from spanbridge.alignproject import (
 )
 from spanbridge.core import (AnnotatedSentence, FormatError, LabeledSpan, RelationLink,
                              span_token_ranges, token_bounds)
-from spanbridge.easyproject import FILTERED, PROJECTED, ProjectionOutcome
+from spanbridge.metrics import FILTERED, PROJECTED, ProjectionOutcome
 
 
 def _reference_span_token_ranges(tokens, spans):

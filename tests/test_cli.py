@@ -558,6 +558,25 @@ class TestMetricsCommands:
             "error: line 2: span 0: offsets must be integers, got '0' and 1\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["bleu", "--hyp", "missing.txt", "--ref", "missing.txt", "--max-n"],
+    ["build-ftdata", "--src", "missing.jsonl", "--tgt", "missing.txt", "--out", "o", "--k"],
+], ids=["bleu-max-n", "build-ftdata-k"])
+@pytest.mark.parametrize("value, problem", [("0", "must be at least 1, got 0"),
+                                            ("-3", "must be at least 1, got -3"),
+                                            ("x", "invalid int value: 'x'")],
+                         ids=["0", "-3", "x"])
+def test_count_below_one_is_refused_where_the_flag_is_parsed(tmp_path, capsys, monkeypatch,
+                                                             command, value, problem):
+    # the inputs do not exist: the flag is refused before any file is read
+    monkeypatch.chdir(tmp_path)
+    assert run(command + [value]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {command[-1]}: {problem}\n")
+    assert "missing" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_python_dash_m_runs_the_cli(tmp_path, corpus_file):
     path, _ = corpus_file
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -753,6 +772,22 @@ class TestConfigFile:
         assert capsys.readouterr().err == \
             f"error: cannot read config file: {reason.format(cfg=cfg)}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85"], ids=["U+2028", "U+0085"])
+    def test_config_line_ends_only_at_a_newline(self, tmp_path, corpus_file, separator):
+        # as in every other line file, a Unicode line separator stays inside its line
+        path, _ = corpus_file
+        lexicon = tmp_path / f"le{separator}x.json"
+        lexicon.write_text('{"alpha": "ALPHA"}', encoding="utf-8")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"backend=lexicon\nlexicon={lexicon}\n", encoding="utf-8")
+        by_config, by_flag = tmp_path / "config.jsonl", tmp_path / "flag.jsonl"
+        assert run(["project", "--config", str(cfg), "--in", str(path),
+                    "--out", str(by_config)]) == EXIT_OK
+        assert run(["project", "--in", str(path), "--out", str(by_flag),
+                    "--backend", "lexicon", "--lexicon", str(lexicon)]) == EXIT_OK
+        assert by_config.read_bytes() == by_flag.read_bytes()
+        assert "ALPHA" in by_flag.read_text(encoding="utf-8")
 
     def test_abbreviated_config_is_usage_error(self, tmp_path, corpus_file):
         path, _ = corpus_file

@@ -108,6 +108,12 @@ class TestBuildFtPairs:
         pair = _pair("Anna met Bob", ["Anna", "Bob"], "nichts passendes")
         assert build_ft_pairs([pair], IdentityBackend(), CFG) == []
 
+    def test_entity_translated_to_nothing_is_skipped(self):
+        # find("") would match at offset 0, and bracketing an empty range fails the build
+        backend = LexiconBackend(LexiconBackendConfig({"alpha": ""}))
+        pair = _pair("alpha bravo", ["alpha"], "p alpha q")
+        assert build_ft_pairs([pair], backend, CFG) == []
+
     def test_a_before_b_and_truncation(self):
         pairs = []
         # 4 single-entity pairs of increasing length, 3 multi-entity pairs

@@ -671,6 +671,16 @@ class TestCheckTranslatable:
         apart = AnnotatedSentence("a b", (LabeledSpan(0, 0, 1, "LOC"), LabeledSpan(1, 2, 3, "2X")))
         insert_markers(apart, MarkerScheme("placeholder"))
 
+    def test_a_longer_label_running_into_a_token_does_not_hide_it(self):
+        # the text's 2 and the token X1 read as 2X1, a 2X placeholder of no span
+        sentence = AnnotatedSentence("11a121a", (LabeledSpan(0, 1, 2, "2X"),
+                                                 LabeledSpan(1, 5, 6, "X")))
+        scheme = MarkerScheme("placeholder")
+        marked = insert_markers(sentence, scheme)
+        assert marked.text == "12X0a12X1a"
+        result = extract_markers(marked.text, scheme, marked.marker_map)
+        assert (result.status, result.clean_text) == (VALID, sentence.text)
+
     @given(_digit_sentence())
     @settings(max_examples=400)
     def test_refused_exactly_when_an_unchanged_translation_does_not_read_back(self, sentence):

@@ -13,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_entity_corpus
 from spanbridge import translate as translate_module
-from spanbridge.core import AnnotatedSentence, LabeledSpan
+from spanbridge.cli import EXIT_OK, run
+from spanbridge.core import AnnotatedSentence, LabeledSpan, emit_jsonl, parse_jsonl
 from spanbridge.easyproject import project_corpus
 from spanbridge.ftdata import ParallelPair, build_ft_pairs
 from spanbridge.markers import VALID, MarkerScheme, extract_markers, insert_markers
@@ -439,6 +440,46 @@ def http_server():
     server.server_close()
 
 
+class TestProjectCommandOverHttp:
+    """`spanbridge project` against the live local server, which upper-cases its input."""
+
+    def _project(self, tmp_path, name, flags):
+        """(exit code, --out bytes, --report bytes) of one brackets run."""
+        out, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+        code = run(["project", "--in", str(tmp_path / "in.jsonl"), "--out", str(out),
+                    "--report", str(report), "--scheme", "brackets"] + flags)
+        return code, out.read_bytes(), report.read_bytes()
+
+    @pytest.fixture
+    def corpus(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
+        sentences, _ = make_entity_corpus(20, seed=5)
+        (tmp_path / "in.jsonl").write_text(emit_jsonl(sentences), encoding="utf-8")
+        return sentences
+
+    def test_mt_url_flag_and_variable_write_the_same_files(self, tmp_path, http_server,
+                                                          monkeypatch, corpus):
+        by_flag = self._project(tmp_path, "flag", ["--backend", "http", "--mt-url", http_server])
+        monkeypatch.setenv("SPANBRIDGE_MT_URL", http_server)
+        by_variable = self._project(tmp_path, "variable", ["--backend", "http"])
+        assert by_flag[0] == EXIT_OK
+        assert by_variable == by_flag
+        projected = parse_jsonl(by_flag[1].decode("utf-8"))
+        assert [(s.text, s.spans) for s in projected] == \
+            [(s.text.upper(), s.spans) for s in corpus]
+
+    def test_cache_filled_over_http_is_read_offline(self, tmp_path, http_server, corpus):
+        cache = str(tmp_path / "cache.jsonl")
+        online = self._project(tmp_path, "online",
+                               ["--backend", "cache", "--cache", cache, "--mt-url", http_server])
+        calls = _Handler.calls
+        offline = self._project(tmp_path, "offline",
+                                ["--backend", "cache", "--cache", cache, "--offline"])
+        assert online[0] == EXIT_OK and calls > 0
+        assert offline == online
+        assert _Handler.calls == calls
+
+
 class TestHttp:
     def test_basic(self, http_server):
         backend = HttpBackend(http_server, timeout_ms=5000)
@@ -587,7 +628,9 @@ class TestLazyPackage:
         ("import spanbridge", []),
         ("import spanbridge.translate", ["spanbridge.core", "spanbridge.translate"]),
         ("from spanbridge import corpus_bleu", ["spanbridge.core", "spanbridge.metrics"]),
-    ], ids=["package", "translate", "corpus_bleu"])
+        ("import spanbridge.alignproject",
+         ["spanbridge.alignproject", "spanbridge.core", "spanbridge.metrics"]),
+    ], ids=["package", "translate", "corpus_bleu", "alignproject"])
     def test_import_loads_only_what_it_names(self, statement, loaded):
         new = json.loads(run_fresh(
             f"import json, sys; before = set(sys.modules); {statement}; "
