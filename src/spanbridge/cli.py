@@ -41,7 +41,10 @@ def _atomic_write(path: str, content: str):
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as f:
-        return f.read()
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:  # name the file: a command may read three
+            raise UsageError(f"{path}: {e}") from None
 
 
 def _read_lines(path: str) -> list[str]:
@@ -121,8 +124,8 @@ def _add_backend_flags(p: argparse.ArgumentParser):
     p.add_argument("--offline", action="store_true",
                    help="cache backend: fail on cache misses instead of calling upstream")
     p.add_argument("--mt-url", default=None, help="HTTP backend base URL")
-    p.add_argument("--timeout-ms", type=int, default=30000)
-    p.add_argument("--retries", type=int, default=tr.DEFAULT_RETRIES)
+    p.add_argument("--timeout-ms", type=_positive_int, default=30000)
+    p.add_argument("--retries", type=_positive_int, default=tr.DEFAULT_RETRIES)
     p.add_argument("--src-lang", default="src")
     p.add_argument("--tgt-lang", default="tgt")
 
@@ -221,7 +224,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         return argv
     try:
         lines = _read_lines(path)
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, UsageError) as e:
         raise UsageError(f"cannot read config file: {e}") from None
     pre: list[str] = []
     for line in lines:

@@ -189,11 +189,10 @@ class AnnotatedSentence:
             if s.start < prev_end:
                 raise FormatError(f"span {s.id} overlaps previous span or is out of order")
             prev_end = s.end
-        if self.relations:
-            span_ids = {s.id for s in spans}
-            for r in self.relations:
-                if r.head_span_id not in span_ids or r.tail_span_id not in span_ids:
-                    raise FormatError(f"relation {r.kind} references missing span id")
+        # span ids run 0..len(spans)-1, checked above
+        for r in self.relations:
+            if not (0 <= r.head_span_id < len(spans) and 0 <= r.tail_span_id < len(spans)):
+                raise FormatError(f"relation {r.kind} references missing span id")
 
     def onto(self, text: str, placed) -> AnnotatedSentence:
         """This sentence carried onto `text`: placed[t] is the (source span id, start,
@@ -299,21 +298,12 @@ def token_bounds(tokens) -> list[tuple[int, int]]:
     return bounds
 
 
-def span_token_ranges(tokens, spans) -> list[tuple[int, int]]:
-    """[first, last + 1) token range of each span over the tokens, none of
-    which may hold a space, joined by single spaces; `tokens` may also be that
-    text (a str), split at each space. Every span must start and end on a
-    token boundary: in the text, a space or the text's start before it and a
-    space or the text's end after it. Its first token is the number of spaces
-    before it, counted on from the previous span's end, so ordered spans
-    scan the text once."""
-    if isinstance(tokens, str):
-        text = tokens
-    else:
-        text = " ".join(tokens)
-        if tokens and text.count(" ") >= len(tokens):
-            k = next(k for k, token in enumerate(tokens) if " " in token)
-            raise FormatError(f"token {k} holds a space")
+def span_token_ranges(text: str, spans) -> list[tuple[int, int]]:
+    """[first, last + 1) token range of each span over the tokens of `text`,
+    split at each space. Every span must start and end on a token boundary:
+    a space or the text's start before it and a space or the text's end
+    after it. Its first token is the number of spaces before it, counted on
+    from the previous span's end, so ordered spans scan the text once."""
     n = len(text)
     ranges = []
     at = spaces = 0  # spaces == text.count(" ", 0, at)
@@ -332,9 +322,14 @@ def span_token_ranges(tokens, spans) -> list[tuple[int, int]]:
 
 
 def bio_from_spans(tokens: list[str], spans: list[LabeledSpan]) -> list[str]:
-    """Inverse of spans_from_bio: spans must align exactly to token boundaries."""
+    """Inverse of spans_from_bio: spans must align exactly to token boundaries
+    of the tokens joined by single spaces, and no token may hold a space."""
+    text = " ".join(tokens)
+    if tokens and text.count(" ") >= len(tokens):
+        k = next(k for k, token in enumerate(tokens) if " " in token)
+        raise FormatError(f"token {k} holds a space")
     tags = ["O"] * len(tokens)
-    for span, (first, stop) in zip(spans, span_token_ranges(tokens, spans)):
+    for span, (first, stop) in zip(spans, span_token_ranges(text, spans)):
         tags[first] = f"B-{span.label}"
         for i in range(first + 1, stop):
             tags[i] = f"I-{span.label}"
@@ -508,20 +503,15 @@ def emit_squad(examples: list[QaExample], title: str = "spanbridge") -> str:
     Examples sharing a context are grouped into one paragraph, preserving
     first-seen context order.
     """
-    paragraphs: list[dict] = []
-    by_context: dict[str, dict] = {}
+    qas_of: dict[str, list[dict]] = {}
     for ex in examples:
-        para = by_context.get(ex.context)
-        if para is None:
-            para = {"context": ex.context, "qas": []}
-            by_context[ex.context] = para
-            paragraphs.append(para)
-        para["qas"].append(
+        qas_of.setdefault(ex.context, []).append(
             {
                 "answers": [{"answer_start": ex.answer.start, "text": ex.answer_text}],
                 "id": ex.id,
                 "question": ex.question,
             }
         )
+    paragraphs = [{"context": context, "qas": qas} for context, qas in qas_of.items()]
     doc = {"data": [{"paragraphs": paragraphs, "title": title}], "version": "1.1"}
     return json.dumps(doc, ensure_ascii=False, sort_keys=True)

@@ -88,18 +88,13 @@ class ExtractionResult:
     diagnostic: str = ""
 
 
-def _xml_tag_name(i: int) -> str:
-    # bijective base 26: 0 -> a, 25 -> z, 26 -> aa, ...
-    name = ""
+def _xml_tags(i: int) -> tuple[str, str]:
+    # tag names in bijective base 26: 0 -> a, 25 -> z, 26 -> aa, ...
+    tag = ""
     i += 1
     while i > 0:
         i, rem = divmod(i - 1, 26)
-        name = chr(ord("a") + rem) + name
-    return name
-
-
-def _xml_tags(i: int) -> tuple[str, str]:
-    tag = _xml_tag_name(i)
+        tag = chr(ord("a") + rem) + tag
     return f"<{tag}>", f"</{tag}>"
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .core import AnnotatedSentence, QaExample, record
 
@@ -25,24 +24,13 @@ class ProjectionOutcome:
     low_confidence: bool = False
 
 
-@dataclass(slots=True)
+@record
 class ProjectionReport:
     total: int = 0
     projected: int = 0
     filtered: int = 0
     failed: int = 0
-    reasons: dict[str, int] = field(default_factory=dict)
-
-    def add(self, outcome: ProjectionOutcome):
-        self.total += 1
-        if outcome.status == PROJECTED:
-            self.projected += 1
-        elif outcome.status == FILTERED:
-            self.filtered += 1
-        else:
-            self.failed += 1
-        if outcome.reason:
-            self.reasons[outcome.reason] = self.reasons.get(outcome.reason, 0) + 1
+    reasons: tuple[tuple[str, int], ...] = ()  # (reason, count) pairs in reason order
 
     def to_json(self) -> dict:
         return {
@@ -50,20 +38,27 @@ class ProjectionReport:
             "projected": self.projected,
             "filtered": self.filtered,
             "failed": self.failed,
-            "reasons": dict(sorted(self.reasons.items())),
+            "reasons": dict(self.reasons),
         }
 
 
 def tally(outcomes: Iterable[ProjectionOutcome]
           ) -> tuple[list[AnnotatedSentence], ProjectionReport]:
     """Projected sentences in order plus the report of all outcomes, in one pass."""
-    report = ProjectionReport()
     projected: list[AnnotatedSentence] = []
+    total = filtered = 0
+    reasons: Counter = Counter()
     for outcome in outcomes:
-        report.add(outcome)
+        total += 1
         if outcome.status == PROJECTED:
             projected.append(outcome.sentence)
-    return projected, report
+        elif outcome.status == FILTERED:
+            filtered += 1
+        if outcome.reason:
+            reasons[outcome.reason] += 1
+    return projected, ProjectionReport(total, len(projected), filtered,
+                                       total - len(projected) - filtered,
+                                       tuple(sorted(reasons.items())))
 
 
 def projection_rate(report: ProjectionReport) -> float:

@@ -26,7 +26,7 @@ OK = "Ok"
 REORDER_NONE = "none"
 REORDER_REVERSE = "reverse"
 
-DEFAULT_BATCH_SIZE = 32
+BATCH_SIZE = 32
 DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_MS = 500
@@ -369,20 +369,17 @@ def _checked_reply(backend, batch: TranslateRequest) -> tuple[TranslatedItem, ..
 
 
 def translate(request: TranslateRequest, backend,
-              batch_size: int = DEFAULT_BATCH_SIZE,
               max_in_flight: int = DEFAULT_MAX_IN_FLIGHT) -> TranslateResponse:
-    """Translate a request in batches, preserving item order and length.
-    Each distinct item is sent once, in first-seen order. A batch the backend
-    raises on or answers against the contract fails its own items only.
-    Batches hold at least one item, and at least one must be allowed in flight."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    """Translate a request in batches of BATCH_SIZE items, preserving item
+    order and length. Each distinct item is sent once, in first-seen order.
+    A batch the backend raises on or answers against the contract fails its
+    own items only. At least one batch must be allowed in flight."""
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
     unique = tuple(dict.fromkeys(request.items))
     batches = [
-        TranslateRequest(unique[i:i + batch_size], request.src_lang, request.tgt_lang)
-        for i in range(0, len(unique), batch_size)
+        TranslateRequest(unique[i:i + BATCH_SIZE], request.src_lang, request.tgt_lang)
+        for i in range(0, len(unique), BATCH_SIZE)
     ]
     if len(batches) <= 1 or max_in_flight <= 1:
         replies = [_checked_reply(backend, b) for b in batches]

@@ -11,7 +11,7 @@ from spanbridge.alignproject import (
     project_sentence_aligned,
 )
 from spanbridge.core import (AnnotatedSentence, FormatError, LabeledSpan, RelationLink,
-                             span_token_ranges, token_bounds)
+                             bio_from_spans, span_token_ranges, token_bounds)
 from spanbridge.metrics import FILTERED, PROJECTED, ProjectionOutcome
 
 
@@ -171,7 +171,7 @@ class TestProjectSpan:
             n = len(tokens)
             links = {(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))}
             outcome = project_sentence_aligned(sent, AlignedPair(tokens, tokens, links))
-            ranges = span_token_ranges(tokens, sent.spans)
+            ranges = span_token_ranges(" ".join(tokens), sent.spans)
             targets = [oracle_project(r, sorted(links)) for r in ranges]
             outcomes.add(outcome.reason or outcome.status)
             if None in targets:
@@ -355,7 +355,7 @@ class TestRelations:
             bounds = token_bounds(pair.tgt_tokens)
             at = {(s.start, s.end): s.id for s in out.spans}
             target_of = []
-            for span, r in zip(sent.spans, span_token_ranges(pair.src_tokens, sent.spans)):
+            for span, r in zip(sent.spans, span_token_ranges(" ".join(pair.src_tokens), sent.spans)):
                 first, stop = oracle_project(r, sorted(pair.alignment))
                 target_of.append(at[(bounds[first][0], bounds[stop - 1][1])])
                 assert out.spans[target_of[-1]].label == span.label
@@ -436,14 +436,14 @@ class TestAgainstReference:
             want = _reference_span_token_ranges(tokens, spans)
         except FormatError as e:
             with pytest.raises(FormatError) as got:
-                span_token_ranges(tokens, spans)
+                span_token_ranges(" ".join(tokens), spans)
             assert str(got.value) == str(e)
         else:
-            assert span_token_ranges(tokens, spans) == want
+            assert span_token_ranges(" ".join(tokens), spans) == want
 
     def test_span_token_ranges_refuses_a_token_holding_a_space(self):
         with pytest.raises(FormatError, match="^token 1 holds a space$"):
-            span_token_ranges(["a", "b c"], [])
+            bio_from_spans(["a", "b c"], [])
 
 
 class TestAlignedPair:

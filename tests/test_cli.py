@@ -68,18 +68,16 @@ class TestProjectCommand:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: MT URL 'localhost:9'")
 
-    @pytest.mark.parametrize("flag, message", [
-        ("--retries", "error: retries must be at least 1, got 0"),
-        ("--timeout-ms", "error: timeout_ms must be positive, got 0"),
-    ])
+    @pytest.mark.parametrize("flag", ["--retries", "--timeout-ms"])
     def test_http_setting_that_never_succeeds_exit_1(self, tmp_path, corpus_file, capsys,
-                                                     monkeypatch, flag, message):
+                                                     monkeypatch, flag):
         monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
         path, _ = corpus_file
         code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
                     "--backend", "http", "--mt-url", "http://127.0.0.1:9", flag, "0"])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err.startswith(message)
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: must be at least 1, got 0\n")
         assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_exit_1(self, capsys):
@@ -561,7 +559,12 @@ class TestMetricsCommands:
 @pytest.mark.parametrize("command", [
     ["bleu", "--hyp", "missing.txt", "--ref", "missing.txt", "--max-n"],
     ["build-ftdata", "--src", "missing.jsonl", "--tgt", "missing.txt", "--out", "o", "--k"],
-], ids=["bleu-max-n", "build-ftdata-k"])
+    # no URL is set, so no backend would ever check these
+    ["project", "--in", "missing.jsonl", "--out", "o", "--backend", "cache", "--cache", "c.jsonl",
+     "--offline", "--retries"],
+    ["project", "--in", "missing.jsonl", "--out", "o", "--backend", "cache", "--cache", "c.jsonl",
+     "--offline", "--timeout-ms"],
+], ids=["bleu-max-n", "build-ftdata-k", "project-retries", "project-timeout-ms"])
 @pytest.mark.parametrize("value, problem", [("0", "must be at least 1, got 0"),
                                             ("-3", "must be at least 1, got -3"),
                                             ("x", "invalid int value: 'x'")],
@@ -575,6 +578,35 @@ def test_count_below_one_is_refused_where_the_flag_is_parsed(tmp_path, capsys, m
     assert err.endswith(f"error: argument {command[-1]}: {problem}\n")
     assert "missing" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["project", "--in", "bad", "--out", "o"],
+    ["project", "--in", "in", "--out", "o", "--backend", "lexicon", "--lexicon", "bad"],
+    ["align-project", "--in", "in", "--translations", "bad", "--alignments", "align",
+     "--out", "o"],
+    ["align-project", "--in", "in", "--translations", "lines", "--alignments", "bad",
+     "--out", "o"],
+    ["build-ftdata", "--src", "bad", "--tgt", "lines", "--out", "o"],
+    ["build-ftdata", "--src", "in", "--tgt", "bad", "--out", "o"],
+    ["bleu", "--hyp", "bad", "--ref", "lines"],
+    ["bleu", "--hyp", "lines", "--ref", "bad"],
+    ["rate", "--report", "bad"],
+    ["warm-cache", "--in", "bad", "--cache-out", "o"],
+], ids=["project-in", "project-lexicon", "align-project-translations",
+        "align-project-alignments", "build-ftdata-src", "build-ftdata-tgt", "bleu-hyp", "bleu-ref",
+        "rate-report", "warm-cache-in"])
+def test_an_input_file_that_is_not_utf8_is_named(tmp_path, capsys, monkeypatch, command):
+    # every other input is valid UTF-8, so only the file `bad` can be at fault
+    monkeypatch.chdir(tmp_path)
+    Path("in").write_text('{"text": "ab", "spans": []}\n', encoding="utf-8")
+    Path("lines").write_text("ab\n", encoding="utf-8")
+    Path("align").write_text("0-0\n", encoding="utf-8")
+    Path("bad").write_bytes(b"\xff\xfe{}\n")
+    assert run(command) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: bad: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    assert not Path("o").exists()
 
 
 def test_python_dash_m_runs_the_cli(tmp_path, corpus_file):
@@ -758,7 +790,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("content, reason", [
         (b"\xff\xfe=1\n",
-         "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+         "{cfg}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
         (None, "[Errno 2] No such file or directory: '{cfg}'"),
     ], ids=["not-utf-8", "missing"])
     def test_unreadable_config_is_usage_error(self, tmp_path, corpus_file, capsys, content,

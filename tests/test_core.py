@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spanbridge import core
 from spanbridge.core import (
     JSONL_ENCODER,
     AnnotatedSentence,
@@ -158,12 +159,12 @@ class TestBioSpans:
     def test_every_span_checked_for_token_boundaries(self):
         tokens = ["a", "b", "c"]
         assert token_bounds(tokens) == [(0, 1), (2, 3), (4, 5)]
-        assert span_token_ranges(tokens, [LabeledSpan(0, 0, 1, "X"),
-                                          LabeledSpan(1, 2, 5, "Y")]) == [(0, 1), (1, 3)]
+        assert span_token_ranges("a b c", [LabeledSpan(0, 0, 1, "X"),
+                                           LabeledSpan(1, 2, 5, "Y")]) == [(0, 1), (1, 3)]
         off = [LabeledSpan(0, 0, 1, "X"), LabeledSpan(1, 2, 4, "Y")]
-        for convert in (span_token_ranges, bio_from_spans):
+        for convert, source in ((span_token_ranges, "a b c"), (bio_from_spans, tokens)):
             with pytest.raises(FormatError, match=r"span 1 \(2,4\) not on token boundary"):
-                convert(tokens, off)
+                convert(source, off)
 
     @given(st.data())
     def test_inverse_composition(self, data):
@@ -466,6 +467,12 @@ class TestLineCodec:
     def test_encode_line_equals_the_encoder_on(self, obj):
         assert _outcome(encode_line, obj) == _outcome(_encode_reference, obj)
 
+    @pytest.mark.parametrize("obj", _OBJECTS.values(), ids=_OBJECTS)
+    def test_encode_line_without_a_c_encoder_equals_the_encoder_on(self, obj, monkeypatch):
+        # an interpreter built without _json has no C encoder
+        monkeypatch.setattr(core, "_C_ENCODER", None)
+        assert _outcome(encode_line, obj) == _outcome(_encode_reference, obj)
+
 
 class TestInvariants:
     def test_overlap_rejected(self):
@@ -489,9 +496,11 @@ class TestInvariants:
     def test_relation_needs_existing_spans(self):
         from spanbridge.core import RelationLink
 
-        with pytest.raises(FormatError, match="relation"):
-            AnnotatedSentence("abc", (LabeledSpan(0, 0, 1, "A"),),
-                              relations=(RelationLink("r", 0, 5),))
+        spans = (LabeledSpan(0, 0, 1, "A"), LabeledSpan(1, 2, 3, "B"))
+        for head, tail in [(0, 5), (0, 2), (2, 1), (-1, 0), (1, -1)]:
+            with pytest.raises(FormatError, match="^relation r references missing span id$"):
+                AnnotatedSentence("abc", spans, relations=(RelationLink("r", head, tail),))
+        assert AnnotatedSentence("abc", spans, relations=(RelationLink("r", 1, 0),)).relations
 
     def test_qa_single_answer_label(self):
         with pytest.raises(FormatError):

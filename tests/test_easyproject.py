@@ -305,7 +305,7 @@ class TestProjectSentence:
     def test_locale_quotes_filtered_before_translation(self):
         sent = AnnotatedSentence("he said «hi» to Anna", (LabeledSpan(0, 16, 20, "PER"),))
         _, report = project_corpus([sent], IdentityBackend(), MarkerScheme("quotes"))
-        assert report.reasons == {"PreexistingMarker": 1}
+        assert dict(report.reasons) == {"PreexistingMarker": 1}
 
     @pytest.mark.parametrize("kind, text", [
         ("brackets", "a [b] c"),
@@ -400,7 +400,7 @@ class TestProjectCorpus:
         corpus = make_corpus(800, seed=5, with_relations=True)
         backend = LexiconBackend(LexiconBackendConfig({}, reorder="seed:3"))
         _, report = project_corpus(corpus, backend, MarkerScheme(kind, pad_with_space=False))
-        assert report.reasons == {}
+        assert dict(report.reasons) == {}
         assert report.projected == len(corpus)
 
     def test_one_request_per_batch_of_distinct_items(self):
@@ -452,7 +452,7 @@ class TestProjectCorpus:
         projected, report = project_corpus(corpus, FailOneBatch(), scheme, jobs=2)
         hit = [bool(set(_items(s, scheme)) & set(faulted)) for s in corpus]
         assert report.failed == sum(hit) > 0
-        assert report.reasons == {"BackendError": sum(hit)}
+        assert dict(report.reasons) == {"BackendError": sum(hit)}
         assert projected == [s for s, h in zip(corpus, hit) if not h]
 
 

@@ -10,10 +10,7 @@ from spanbridge.metrics import corpus_bleu, corpus_stats, projection_rate
 
 
 def _report(projected, filtered, failed=0):
-    r = ProjectionReport()
-    r.projected, r.filtered, r.failed = projected, filtered, failed
-    r.total = projected + filtered + failed
-    return r
+    return ProjectionReport(projected + filtered + failed, projected, filtered, failed)
 
 
 class TestProjectionRate:
