@@ -1,0 +1,205 @@
+"""Output identity as a checked table.
+
+tests/golden_digests.json maps each command id below to the SHA-256 of what
+the command does: its exit codes, stdout and stderr, and every file it
+writes. The commands run in-process through `cli.run`, each in a fresh
+temporary directory that holds the same seeded inputs under relative names,
+so no digest holds a path. The outputs depend on neither the hash seed nor
+the Python version, so one table serves every interpreter.
+
+    PYTHONPATH=src python3 tests/golden.py            # check; exit 1 on a mismatch
+    PYTHONPATH=src python3 tests/golden.py --update   # rewrite; print the ids that changed
+
+The check needs the standard library alone. A change that alters an output
+on purpose rewrites the table and names each changed id, with its reason,
+in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import random
+import sys
+import tempfile
+
+from conftest import LATIN, make_corpus, make_entity_corpus
+from spanbridge import cli, core
+from spanbridge.markers import SCHEME_KINDS, MarkerScheme, insert_markers
+
+TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+
+
+def _parallel_corpus(n: int, seed: int) -> tuple[str, str, str]:
+    """(JSONL, translations, Pharaoh lines) of entity sentences whose target
+    is the source reversed. Every 9th sentence loses an entity link
+    (Unprojectable), every 13th links an entity into another's target
+    (Overlap), and every 11th loses a seeded link."""
+    sentences, token_map = make_entity_corpus(n, seed)
+    rng = random.Random(seed)
+    translations, lines = [], []
+    for i, s in enumerate(sentences):
+        tokens = s.text.split(" ")
+        last = len(tokens) - 1
+        links = {(k, last - k) for k in range(len(tokens))}  # entity j is token 2j + 1
+        if i % 9 == 4:
+            links.discard((1, last - 1))
+        if i % 13 == 6:
+            links.add((1, last - 3))
+        if i % 11 == 3:
+            links.discard(rng.choice(sorted(links)))
+        translations.append(" ".join(token_map.get(t, t) for t in reversed(tokens)) + "\n")
+        lines.append(" ".join(f"{a}-{b}" for a, b in sorted(links)) + "\n")
+    return core.emit_jsonl(sentences), "".join(translations), "".join(lines)
+
+
+def inputs() -> dict[str, str]:
+    """The files every command directory starts with."""
+    entity, token_map = make_entity_corpus(300, 7)
+    relations = make_corpus(300, 3, max_spans=5, with_relations=True)
+    # already holds brackets, quotes and xml tags, so those schemes filter it
+    relations.append(core.AnnotatedSentence('Anna met "Bob" [in] <b>Rome</b>',
+                                            (core.LabeledSpan(0, 0, 4, "PER"),)))
+    lexicon = {**{w: w.upper() for w in LATIN}, **token_map}
+    brackets = MarkerScheme("brackets")
+    marked = [insert_markers(s, brackets).text for s in entity]
+    # the brackets MT input of the first half of the entity corpus
+    warm = [t for s, m in zip(entity[:150], marked) for t in (m, *s.span_texts())]
+    parallel, parallel_tgt, parallel_align = _parallel_corpus(400, 5)
+    return {
+        "entity.jsonl": core.emit_jsonl(entity),
+        "entity-tgt.txt": "".join(
+            " ".join(lexicon.get(t, t) for t in reversed(s.text.split(" "))) + "\n"
+            for s in entity),
+        "relations.jsonl": core.emit_jsonl(relations),
+        "relations.conll": core.emit_conll(relations),
+        "lexicon.json": json.dumps(lexicon, sort_keys=True),
+        "warm.txt": "".join(t + "\n" for t in warm),
+        "hyp.txt": "".join(m + "\n" for m in marked[:100]),
+        "ref.txt": "".join(s.text.rsplit(" ", i % 3)[0] + "\n"
+                           for i, s in enumerate(entity[:100])),
+        "rate-in.json": json.dumps({"total": 300, "projected": 291, "filtered": 6,
+                                    "failed": 3}),
+        "parallel.jsonl": parallel,
+        "parallel-tgt.txt": parallel_tgt,
+        "parallel.align": parallel_align,
+    }
+
+
+def _squad() -> int:
+    """emit_squad of five examples over three contexts, two of them shared,
+    and whether parse_squad reads them back."""
+    sentences, _ = make_entity_corpus(3, 11)
+    examples = [
+        core.QaExample(f"q{i}", f"which {s.spans[j].label}?", s.text,
+                       core.LabeledSpan(0, s.spans[j].start, s.spans[j].end, "ANSWER"))
+        for i, (s, j) in enumerate(zip([sentences[k] for k in (0, 0, 1, 2, 2)],
+                                       (0, 1, 0, 0, 1)))]
+    text = core.emit_squad(examples)
+    with open("squad.json", "w", encoding="utf-8") as f:
+        f.write(text)
+    print(core.parse_squad(text) == examples)
+    return 0
+
+
+def commands() -> dict:
+    """Command id -> the steps run in one directory: argv lists for cli.run,
+    or a function returning an exit code."""
+    lexicon = ["--backend", "lexicon", "--lexicon", "lexicon.json"]
+    table = {}
+    for corpus in ("entity", "relations"):
+        for reorder in ("reverse", "seed:3"):
+            for scheme in SCHEME_KINDS:
+                table[f"project-{corpus}-{scheme}-{reorder}"] = [[
+                    "project", "--in", f"{corpus}.jsonl", "--out", "out.jsonl",
+                    "--report", "report.json", "--scheme", scheme, *lexicon,
+                    "--reorder", reorder]]
+    for scheme in SCHEME_KINDS:
+        table[f"mark-{scheme}"] = [["mark", "--in", "relations.jsonl", "--out", "out.jsonl",
+                                    "--scheme", scheme]]
+    table["align-project"] = [[
+        "align-project", "--in", "parallel.jsonl", "--translations", "parallel-tgt.txt",
+        "--alignments", "parallel.align", "--out", "out.jsonl", "--report", "report.json"]]
+    table["build-ftdata"] = [["build-ftdata", "--src", "entity.jsonl", "--tgt",
+                              "entity-tgt.txt", "--out", "pairs.tsv", *lexicon]]
+    table["stats-jsonl"] = [["stats", "--in", "relations.jsonl"]]
+    table["stats-conll"] = [["stats", "--in", "relations.conll", "--format", "conll"]]
+    table["rate"] = [["rate", "--report", "rate-in.json"]]
+    table["bleu-strip-brackets"] = [["bleu", "--hyp", "hyp.txt", "--ref", "ref.txt",
+                                     "--strip-scheme", "brackets"]]
+    warm = ["warm-cache", "--in", "warm.txt", *lexicon, "--reorder", "reverse",
+            "--cache-out", "cache.jsonl"]
+    table["warm-cache-twice-then-project-offline"] = [warm, warm, [
+        "project", "--in", "entity.jsonl", "--out", "out.jsonl", "--report", "report.json",
+        "--backend", "cache", "--cache", "cache.jsonl", "--offline"]]
+    table["emit-squad"] = [_squad]
+    return table
+
+
+def digest(steps, files: dict[str, str]) -> str:
+    """SHA-256 of the steps' exit codes, stdout and stderr, and of every file
+    they leave in a directory that started with `files`."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in files.items():
+                with open(name, "w", encoding="utf-8") as f:
+                    f.write(text)
+            runs = []
+            for step in steps:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = step() if callable(step) else cli.run(step)
+                runs.append([code, out.getvalue(), err.getvalue()])
+            written = {}
+            for name in sorted(os.listdir(".")):
+                with open(name, "rb") as f:
+                    data = f.read()
+                if name not in files or data != files[name].encode("utf-8"):
+                    written[name] = hashlib.sha256(data).hexdigest()
+        finally:
+            os.chdir(home)
+    return hashlib.sha256(json.dumps([runs, written]).encode("utf-8")).hexdigest()
+
+
+def compute() -> dict[str, str]:
+    files = inputs()
+    return {cid: digest(steps, files) for cid, steps in commands().items()}
+
+
+def load() -> dict[str, str]:
+    with open(TABLE, encoding="utf-8") as f:
+        return json.load(f)
+
+
+def changed(expected: dict[str, str], got: dict[str, str]) -> list[str]:
+    """The ids whose digests differ, or that only one table holds."""
+    return sorted(cid for cid in expected.keys() | got.keys()
+                  if expected.get(cid) != got.get(cid))
+
+
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["--update"]):
+        print("usage: golden.py [--update]", file=sys.stderr)
+        return 2
+    got = compute()
+    if argv:
+        old = load() if os.path.exists(TABLE) else {}
+        with open(TABLE, "w", encoding="utf-8") as f:
+            f.write(json.dumps(got, indent=1, sort_keys=True) + "\n")
+        for cid in changed(old, got):
+            print(cid)
+        return 0
+    diff = changed(load(), got)
+    for cid in diff:
+        print(f"digest differs: {cid}", file=sys.stderr)
+    print(f"{len(got.keys() - set(diff))} of {len(got)} golden digests match")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -789,6 +789,14 @@ class TestBatchContract:
             translate(TranslateRequest(texts, "en", "de"), CacheBackend(cache, IdentityBackend()),
                       max_in_flight=3)
 
+    def test_nested_cache_write_failure_is_not_a_per_item_error(self, tmp_path):
+        # warm-cache --backend cache: the inner cache appends inside the outer one's batch call
+        inner = CacheBackend(TranslationCache(str(tmp_path / "no-such-dir" / "c.jsonl")),
+                             IdentityBackend())
+        with pytest.raises(OSError, match="No such file"):
+            warm_cache([TranslateRequest(("a", "b"), "en", "de")], inner,
+                       str(tmp_path / "c.jsonl"))
+
     @given(st.lists(st.integers(0, 30), max_size=80).map(lambda xs: tuple(f"t{x}" for x in xs)),
            st.lists(st.sampled_from(["ok", "ok", *FAULTS]), min_size=1, max_size=6),
            st.integers(1, 8), st.sampled_from([1, 3]))
