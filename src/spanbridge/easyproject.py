@@ -258,9 +258,9 @@ def project_corpus(
     """Project a corpus; returns projected sentences in input order plus a
     report tallying projected/filtered/failed counts per reason. All items go
     through one translate() call with `jobs` batches in flight; a backend fault
-    fails every sentence with an item in the faulted batch. The cyclic
-    collector is off throughout (core.gc_paused): cycles the backend makes
-    are freed after it returns."""
+    fails every sentence with an item (through a cache, a miss) in the faulted
+    batch. The cyclic collector is off throughout (core.gc_paused): cycles the
+    backend makes are freed after it returns."""
     return tally(_project(sentences, backend, scheme, cfg or MatcherConfig(),
                           src_lang, tgt_lang, jobs))
 

@@ -9,8 +9,8 @@ backend is a deterministic test double.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import itertools
 import json
 import os
 import random
@@ -240,28 +240,17 @@ class TranslationCache:
 
 
 class CacheBackend:
-    """Answers from a JSONL cache; misses go to the upstream backend (and are
-    recorded, one append per batch) or, without an upstream, fail with
-    "uncached". An upstream reply that breaks the batch contract fails every
-    miss and records nothing."""
+    """Answers from a JSONL cache: translate() looks items up before batching,
+    sends only the misses to the upstream and records their answers, or fails
+    them with "uncached" without an upstream. A reply that breaks the batch
+    contract fails that batch's misses and records none of them."""
 
     def __init__(self, cache: TranslationCache, upstream=None):
         self.cache = cache
         self.upstream = upstream
 
     def translate(self, request: TranslateRequest) -> TranslateResponse:
-        src, tgt = request.src_lang, request.tgt_lang
-        hits = [self.cache.get(src, tgt, text) for text in request.items]
-        misses = tuple(text for text, hit in zip(request.items, hits) if hit is None)
-        answers: tuple[TranslatedItem, ...] = ()
-        if misses and self.upstream is None:
-            answers = (backend_error("uncached"),) * len(misses)
-        elif misses:
-            answers = _checked_reply(self.upstream, TranslateRequest(misses, src, tgt))
-            self.cache.put(src, tgt, [(t, a.output) for t, a in zip(misses, answers) if a.ok])
-        missed = iter(answers)
-        return TranslateResponse(tuple(
-            next(missed) if hit is None else TranslatedItem(hit) for hit in hits))
+        return translate(request, self, max_in_flight=1)
 
 
 class HttpBackend:
@@ -371,40 +360,51 @@ def _checked_reply(backend, batch: TranslateRequest) -> tuple[TranslatedItem, ..
 def translate(request: TranslateRequest, backend,
               max_in_flight: int = DEFAULT_MAX_IN_FLIGHT) -> TranslateResponse:
     """Translate a request in batches of BATCH_SIZE items, preserving item
-    order and length. Each distinct item is sent once, in first-seen order.
-    A batch the backend raises on or answers against the contract fails its
-    own items only. At least one batch must be allowed in flight."""
+    order and length. Each distinct item is sent once, in first-seen order;
+    through a CacheBackend only the misses are, and each batch's answers are
+    appended in batch order. A batch the backend raises on or answers against
+    the contract fails its own items only; at least one must be in flight."""
     if max_in_flight < 1:
         raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
-    unique = tuple(dict.fromkeys(request.items))
-    batches = [
-        TranslateRequest(unique[i:i + BATCH_SIZE], request.src_lang, request.tgt_lang)
-        for i in range(0, len(unique), BATCH_SIZE)
-    ]
-    if len(batches) <= 1 or max_in_flight <= 1:
-        replies = [_checked_reply(backend, b) for b in batches]
-    else:
-        # imported here: concurrent.futures costs every process that never pools
-        from concurrent.futures import ThreadPoolExecutor
+    src, tgt = request.src_lang, request.tgt_lang
+    result_of: dict[str, TranslatedItem | None] = dict.fromkeys(request.items)
+    cache = None
+    if isinstance(backend, CacheBackend):
+        cache, backend = backend.cache, backend.upstream
+        uncached = backend_error("uncached") if backend is None else None  # None: sent
+        for text in result_of:
+            hit = cache.get(src, tgt, text)
+            result_of[text] = uncached if hit is None else TranslatedItem(hit)
+    misses = tuple(text for text, item in result_of.items() if item is None)
+    batches = [TranslateRequest(misses[i:i + BATCH_SIZE], src, tgt)
+               for i in range(0, len(misses), BATCH_SIZE)]
+    send = functools.partial(_checked_reply, backend)
+    with contextlib.ExitStack() as stack:
+        replies = map(send, batches)  # lazy: a batch is sent once the one before is stored
+        if len(batches) > 1 and max_in_flight > 1:
+            # imported here: concurrent.futures costs every process that never pools
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            replies = list(pool.map(_checked_reply, itertools.repeat(backend), batches))
-    result_of = dict(zip(unique, itertools.chain.from_iterable(replies)))
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=max_in_flight))
+            # closed first on a raise, which cancels the batches not yet sent
+            replies = stack.enter_context(contextlib.closing(pool.map(send, batches)))
+        for batch, reply in zip(batches, replies):
+            result_of.update(zip(batch.items, reply))
+            if cache is not None:
+                cache.put(src, tgt, [(t, a.output) for t, a in zip(batch.items, reply) if a.ok])
     return TranslateResponse(tuple([result_of[t] for t in request.items]))
 
 
 def warm_cache(requests_list: list[TranslateRequest], backend,
                cache_path: str) -> tuple[int, int]:
-    """Fill a JSONL cache from a live backend, one batch at a time through
-    translate(), so each distinct uncached item is sent once.
+    """Fill a JSONL cache from a live backend through translate(), so each
+    distinct uncached item is sent once.
 
     Returns (new_entries, errors). Idempotent: rerunning adds zero entries.
     Items the backend fails on are skipped and counted as errors.
     """
     cache = TranslationCache(cache_path)
     before = len(cache)
-    cached = CacheBackend(cache, backend)
-    # one batch in flight: batches append in order, so each run writes the same file
     errors = sum(not item.ok for req in requests_list
-                 for item in translate(req, cached, max_in_flight=1).items)
+                 for item in translate(req, CacheBackend(cache, backend)).items)
     return len(cache) - before, errors

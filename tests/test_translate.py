@@ -4,6 +4,7 @@ import re
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -364,8 +365,9 @@ class TestCache:
         backend = CountingBackend()
         texts = tuple(f"t{i % 50}" for i in range(200))
         assert warm_cache([TranslateRequest(texts, "en", "de")], backend, path) == (48, 0)
-        # batches of 32 distinct items; t0 and t1 are answered from the cache
-        assert [len(items) for items in backend.requests] == [30, 18]
+        # batches of up to 32 distinct misses, sent together; t0 and t1 are cache hits
+        assert sorted(backend.requests, key=len, reverse=True) == [
+            tuple(f"t{i}" for i in range(2, 34)), tuple(f"t{i}" for i in range(34, 50))]
         assert sorted(t for items in backend.requests for t in items) == \
             sorted(f"t{i}" for i in range(2, 50))
 
@@ -479,6 +481,24 @@ class TestProjectCommandOverHttp:
         assert online[0] == EXIT_OK and calls > 0
         assert offline == online
         assert _Handler.calls == calls
+
+    def test_cache_file_does_not_depend_on_jobs(self, tmp_path, http_server, monkeypatch):
+        monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
+        sentences, _ = make_entity_corpus(150, seed=5)
+        (tmp_path / "in.jsonl").write_text(emit_jsonl(sentences), encoding="utf-8")
+        runs = {}
+        for jobs in (1, 4, 8):
+            cache = tmp_path / f"cache{jobs}.jsonl"
+            runs[jobs] = self._project(tmp_path, f"jobs{jobs}", [
+                "--backend", "cache", "--cache", str(cache), "--mt-url", http_server,
+                "--jobs", str(jobs)]) + (cache.read_bytes(),)
+        assert runs[1][0] == EXIT_OK
+        assert runs[4] == runs[1] and runs[8] == runs[1]
+        # every item was a miss: the records hold them in first-seen order
+        scheme = MarkerScheme("brackets")
+        items = dict.fromkeys(t for s in sentences
+                              for t in (insert_markers(s, scheme).text, *s.span_texts()))
+        assert [json.loads(line)["input"] for line in runs[1][3].splitlines()] == list(items)
 
 
 class TestHttp:
@@ -826,3 +846,127 @@ class TestBatchContract:
                for s in sentences]
         assert (report.failed, dict(report.reasons).get("BackendError", 0)) == (sum(hit), sum(hit))
         assert [p.text for p in projected] == [s.text for s, h in zip(sentences, hit) if not h]
+
+
+class _ReverseCompletion:
+    """Identity backend whose first `n` calls return in reverse order: each
+    waits until the call after it is about to return, for at most 10 s, so
+    that fewer than `n` calls in flight cannot deadlock."""
+
+    def __init__(self, n):
+        self.returning = [threading.Event() for _ in range(n)]
+        self.calls = 0
+        self.waits = []  # whether each waiting call saw the next one return first
+        self._lock = threading.Lock()
+
+    def translate(self, request):
+        with self._lock:
+            k = self.calls
+            self.calls += 1
+        if k + 1 < len(self.returning):
+            self.waits.append(self.returning[k + 1].wait(10))
+        if k < len(self.returning):
+            self.returning[k].set()
+        return IdentityBackend().translate(request)
+
+
+def _inputs(path) -> list[str]:
+    """The inputs of a cache file's records, in file order."""
+    return [json.loads(line)["input"] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+class TestCacheBeforeBatching:
+    """translate() looks the cache up before batching, sends only misses and
+    appends each batch's answers in batch order."""
+
+    def test_replies_in_reverse_are_recorded_in_batch_order(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        texts = tuple(f"t{i}" for i in range(128))  # four batches, all in flight
+        upstream = _ReverseCompletion(4)
+        resp = translate(TranslateRequest(texts, "en", "de"),
+                         CacheBackend(TranslationCache(str(path)), upstream), max_in_flight=4)
+        assert upstream.waits == [True] * 3
+        assert resp.outputs() == list(texts)
+        assert _inputs(path) == list(texts)
+
+    def test_misses_fill_whole_batches(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        texts = tuple(f"t{i}" for i in range(200))
+        TranslationCache(str(path)).put("en", "de", [(t, t) for t in texts[::2]])
+        upstream = CountingBackend()
+        resp = translate(TranslateRequest(texts, "en", "de"),
+                         CacheBackend(TranslationCache(str(path)), upstream), max_in_flight=3)
+        assert resp.outputs() == list(texts)
+        assert sorted(map(len, upstream.requests), reverse=True) == [32, 32, 32, 4]
+        assert sorted(upstream.requests) == sorted(
+            texts[1::2][i:i + 32] for i in range(0, 100, 32))
+        assert _inputs(path) == list(texts[::2] + texts[1::2])
+
+    def test_build_ft_pairs_records_what_a_sequential_run_records(self, tmp_path):
+        sentences, token_map = make_entity_corpus(60, seed=3)  # about 200 distinct mentions
+        pairs = [ParallelPair(s, " ".join(token_map.get(w, w) for w in s.text.split(" ")))
+                 for s in sentences]
+        pooled, sequential = tmp_path / "pooled.jsonl", tmp_path / "sequential.jsonl"
+        upstream = _ReverseCompletion(4)
+        out = build_ft_pairs(pairs, CacheBackend(TranslationCache(str(pooled)), upstream))
+        assert upstream.waits == [True] * 3
+        mentions = tuple(dict.fromkeys(t for s in sentences for t in s.span_texts()))
+        CacheBackend(TranslationCache(str(sequential)), IdentityBackend()).translate(
+            TranslateRequest(mentions, "src", "tgt"))
+        assert pooled.read_bytes() == sequential.read_bytes()
+        assert out == build_ft_pairs(pairs, IdentityBackend())
+
+    def test_a_crash_keeps_the_batches_recorded_before_it(self, tmp_path):
+        class CrashesThird:
+            calls = 0
+
+            def translate(self, request):
+                self.calls += 1
+                if self.calls == 3:
+                    raise KeyboardInterrupt
+                return IdentityBackend().translate(request)
+
+        path = tmp_path / "c.jsonl"
+        texts = tuple(f"t{i}" for i in range(128))
+        with pytest.raises(KeyboardInterrupt):
+            translate(TranslateRequest(texts, "en", "de"),
+                      CacheBackend(TranslationCache(str(path)), CrashesThird()), max_in_flight=1)
+        assert _inputs(path) == list(texts[:64])
+
+    def test_a_cache_write_failure_cancels_the_batches_not_yet_sent(self, tmp_path):
+        class Slow(CountingBackend):
+            def translate(self, request):
+                threading.Event().wait(0.2)  # the next batches are queued meanwhile
+                return super().translate(request)
+
+        upstream = Slow()
+        cache = TranslationCache(str(tmp_path / "no-such-dir" / "c.jsonl"))
+        texts = tuple(f"t{i}" for i in range(320))  # ten batches, two in flight
+        with pytest.raises(OSError, match="No such file"):
+            translate(TranslateRequest(texts, "en", "de"), CacheBackend(cache, upstream),
+                      max_in_flight=2)
+        # the first reply's append fails; at most the two batches sent meanwhile follow it
+        assert len(upstream.requests) <= 4
+
+    @given(st.integers(0, 10**6), st.lists(st.sampled_from(["ok", "ok", *FAULTS]), min_size=1,
+                                           max_size=6), st.sampled_from([1, 3]))
+    @settings(max_examples=50, deadline=None)
+    def test_only_sentences_with_a_miss_in_a_faulted_batch_fail(self, seed, kinds, jobs):
+        sentences, _ = make_entity_corpus(40, seed=seed)
+        scheme = MarkerScheme("brackets")
+        items_of = [(insert_markers(s, scheme).text, *s.span_texts()) for s in sentences]
+        items = list(dict.fromkeys(t for group in items_of for t in group))
+        upstream = _Faulty(kinds)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.jsonl")
+            TranslationCache(path).put("src", "tgt", [(t, t) for t in items[::2]])
+            projected, report = project_corpus(
+                sentences, CacheBackend(TranslationCache(path), upstream), scheme, jobs=jobs)
+            with open(path, encoding="utf-8") as f:
+                recorded = [json.loads(line)["input"] for line in f]
+        misses = items[1::2]
+        assert upstream.faulted <= set(misses)
+        hit = [any(t in upstream.faulted for t in group) for group in items_of]
+        assert (report.failed, dict(report.reasons).get("BackendError", 0)) == (sum(hit), sum(hit))
+        assert [p.text for p in projected] == [s.text for s, h in zip(sentences, hit) if not h]
+        assert recorded == items[::2] + [t for t in misses if t not in upstream.faulted]
