@@ -371,7 +371,7 @@ def translate(request: TranslateRequest, backend,
     cache = None
     if isinstance(backend, CacheBackend):
         cache, backend = backend.cache, backend.upstream
-        uncached = backend_error("uncached") if backend is None else None  # None: sent
+        uncached = backend_error("uncached") if backend is None else None  # None: sent upstream
         for text in result_of:
             hit = cache.get(src, tgt, text)
             result_of[text] = uncached if hit is None else TranslatedItem(hit)

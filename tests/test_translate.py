@@ -498,7 +498,7 @@ class TestProjectCommandOverHttp:
         scheme = MarkerScheme("brackets")
         items = dict.fromkeys(t for s in sentences
                               for t in (insert_markers(s, scheme).text, *s.span_texts()))
-        assert [json.loads(line)["input"] for line in runs[1][3].splitlines()] == list(items)
+        assert _inputs(tmp_path / "cache1.jsonl") == list(items)
 
 
 class TestHttp:
