@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
-import tempfile
 
 from . import alignproject, core, easyproject, ftdata, markers, metrics, translate as tr
 
@@ -26,11 +26,12 @@ class UsageError(ValueError):
 
 
 def _atomic_write(path: str, content: str):
-    """Write via a temp file in the same directory, then rename."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".spanbridge-")
+    """Write via a temp file in the same directory, then rename, with open(path, "w")'s mode."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".spanbridge-{os.urandom(8).hex()}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        with open(tmp, "x", encoding="utf-8") as f:
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
             f.write(content)
         os.replace(tmp, path)
     except BaseException:

@@ -265,24 +265,25 @@ def project_corpus(
                           src_lang, tgt_lang, jobs))
 
 
+@gc_paused()
 def project_qa(
-    example: QaExample,
+    examples: list[QaExample],
     backend,
     scheme: MarkerScheme,
     src_lang: str = "src",
     tgt_lang: str = "tgt",
-) -> ProjectionOutcome:
-    """Project a QA example: the context, its answer marked, and the question, a
-    sentence without spans and so sent unmarked, are projected together. The
-    example's outcome is the first of the two that is not Projected."""
+) -> tuple[list[QaExample], ProjectionReport]:
+    """Projected examples in input order and a report counting examples. Each context,
+    its answer marked, and question are two sentences of one _project() call; an example's
+    outcome is the first of its two that is not Projected. The collector is off throughout."""
     cfg = MatcherConfig(mode=MATCH_SEQUENTIAL)  # a single span needs no matching
-    sentences = [AnnotatedSentence(example.context, (example.answer,)),
-                 AnnotatedSentence(example.question)]
-    outcomes = tuple(_project(sentences, backend, scheme, cfg, src_lang, tgt_lang,
-                              DEFAULT_MAX_IN_FLIGHT))
-    for outcome in outcomes:
-        if outcome.status != PROJECTED:
-            return outcome
-    context, question = [outcome.sentence for outcome in outcomes]
-    return ProjectionOutcome(
-        PROJECTED, qa=QaExample(example.id, question.text, context.text, context.spans[0]))
+    sentences = [sentence for ex in examples for sentence in (
+        AnnotatedSentence(ex.context, (ex.answer,)), AnnotatedSentence(ex.question))]
+    outcomes = _project(sentences, backend, scheme, cfg, src_lang, tgt_lang, DEFAULT_MAX_IN_FLIGHT)
+    pairs = list(zip(outcomes, outcomes))  # each example's (context, question) outcomes
+    _, report = tally(question if context.status == PROJECTED else context
+                      for context, question in pairs)
+    return [QaExample(ex.id, question.sentence.text, context.sentence.text,
+                      context.sentence.spans[0])
+            for ex, (context, question) in zip(examples, pairs)
+            if context.status == question.status == PROJECTED], report

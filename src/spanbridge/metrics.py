@@ -7,7 +7,7 @@ import math
 from collections import Counter
 from collections.abc import Iterable
 
-from .core import AnnotatedSentence, QaExample, record
+from .core import AnnotatedSentence, record
 
 PROJECTED = "Projected"
 FILTERED = "Filtered"
@@ -19,7 +19,6 @@ class ProjectionOutcome:
     status: str
     reason: str = ""
     sentence: AnnotatedSentence | None = None
-    qa: QaExample | None = None
     diagnostics: tuple[str, ...] = ()
     low_confidence: bool = False
 

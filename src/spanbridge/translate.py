@@ -30,6 +30,7 @@ BATCH_SIZE = 32
 DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_MS = 500
+MAX_BACKOFF_MS = 30_000  # the longest wait between two attempts
 
 
 @record
@@ -255,7 +256,7 @@ class CacheBackend:
 
 class HttpBackend:
     """POST {base_url}/translate with {"texts","src_lang","tgt_lang"};
-    expects {"translations": [...]}. Retries with exponential backoff.
+    expects {"translations": [...]}. Retries with exponential backoff, capped.
     A 307 or 308 redirect is followed with the same POST.
     The base URL must start with http:// or https://, and at least one
     attempt with a positive timeout must be allowed."""
@@ -309,7 +310,7 @@ class HttpBackend:
         last_error = "no attempts made"
         for attempt in range(self.retries):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(min(self.backoff * 2 ** (attempt - 1), MAX_BACKOFF_MS / 1000))
             try:
                 with self._opener.open(post, timeout=self.timeout) as resp:
                     data = resp.read()
@@ -331,9 +332,7 @@ class HttpBackend:
                 last_error = "response length mismatch"
             else:
                 return TranslateResponse(tuple(TranslatedItem(t) for t in translations))
-        return TranslateResponse(
-            tuple(backend_error(last_error) for _ in request.items)
-        )
+        return TranslateResponse((backend_error(last_error),) * len(request.items))
 
 
 def _checked_reply(backend, batch: TranslateRequest) -> tuple[TranslatedItem, ...]:

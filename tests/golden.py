@@ -27,8 +27,9 @@ import sys
 import tempfile
 
 from conftest import LATIN, make_corpus, make_entity_corpus
-from spanbridge import cli, core
+from spanbridge import cli, core, easyproject
 from spanbridge.markers import SCHEME_KINDS, MarkerScheme, insert_markers
+from spanbridge.translate import LexiconBackend, LexiconBackendConfig
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
@@ -89,19 +90,43 @@ def inputs() -> dict[str, str]:
     }
 
 
-def _squad() -> int:
-    """emit_squad of five examples over three contexts, two of them shared,
-    and whether parse_squad reads them back."""
+def _squad_examples() -> list[core.QaExample]:
+    """Five examples over three contexts, two of them shared."""
     sentences, _ = make_entity_corpus(3, 11)
-    examples = [
+    return [
         core.QaExample(f"q{i}", f"which {s.spans[j].label}?", s.text,
                        core.LabeledSpan(0, s.spans[j].start, s.spans[j].end, "ANSWER"))
         for i, (s, j) in enumerate(zip([sentences[k] for k in (0, 0, 1, 2, 2)],
                                        (0, 1, 0, 0, 1)))]
+
+
+def _squad() -> int:
+    """emit_squad of the five examples, and whether parse_squad reads them back."""
+    examples = _squad_examples()
     text = core.emit_squad(examples)
     with open("squad.json", "w", encoding="utf-8") as f:
         f.write(text)
     print(core.parse_squad(text) == examples)
+    return 0
+
+
+def _project_qa() -> int:
+    """project_qa under each scheme through a reversing lexicon, of the five
+    _squad examples and one example per span of a small entity corpus: writes
+    emit_squad of the projected examples and the report of each scheme."""
+    # the first three sentences are the _squad contexts, so the map covers their entities
+    sentences, token_map = make_entity_corpus(30, 11)
+    examples = _squad_examples() + [
+        core.QaExample(f"e{i}.{j}", f"which {span.label}?", s.text,
+                       core.LabeledSpan(0, span.start, span.end, "ANSWER"))
+        for i, s in enumerate(sentences) for j, span in enumerate(s.spans)]
+    backend = LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse"))
+    for scheme in SCHEME_KINDS:
+        projected, report = easyproject.project_qa(examples, backend, MarkerScheme(scheme))
+        with open(f"qa-{scheme}.json", "w", encoding="utf-8") as f:
+            f.write(core.emit_squad(projected))
+        with open(f"qa-{scheme}-report.json", "w", encoding="utf-8") as f:
+            f.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
     return 0
 
 
@@ -136,6 +161,7 @@ def commands() -> dict:
         "project", "--in", "entity.jsonl", "--out", "out.jsonl", "--report", "report.json",
         "--backend", "cache", "--cache", "cache.jsonl", "--offline"]]
     table["emit-squad"] = [_squad]
+    table["project-qa"] = [_project_qa]
     return table
 
 

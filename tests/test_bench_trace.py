@@ -84,8 +84,8 @@ def test_one_input_calls_translate_through_the_patched_name(spans, entry):
             span = sentence.spans[0]
             example = QaExample("q", "what ?", sentence.text,
                                 LabeledSpan(0, span.start, span.end, "ANSWER"))
-            outcome = easyproject.project_qa(example, backend, scheme)
-            assert outcome.status == easyproject.PROJECTED
+            projected, _ = easyproject.project_qa([example], backend, scheme)
+            assert len(projected) == 1
         else:
             assert ftdata.build_ft_pairs([ftdata.ParallelPair(sentence, target)], backend)
     assert [span[1] for span in rec.spans].count("translate.call") == 1

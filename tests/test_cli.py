@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_corpus, make_entity_corpus
-from spanbridge import easyproject, metrics, translate as tr
+from spanbridge import cli, easyproject, metrics, translate as tr
 from spanbridge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, run
 from spanbridge.core import AnnotatedSentence, LabeledSpan, RelationLink, emit_jsonl, parse_jsonl
 from spanbridge.markers import MarkerScheme, insert_markers
@@ -287,6 +287,69 @@ class TestMarkCommand:
             "which would extend its placeholder 'LOC0'\n")
         assert [json.loads(line)["text"] for line in out.read_text(encoding="utf-8")
                 .splitlines()] == ["PER0 met Bob"]
+
+
+@pytest.fixture
+def umask():
+    """os.umask for one test; the umask in force before it is restored after it."""
+    old = os.umask(0o022)
+    yield os.umask
+    os.umask(old)
+
+
+def _one_sentence_inputs(tmp_path):
+    sentence = AnnotatedSentence("Anna met Bob", (LabeledSpan(0, 0, 4, "PER"),))
+    (tmp_path / "one.jsonl").write_text(emit_jsonl([sentence]), encoding="utf-8")
+    (tmp_path / "tgt.txt").write_text("Anna met Bob\n", encoding="utf-8")
+
+
+OUTPUT_COMMANDS = {
+    "project": ["project", "--in", "one.jsonl", "--out", "out.txt", "--report", "rep.txt"],
+    "mark": ["mark", "--in", "one.jsonl", "--out", "out.txt"],
+    "build-ftdata": ["build-ftdata", "--src", "one.jsonl", "--tgt", "tgt.txt",
+                     "--out", "out.txt"],
+}
+
+
+class TestAtomicWrite:
+    """Outputs are renamed into place from a temp file, and get the mode a plain
+    open(path, "w") would leave."""
+
+    @pytest.mark.parametrize("mask", [0o022, 0o027, 0o077])
+    @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+    def test_a_new_file_gets_0666_less_the_umask(self, tmp_path, monkeypatch, umask, mask,
+                                                 command):
+        _one_sentence_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        umask(mask)
+        (tmp_path / "touched").touch()
+        assert run(OUTPUT_COMMANDS[command]) == EXIT_OK
+        written = [name for name in ("out.txt", "rep.txt") if (tmp_path / name).exists()]
+        assert written == (["out.txt", "rep.txt"] if command == "project" else ["out.txt"])
+        for name in ["touched", *written]:
+            assert (tmp_path / name).stat().st_mode & 0o7777 == 0o666 & ~mask, name
+
+    @pytest.mark.parametrize("mode", [0o644, 0o604, 0o660])
+    @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+    def test_an_existing_file_keeps_its_mode(self, tmp_path, monkeypatch, umask, mode,
+                                             command):
+        _one_sentence_inputs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        umask(0o077)
+        out = tmp_path / "out.txt"
+        out.write_text("old\n", encoding="utf-8")
+        out.chmod(mode)
+        assert run(OUTPUT_COMMANDS[command]) == EXIT_OK
+        assert out.read_text(encoding="utf-8") != "old\n"
+        assert out.stat().st_mode & 0o7777 == mode
+
+    def test_a_write_that_raises_leaves_the_old_file(self, tmp_path):
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"old bytes\n")
+        with pytest.raises(UnicodeEncodeError):
+            cli._atomic_write(str(out), "a lone surrogate \ud800")
+        assert out.read_bytes() == b"old bytes\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 class TestAlignProjectCommand:

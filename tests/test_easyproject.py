@@ -16,14 +16,17 @@ from spanbridge.easyproject import (
     FILTERED,
     PROJECTED,
     MatcherConfig,
+    ProjectionOutcome,
     assign_labels_fuzzy,
     fuzzy_ratio,
     project_corpus,
     project_qa,
     project_sentence,
+    tally,
 )
 from spanbridge.markers import SCHEME_KINDS, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
+    DEFAULT_MAX_IN_FLIGHT,
     IdentityBackend,
     LexiconBackend,
     LexiconBackendConfig,
@@ -550,20 +553,20 @@ class TestProjectQa:
 
     def test_identity(self):
         for kind in ("brackets", "xml", "quotes", "placeholder"):
-            outcome = project_qa(self.QA, IdentityBackend(), MarkerScheme(kind))
-            assert outcome.status == PROJECTED
-            assert outcome.qa == self.QA
+            projected, report = project_qa([self.QA], IdentityBackend(), MarkerScheme(kind))
+            assert projected == [self.QA]
+            assert report.to_json() == {"total": 1, "projected": 1, "filtered": 0,
+                                        "failed": 0, "reasons": {}}
 
     def test_lexicon_offsets_recomputed(self):
         token_map = {"Churchill": "Черчилль", "was": "был", "born": "рожд",
                      "in": "в", "England": "Англии", ".": "точка",
                      "Where": "Где", "he": "он", "?": "кто"}
         backend = LexiconBackend(LexiconBackendConfig(token_map))
-        outcome = project_qa(self.QA, backend, MarkerScheme("brackets"))
-        assert outcome.status == PROJECTED
-        assert outcome.qa.answer_text == "Англии"
-        assert outcome.qa.context == "Черчилль был рожд в Англии точка"
-        assert outcome.qa.question == "Где был он рожд кто"
+        [qa], _ = project_qa([self.QA], backend, MarkerScheme("brackets"))
+        assert qa.answer_text == "Англии"
+        assert qa.context == "Черчилль был рожд в Англии точка"
+        assert qa.question == "Где был он рожд кто"
 
     def test_quote_dropped_filtered(self):
         class QuoteDropper:
@@ -571,31 +574,35 @@ class TestProjectQa:
                 return TranslateResponse(tuple(
                     TranslatedItem(t.replace('"', "", 1)) for t in request.items))
 
-        outcome = project_qa(self.QA, QuoteDropper(), MarkerScheme("quotes"))
-        assert outcome.status == FILTERED
+        projected, report = project_qa([self.QA], QuoteDropper(), MarkerScheme("quotes"))
+        assert projected == []
+        assert (report.filtered, report.reasons) == (1, (("CountMismatch", 1),))
+
+    def test_empty_list(self):
+        backend = Recording()
+        projected, report = project_qa([], backend, MarkerScheme("brackets"))
+        assert projected == []
+        assert report.total == 0
+        assert backend.requests == []
 
 
 def reference_project_qa(example, backend, scheme, src_lang="src", tgt_lang="tgt"):
-    """project_qa as it was before QA went through the corpus loop: the
-    question was appended to the context's request as an extra item and read
-    back unchanged. It sent nothing for a context filtered before translation,
-    and raised ValueError on an empty question."""
-    context = AnnotatedSentence(example.context, (example.answer,))
+    """project_qa as it was before the examples of a corpus shared one
+    translate() call: one example's context, its answer marked, and question
+    go through a translate() call of their own. Returns the example's outcome,
+    the first of the two that is not Projected, and its projected example, or
+    None if it has none."""
     cfg = MatcherConfig(mode="sequential")
-    outcome, marked, items = easyproject._plan(context, scheme, cfg)
-    if outcome is not None:
-        return outcome
-    response = translate(TranslateRequest((*items, example.question), src_lang, tgt_lang), backend)
-    outcome = easyproject._resolve(context, marked, response.items, scheme, cfg)
-    if outcome.status != PROJECTED:
-        return outcome
-    out = outcome.sentence
-    return easyproject.ProjectionOutcome(
-        PROJECTED, qa=QaExample(example.id, response.items[1].output, out.text, out.spans[0]))
-
-
-def _summary(outcome):
-    return outcome.status, outcome.reason, outcome.qa
+    sentences = [AnnotatedSentence(example.context, (example.answer,)),
+                 AnnotatedSentence(example.question)]
+    outcomes = tuple(easyproject._project(sentences, backend, scheme, cfg, src_lang, tgt_lang,
+                                          DEFAULT_MAX_IN_FLIGHT))
+    for outcome in outcomes:
+        if outcome.status != PROJECTED:
+            return outcome, None
+    context, question = [outcome.sentence for outcome in outcomes]
+    return (ProjectionOutcome(PROJECTED),
+            QaExample(example.id, question.text, context.text, context.spans[0]))
 
 
 def _crc(text: str) -> int:
@@ -639,20 +646,14 @@ class QuoteDropper:
             TranslatedItem(t.replace('"', "", 1)) for t in request.items))
 
 
-class FaultyBackend:
-    """Identity, except that it fails every batch whose first item has a
-    CRC-32 divisible by 5, and a question alone in every batch where the
-    question's CRC-32 is divisible by 3."""
-
-    def __init__(self, questions):
-        self.questions = set(questions)
+class ItemFaults:
+    """Identity, except that it fails every item whose CRC-32 is divisible by
+    5: the same items whatever batches they come in."""
 
     def translate(self, request):
-        if _crc(request.items[0]) % 5 == 0:
-            return TranslateResponse(tuple(backend_error("batch down") for _ in request.items))
         return TranslateResponse(tuple(
-            backend_error("item down") if t in self.questions and _crc(t) % 3 == 0
-            else TranslatedItem(t) for t in request.items))
+            backend_error("item down") if _crc(t) % 5 == 0 else TranslatedItem(t)
+            for t in request.items))
 
 
 class Recording:
@@ -669,6 +670,12 @@ class Recording:
 QA_SCHEMES = ["brackets", "xml", "quotes", "placeholder"]
 
 
+def _reference_corpus(examples, backend, scheme):
+    """(projected examples, report) of the reference run one example at a time."""
+    runs = [reference_project_qa(ex, backend, scheme) for ex in examples]
+    return [qa for _, qa in runs if qa is not None], tally(outcome for outcome, _ in runs)[1]
+
+
 class TestProjectQaThroughTheCorpusLoop:
     def test_outcomes_equal_the_reference(self):
         examples, token_map = _qa_corpus()
@@ -677,55 +684,99 @@ class TestProjectQaThroughTheCorpusLoop:
             "reverse": LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse")),
             "seed:4": LexiconBackend(LexiconBackendConfig(token_map, reorder="seed:4")),
             "quote-dropper": QuoteDropper(),
-            "faulty": FaultyBackend(ex.question for ex in examples),
         }
         seen = set()
         for kind in QA_SCHEMES:
             scheme = MarkerScheme(kind)
             for name, backend in backends.items():
-                for ex in examples:
-                    got = _summary(project_qa(ex, backend, scheme))
-                    assert got == _summary(reference_project_qa(ex, backend, scheme)), \
-                        (kind, name, ex)
-                    seen.add((name, *got[:2]))
+                projected, report = project_qa(examples, backend, scheme)
+                assert (projected, report) == _reference_corpus(examples, backend, scheme), \
+                    (kind, name)
+                seen.update((name, reason) for reason, _ in report.reasons)
+                seen.add((name, PROJECTED) if report.projected else (name, "none projected"))
         # every kind of outcome the corpus is meant to reach was reached
-        assert {("identity", PROJECTED, ""), ("reverse", PROJECTED, ""),
-                ("seed:4", PROJECTED, ""), ("identity", FILTERED, "PreexistingMarker"),
-                ("quote-dropper", FILTERED, "CountMismatch"),
-                ("faulty", FAILED, "BackendError"), ("faulty", PROJECTED, "")} <= seen
+        assert {("identity", PROJECTED), ("reverse", PROJECTED), ("seed:4", PROJECTED),
+                ("identity", "PreexistingMarker"), ("quote-dropper", "CountMismatch")} <= seen
+
+    @pytest.mark.parametrize("kind", QA_SCHEMES)
+    def test_item_faults_fail_the_examples_the_reference_fails(self, kind):
+        examples, _ = _qa_corpus()
+        projected, report = project_qa(examples, ItemFaults(), MarkerScheme(kind))
+        assert (projected, report) == _reference_corpus(examples, ItemFaults(), MarkerScheme(kind))
+        assert report.failed and dict(report.reasons)["BackendError"] == report.failed
+
+    def test_requests_are_the_distinct_items_in_batches_of_32(self):
+        examples, _ = _qa_corpus()
+        scheme = MarkerScheme("brackets")
+        for n in (1, 2, 33, 100, len(examples)):
+            reference = Recording()
+            for ex in examples[:n]:
+                reference_project_qa(ex, reference, scheme)
+            distinct = {item for request in reference.requests for item in request}
+            backend = Recording()
+            with mock.patch.object(easyproject, "translate", wraps=translate) as spy:
+                project_qa(examples[:n], backend, scheme)
+            assert spy.call_count == 1
+            sent = [item for request in backend.requests for item in request]
+            assert sorted(sent) == sorted(distinct)  # each distinct item once
+            assert len(backend.requests) == math.ceil(len(distinct) / 32), n
+        # the whole corpus: 530 requests one example at a time, 33 as a corpus
+        assert (len(examples), len(distinct), len(reference.requests)) == (530, 1053, 530)
+        assert len(backend.requests) == 33
+
+    @pytest.mark.parametrize("kind", QA_SCHEMES)
+    def test_a_failed_batch_fails_the_examples_with_an_item_in_it(self, kind):
+        # generated examples only: none has a context filtered before translation
+        examples = [ex for ex in _qa_corpus()[0] if ex.id.startswith("g")]
+        scheme = MarkerScheme(kind)
+        recording = Recording()
+        clean, _ = project_qa(examples, recording, scheme)
+        assert len(clean) == len(examples)
+        items_of = {}
+        for ex in examples:
+            alone = Recording()
+            reference_project_qa(ex, alone, scheme)
+            items_of[ex.id] = {item for request in alone.requests for item in request}
+        for batch in recording.requests:
+            class FailOneBatch:
+                def translate(self, request):
+                    if request.items == batch:
+                        return TranslateResponse((backend_error("batch down"),) * len(batch))
+                    return IdentityBackend().translate(request)
+
+            projected, report = project_qa(examples, FailOneBatch(), scheme)
+            hit = {ex.id for ex in examples if items_of[ex.id] & set(batch)}
+            assert hit and report.failed == len(hit)
+            assert dict(report.reasons) == {"BackendError": len(hit)}
+            assert projected == [qa for qa in clean if qa.id not in hit]
 
     @pytest.mark.parametrize("kind", QA_SCHEMES)
     def test_empty_question_is_projected(self, kind):
         example = QaExample("q0", "", "Churchill was born in England .",
                             LabeledSpan(0, 22, 29, "ANSWER"))
         backend = Recording()
-        outcome = project_qa(example, backend, MarkerScheme(kind))
-        assert outcome.status == PROJECTED
-        assert outcome.qa == example
+        projected, report = project_qa([example], backend, MarkerScheme(kind))
+        assert (projected, report.projected) == ([example], 1)
         assert len(backend.requests) == 1 and len(backend.requests[0]) == 1
-        with pytest.raises(ValueError, match="non-empty"):
-            reference_project_qa(example, IdentityBackend(), MarkerScheme(kind))
 
     def test_projected_example_makes_one_request(self):
         backend = Recording()
-        outcome = project_qa(TestProjectQa.QA, backend, MarkerScheme("brackets"))
-        assert outcome.status == PROJECTED
+        projected, _ = project_qa([TestProjectQa.QA], backend, MarkerScheme("brackets"))
+        assert len(projected) == 1
         assert backend.requests == [("Churchill was born in [ England ] .", "Where was he born ?")]
 
     def test_context_filtered_before_translation_still_sends_its_question(self):
         example = QaExample("q1", "Where ?", 'He said "no" in England .',
                             LabeledSpan(0, 16, 23, "ANSWER"))
         backend = Recording()
-        outcome = project_qa(example, backend, MarkerScheme("quotes"))
-        assert (outcome.status, outcome.reason) == (FILTERED, "PreexistingMarker")
+        projected, report = project_qa([example], backend, MarkerScheme("quotes"))
+        assert (projected, report.filtered, report.reasons) == \
+            ([], 1, (("PreexistingMarker", 1),))
         assert backend.requests == [("Where ?",)]
-        reference_backend = Recording()
-        assert reference_project_qa(example, reference_backend, MarkerScheme("quotes")) == outcome
-        assert reference_backend.requests == []
 
     def test_filtered_context_outranks_a_failed_question(self):
-        # the reference failed the example on any failed item; the loop takes the context's
-        # outcome first, so a damaged context with a failed question is Filtered
+        # the example takes the context's outcome first, so a damaged context with a
+        # failed question is Filtered
         class DropQuoteFailQuestion:
             def translate(self, request):
                 return TranslateResponse(tuple(
@@ -734,11 +785,9 @@ class TestProjectQaThroughTheCorpusLoop:
 
         example = QaExample("q1", "Where ?", "Churchill was born in England .",
                             LabeledSpan(0, 22, 29, "ANSWER"))
-        scheme = MarkerScheme("quotes")
-        outcome = project_qa(example, DropQuoteFailQuestion(), scheme)
-        assert (outcome.status, outcome.reason) == (FILTERED, "CountMismatch")
-        reference = reference_project_qa(example, DropQuoteFailQuestion(), scheme)
-        assert (reference.status, reference.reason) == (FAILED, "BackendError")
+        projected, report = project_qa([example], DropQuoteFailQuestion(), MarkerScheme("quotes"))
+        assert (projected, report.filtered, report.failed, report.reasons) == \
+            ([], 1, 0, (("CountMismatch", 1),))
 
     @pytest.mark.parametrize("kind", QA_SCHEMES)
     def test_project_sentence_matches_a_one_sentence_corpus(self, kind):

@@ -1,6 +1,6 @@
 """The corpus-level entry points hold off CPython's cyclic collector
-(`core.gc_paused`): parse_jsonl, project_corpus, project_corpus_aligned and
-build_ft_pairs.
+(`core.gc_paused`): parse_jsonl, project_corpus, project_qa,
+project_corpus_aligned and build_ft_pairs.
 
 The premise: the records a batch builds are acyclic, so a collection during
 the batch can only rescan them; with the collector off, a batch leaves no
@@ -103,6 +103,14 @@ def _aligned_pairs(sentences, translations, lines):
     return pairs
 
 
+def _qa_examples(sentences):
+    """One QA example per sentence with a span: its first span as the answer,
+    the next sentence as the question."""
+    return [core.QaExample(str(i), sentences[(i + 1) % len(sentences)].text, s.text,
+                           core.LabeledSpan(0, s.spans[0].start, s.spans[0].end, "ANSWER"))
+            for i, s in enumerate(sentences) if s.spans]
+
+
 def _cyclic_garbage_left(call) -> int:
     """Objects in unreachable cycles that call() leaves, with the collector off."""
     gc.disable()
@@ -134,6 +142,14 @@ def test_project_corpus_leaves_no_cycles(make_backend, kind, scheme):
     backend = make_backend(kind, token_map)
     assert _cyclic_garbage_left(lambda: easyproject.project_corpus(
         sentences, backend, MarkerScheme(scheme), jobs=2)) == 0
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_project_qa_leaves_no_cycles(make_backend, kind):
+    sentences, token_map = make_entity_corpus(300, seed=2)
+    backend = make_backend(kind, token_map)
+    assert _cyclic_garbage_left(lambda: easyproject.project_qa(
+        _qa_examples(sentences), backend, MarkerScheme("brackets"))) == 0
 
 
 @pytest.mark.parametrize("kind", BACKENDS)
@@ -170,6 +186,8 @@ def _entry_point_calls(parallel_corpus):
         "parse_jsonl": lambda: parse_jsonl(text),
         "project_corpus": lambda: easyproject.project_corpus(
             sentences, backend, MarkerScheme("brackets"), jobs=2),
+        "project_qa": lambda: easyproject.project_qa(
+            _qa_examples(sentences), backend, MarkerScheme("brackets")),
         "project_corpus_aligned": lambda: alignproject.project_corpus_aligned(sentences, pairs),
         "build_ft_pairs": lambda: ftdata.build_ft_pairs(
             [ftdata.ParallelPair(s, t) for s, t in zip(sentences, translations)], backend),
@@ -180,6 +198,7 @@ def _entry_point_calls(parallel_corpus):
 CALLEES = {
     "parse_jsonl": (core, "sentence_from_json"),
     "project_corpus": (easyproject, "translate"),
+    "project_qa": (easyproject, "translate"),
     "project_corpus_aligned": (alignproject, "project_sentence_aligned"),
     "build_ft_pairs": (ftdata, "translate_each"),
 }

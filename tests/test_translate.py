@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from unittest.mock import patch
@@ -21,6 +22,9 @@ from spanbridge.easyproject import project_corpus
 from spanbridge.ftdata import ParallelPair, build_ft_pairs
 from spanbridge.markers import VALID, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
+    DEFAULT_BACKOFF_MS,
+    DEFAULT_RETRIES,
+    MAX_BACKOFF_MS,
     CacheBackend,
     CorruptCacheError,
     HttpBackend,
@@ -388,6 +392,7 @@ class TestCache:
 
 class _Handler(BaseHTTPRequestHandler):
     fail_times = 0
+    fail_status = 500
     calls = 0
     bad_body = None  # when set, failing calls answer 200 with this body instead of 500
     short_body = False  # when set, failing calls declare a longer body than they send
@@ -408,7 +413,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         body = json.loads(cls.raw_body)
         if cls.calls <= cls.fail_times and cls.bad_body is None and not cls.short_body:
-            self.send_response(500)
+            self.send_response(cls.fail_status)
             self.end_headers()
             return
         out = json.dumps({"translations": [t.upper() for t in body["texts"]]}).encode()
@@ -433,6 +438,7 @@ def http_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
     _Handler.calls = 0
     _Handler.fail_times = 0
+    _Handler.fail_status = 500
     _Handler.bad_body = None
     _Handler.short_body = False
     _Handler.redirect = None
@@ -520,6 +526,25 @@ class TestHttp:
         resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
         assert len(resp.items) == 2
         assert all(not i.ok and "HTTP 500" in i.status for i in resp.items)
+
+    @pytest.mark.parametrize("retries, backoff_ms, waits", [
+        (12, 500, [0.5, 1, 2, 4, 8, 16] + [30] * 5),
+        (DEFAULT_RETRIES, DEFAULT_BACKOFF_MS, [0.5, 1]),  # the default schedule
+        (3, 40_000, [30, 30]),
+    ])
+    def test_backoff_doubles_up_to_a_ceiling(self, http_server, monkeypatch, retries,
+                                             backoff_ms, waits):
+        _Handler.fail_times = 99
+        _Handler.fail_status = 503
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        backend = HttpBackend(http_server, timeout_ms=5000, retries=retries,
+                              backoff_ms=backoff_ms)
+        resp = backend.translate(TranslateRequest(("a",), "en", "de"))
+        assert [i.status for i in resp.items] == ["BackendError: HTTP 503"]
+        assert _Handler.calls == retries
+        assert sleeps == waits
+        assert MAX_BACKOFF_MS == 30_000
 
     @pytest.mark.parametrize("body", [
         b"not json",
