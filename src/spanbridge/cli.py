@@ -392,15 +392,12 @@ def run(argv: list[str]) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit as e:  # argparse has printed its usage error or --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    except tr.CorruptCacheError as e:  # an unreadable file, not a usage error
+    except (tr.CorruptCacheError, OSError) as e:  # first: a corrupt cache is a ValueError too
         print(f"fatal: {e}", file=sys.stderr)
         return EXIT_FATAL
     except (ValueError, RecursionError) as e:  # UsageError, FormatError; JSON nested too deep
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as e:
-        print(f"fatal: {e}", file=sys.stderr)
-        return EXIT_FATAL
 
 
 def main():

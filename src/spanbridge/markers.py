@@ -103,25 +103,18 @@ class _Syntax:
     """How a wrapping scheme writes and reads its markers."""
 
     tokens: Callable[[int], tuple[str, str]]  # span id -> (open, close)
-    token_re: re.Pattern  # every marker token, known or not (extraction and stripping)
+    token_re: re.Pattern  # every marker token, known or not, as group 1: split() keeps it
     close_prefix: str | None  # a token starting with this closes a pair; None: tokens alternate
     identity: bool = False  # tokens name their span, so a pair's span id is read back
-    fold_quotes: bool = False
-
-    def fold(self, text: str) -> str:
-        return _LOCALE_QUOTE_RE.sub('"', text) if self.fold_quotes else text
+    fold: Callable[[str], str] = lambda text: text  # applied before any token is read
 
 
 _SYNTAX = {
-    SQUARE_BRACKET: _Syntax(lambda i: ("[", "]"), re.compile(r"[\[\]]"), "]"),
-    XML_INDEXED: _Syntax(_xml_tags, re.compile(r"</?[a-zA-Z]+>"), "</", identity=True),
-    DOUBLE_QUOTE: _Syntax(lambda i: ('"', '"'), re.compile('"'), None, fold_quotes=True),
+    SQUARE_BRACKET: _Syntax(lambda i: ("[", "]"), re.compile(r"([\[\]])"), "]"),
+    XML_INDEXED: _Syntax(_xml_tags, re.compile(r"(</?[a-zA-Z]+>)"), "</", identity=True),
+    DOUBLE_QUOTE: _Syntax(lambda i: ('"', '"'), re.compile('(")'), None,
+                          fold=functools.partial(_LOCALE_QUOTE_RE.sub, '"')),
 }
-
-# split() by a token_re wrapped in one group alternates text and tokens, so a
-# group of its own would add pieces
-assert not any(syntax.token_re.groups for syntax in _SYNTAX.values())
-_SPLIT = {kind: re.compile(f"({syntax.token_re.pattern})") for kind, syntax in _SYNTAX.items()}
 
 # per scheme, the marker map of the most spans yet: the map of n spans is its
 # first n entries, so the table holds only as many entries as the longest sentence.
@@ -309,7 +302,7 @@ def extract_markers(
     text = syntax.fold(translated)
     # outside text, then token and the text after it, for each token in turn:
     # token j is parts[2j + 1], between the text parts[2j] and parts[2j + 2]
-    parts = _SPLIT[scheme.kind].split(text)
+    parts = syntax.token_re.split(text)
     tokens = parts[1::2]
 
     # anonymous markers map to no id, so every pair reads back as None

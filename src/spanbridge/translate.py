@@ -31,6 +31,7 @@ DEFAULT_MAX_IN_FLIGHT = 4
 DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_MS = 500
 MAX_BACKOFF_MS = 30_000  # the longest wait between two attempts
+MAX_TIMEOUT_MS = 86_400_000  # a day; a far longer timeout overflows the socket layer
 
 
 @record
@@ -258,17 +259,23 @@ class HttpBackend:
     """POST {base_url}/translate with {"texts","src_lang","tgt_lang"};
     expects {"translations": [...]}. Retries with exponential backoff, capped.
     A 307 or 308 redirect is followed with the same POST.
-    The base URL must start with http:// or https://, and at least one
-    attempt with a positive timeout must be allowed."""
+    The base URL must start with http:// or https://, and at least one attempt,
+    a timeout in (0, MAX_TIMEOUT_MS] and a backoff of 0 or more must be allowed."""
 
     def __init__(self, base_url: str, timeout_ms: int = 30_000,
                  retries: int = DEFAULT_RETRIES, backoff_ms: int = DEFAULT_BACKOFF_MS):
         if not base_url.lower().startswith(("http://", "https://")):
             raise ValueError(f"MT URL {base_url!r} must start with http:// or https://")
+        if not re.sub(r"^\w+://[^/?#]*", "", base_url).isascii():  # only a host may be IDN
+            raise ValueError(f"MT URL {base_url!r} must be ASCII after its host")
         if retries < 1:
             raise ValueError(f"retries must be at least 1, got {retries}")
         if timeout_ms <= 0:
             raise ValueError(f"timeout_ms must be positive, got {timeout_ms}")
+        if timeout_ms > MAX_TIMEOUT_MS:
+            raise ValueError(f"timeout_ms must be at most {MAX_TIMEOUT_MS}, got {timeout_ms}")
+        if backoff_ms < 0:
+            raise ValueError(f"backoff_ms must not be negative, got {backoff_ms}")
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout_ms / 1000.0
         self.retries = retries
@@ -308,12 +315,14 @@ class HttpBackend:
         post = urllib.request.Request(f"{self.base_url}/translate", data=body,
                                       headers={"Content-Type": "application/json"})
         last_error = "no attempts made"
+        wait = min(self.backoff, MAX_BACKOFF_MS / 1000)  # doubles after each wait, up to the cap
         for attempt in range(self.retries):
             if attempt:
-                time.sleep(min(self.backoff * 2 ** (attempt - 1), MAX_BACKOFF_MS / 1000))
+                time.sleep(wait)
+                wait = min(2 * wait, MAX_BACKOFF_MS / 1000)
             try:
                 with self._opener.open(post, timeout=self.timeout) as resp:
-                    data = resp.read()
+                    translations = json.loads(resp.read())["translations"]
             except urllib.error.HTTPError as e:
                 e.close()  # it holds the response socket
                 last_error = f"HTTP {e.code}"
@@ -321,9 +330,7 @@ class HttpBackend:
             except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)
                 continue
-            try:  # not JSON, JSON nested too deep to decode, or no "translations" key
-                translations = json.loads(data)["translations"]
-            except (ValueError, RecursionError, KeyError, TypeError):
+            except (ValueError, RecursionError, KeyError, TypeError):  # not JSON, too deep, no key
                 translations = None
             if not isinstance(translations, list) or \
                     not all(isinstance(t, str) for t in translations):

@@ -29,7 +29,12 @@ import tempfile
 from conftest import LATIN, make_corpus, make_entity_corpus
 from spanbridge import cli, core, easyproject
 from spanbridge.markers import SCHEME_KINDS, MarkerScheme, insert_markers
-from spanbridge.translate import LexiconBackend, LexiconBackendConfig
+from spanbridge.translate import (
+    CacheBackend,
+    LexiconBackend,
+    LexiconBackendConfig,
+    TranslationCache,
+)
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 
@@ -130,6 +135,32 @@ def _project_qa() -> int:
     return 0
 
 
+def _project_qa_faults() -> int:
+    """project_qa under each scheme through an offline cache. A reversing
+    lexicon warms the cache with every example but the last, whose items are
+    then uncached, so it fails as BackendError; the example whose context
+    already holds brackets is filtered under brackets. Writes each scheme's
+    cache, emit_squad of the projected examples and the report."""
+    _, token_map = make_entity_corpus(3, 11)
+    examples = _squad_examples() + [
+        core.QaExample("sic", "who wrote it?", "a [sic] note by Anna",
+                       core.LabeledSpan(0, 16, 20, "ANSWER")),
+        core.QaExample("uncached", "which PER?", "Bob met Anna",
+                       core.LabeledSpan(0, 8, 12, "ANSWER"))]
+    lexicon = LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse"))
+    for scheme in SCHEME_KINDS:
+        cache = f"qa-{scheme}-cache.jsonl"
+        easyproject.project_qa(examples[:-1], CacheBackend(TranslationCache(cache), lexicon),
+                               MarkerScheme(scheme))
+        projected, report = easyproject.project_qa(
+            examples, CacheBackend(TranslationCache(cache)), MarkerScheme(scheme))
+        with open(f"qa-{scheme}.json", "w", encoding="utf-8") as f:
+            f.write(core.emit_squad(projected))
+        with open(f"qa-{scheme}-report.json", "w", encoding="utf-8") as f:
+            f.write(json.dumps(report.to_json(), sort_keys=True) + "\n")
+    return 0
+
+
 def commands() -> dict:
     """Command id -> the steps run in one directory: argv lists for cli.run,
     or a function returning an exit code."""
@@ -162,6 +193,7 @@ def commands() -> dict:
         "--backend", "cache", "--cache", "cache.jsonl", "--offline"]]
     table["emit-squad"] = [_squad]
     table["project-qa"] = [_project_qa]
+    table["project-qa-filtered-failed"] = [_project_qa_faults]
     return table
 
 

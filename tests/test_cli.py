@@ -80,6 +80,18 @@ class TestProjectCommand:
             f"error: argument {flag}: must be at least 1, got 0\n")
         assert not (tmp_path / "o").exists()
 
+    def test_timeout_past_the_cap_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch):
+        # it passes the flag's own check, so the backend refuses it before any request
+        monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
+        path, _ = corpus_file
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--backend", "http", "--mt-url", "http://127.0.0.1:9",
+                    "--timeout-ms", "1000000000000000"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: timeout_ms must be at most 86400000, got 1000000000000000\n"
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_flag_exit_1(self, capsys):
         assert run(["project", "--nope"]) == EXIT_USAGE
 
@@ -227,6 +239,32 @@ class TestProjectCommand:
         assert code == EXIT_OK
         projected = parse_jsonl(out.read_text(encoding="utf-8"))
         assert len(projected) == 10
+
+    @pytest.mark.parametrize("scheme, flags, ignored", [
+        ("xml", ["--threshold", "1", "--drop-unmatched"], True),
+        ("placeholder", ["--threshold", "1", "--drop-unmatched"], True),
+        ("placeholder", ["--no-pad"], True),
+        # at threshold 1 no match is confident, so anonymous markers drop every sentence
+        ("brackets", ["--threshold", "1", "--drop-unmatched"], False),
+        ("quotes", ["--threshold", "1", "--drop-unmatched"], False),
+    ])
+    def test_matching_flags_ignored_under_identity_markers(self, tmp_path, scheme, flags,
+                                                           ignored):
+        # identity markers need no matching, and a placeholder is not padded
+        sentences, token_map = make_entity_corpus(50, seed=6)
+        path = tmp_path / "in.jsonl"
+        path.write_text(emit_jsonl(sentences), encoding="utf-8")
+        lex = tmp_path / "lex.json"
+        lex.write_text(json.dumps(token_map), encoding="utf-8")
+        written = []
+        for extra in ([], flags):
+            out, report = tmp_path / "out.jsonl", tmp_path / "report.json"
+            code = run(["project", "--in", str(path), "--out", str(out), "--report", str(report),
+                        "--scheme", scheme, "--backend", "lexicon", "--lexicon", str(lex),
+                        "--reorder", "reverse", *extra])
+            written.append((code, out.read_bytes(), report.read_bytes()))
+        assert written[0][0] == EXIT_OK
+        assert (written[1] == written[0]) == ignored
 
     def test_conll_input(self, tmp_path):
         path = tmp_path / "in.conll"

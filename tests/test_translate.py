@@ -25,6 +25,7 @@ from spanbridge.translate import (
     DEFAULT_BACKOFF_MS,
     DEFAULT_RETRIES,
     MAX_BACKOFF_MS,
+    MAX_TIMEOUT_MS,
     CacheBackend,
     CorruptCacheError,
     HttpBackend,
@@ -531,10 +532,11 @@ class TestHttp:
         (12, 500, [0.5, 1, 2, 4, 8, 16] + [30] * 5),
         (DEFAULT_RETRIES, DEFAULT_BACKOFF_MS, [0.5, 1]),  # the default schedule
         (3, 40_000, [30, 30]),
+        (1030, 500, [0.5, 1, 2, 4, 8, 16] + [30] * 1023),  # past where 2 ** 1024 overflows
     ])
     def test_backoff_doubles_up_to_a_ceiling(self, http_server, monkeypatch, retries,
                                              backoff_ms, waits):
-        _Handler.fail_times = 99
+        _Handler.fail_times = retries
         _Handler.fail_status = 503
         sleeps = []
         monkeypatch.setattr(time, "sleep", sleeps.append)
@@ -647,15 +649,31 @@ class TestHttp:
         ({"retries": -2}, "retries must be at least 1, got -2"),
         ({"timeout_ms": 0}, "timeout_ms must be positive, got 0"),
         ({"timeout_ms": -5}, "timeout_ms must be positive, got -5"),
+        ({"timeout_ms": 10**15}, "timeout_ms must be at most 86400000, got 1000000000000000"),
+        ({"backoff_ms": -5}, "backoff_ms must not be negative, got -5"),
     ])
     def test_settings_that_never_succeed_rejected_when_built(self, setting, message):
         with pytest.raises(ValueError, match=message):
             HttpBackend("http://127.0.0.1:9", **setting)
 
+    def test_settings_at_the_limits_accepted(self):
+        assert MAX_TIMEOUT_MS == 86_400_000
+        backend = HttpBackend("http://127.0.0.1:9", timeout_ms=MAX_TIMEOUT_MS, backoff_ms=0)
+        assert (backend.timeout, backend.backoff) == (86_400.0, 0.0)
+
     @pytest.mark.parametrize("url", ["localhost:9", "127.0.0.1:8080/mt", "ftp://host"])
     def test_url_without_http_scheme_rejected_when_built(self, url):
         with pytest.raises(ValueError, match="must start with http:// or https://"):
             HttpBackend(url)
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9/ü", "http://127.0.0.1:9?q=ü"])
+    def test_url_not_ascii_after_its_host_rejected_when_built(self, url):
+        # http.client sends the request target as ASCII and would fail every batch
+        with pytest.raises(ValueError, match="must be ASCII after its host"):
+            HttpBackend(url)
+
+    def test_idn_host_accepted(self):
+        assert HttpBackend("http://bücher.example/mt/").base_url == "http://bücher.example/mt"
 
     def test_import_leaves_the_http_client_unloaded(self):
         run_fresh("import spanbridge, spanbridge.cli, sys; "
