@@ -132,7 +132,7 @@ def _add_backend_flags(p: argparse.ArgumentParser):
 
 
 def _add_scheme_flags(p: argparse.ArgumentParser):
-    p.add_argument("--scheme", default="brackets", choices=sorted(markers.SCHEME_KINDS))
+    p.add_argument("--scheme", default=markers.SQUARE_BRACKET, choices=sorted(markers.SCHEME_KINDS))
     p.add_argument("--no-pad", action="store_true",
                    help="do not pad markers with spaces (unsegmented scripts)")
 

@@ -4,12 +4,12 @@ Two halves: deterministic insertion of markers around annotated spans, and
 extraction/validation of markers from translated text. All functions are
 pure and thread-safe.
 
-Brackets, xml and quotes wrap each span in an open and a close token; what
-sets them apart is one entry each in `_SYNTAX`. Span ids run 0..n-1, so a
-wrapping scheme's marker map depends only on the span count: all maps of one
-scheme are slices of one table. Their extraction reads the marker pairs from
-one split of the translation into text and tokens. Placeholder replaces each
-span with a `{label}{id}` word and finds it again by exact match, so
+Each scheme is one entry in `_SYNTAX`. Brackets, xml and quotes wrap each
+span in an open and a close token. Span ids run 0..n-1, so a wrapping scheme's
+marker map depends only on the span count, and one cached map serves each
+scheme and count. Their extraction reads the marker pairs from one split of
+the translation into text and tokens. Placeholder replaces each span with a
+`{label}{id}` word and finds it again by exact match, so
 `insert_markers` refuses a span followed directly by a digit: the digit would
 run on from its token. All insertion, and placeholder extraction, go through
 one region splice, `_splice`.
@@ -30,8 +30,6 @@ XML_INDEXED = "xml"
 DOUBLE_QUOTE = "quotes"
 PLACEHOLDER = "placeholder"
 
-SCHEME_KINDS = (SQUARE_BRACKET, XML_INDEXED, DOUBLE_QUOTE, PLACEHOLDER)
-
 VALID = "Valid"
 COUNT_MISMATCH = "CountMismatch"
 STRUCTURE_ERROR = "StructureError"
@@ -39,10 +37,6 @@ STRUCTURE_ERROR = "StructureError"
 # locale quote variants folded back to straight quotes: « » “ ” „ ‟ ‹ › 「 」 『 』
 # (one regex pass; str.translate looks every character up in a dict)
 _LOCALE_QUOTE_RE = re.compile("[«»“”„‟‹›「」『』]")
-
-# placeholder tokens as they may come back: any word starting with a letter and ending
-# in a digit, checked by lookbehind (a lazy \w*?\d+ backtracks quadratically on digits)
-_PLACEHOLDER_RE = re.compile(r"(?<!\w)[^\W\d]\w*(?<=\d)(?!\w)")
 
 # a fragment of an xml tag, named by its whole letter run: "<" or "</" and a
 # name that no ">" closes (group 1), or "/", a name and ">" with no "<" before
@@ -100,9 +94,9 @@ def _xml_tags(i: int) -> tuple[str, str]:
 
 @record
 class _Syntax:
-    """How a wrapping scheme writes and reads its markers."""
+    """How a scheme writes and reads its markers."""
 
-    tokens: Callable[[int], tuple[str, str]]  # span id -> (open, close)
+    tokens: Callable[[int], tuple[str, str]] | None  # span id -> (open, close); None: no pair
     token_re: re.Pattern  # every marker token, known or not, as group 1: split() keeps it
     close_prefix: str | None  # a token starting with this closes a pair; None: tokens alternate
     identity: bool = False  # tokens name their span, so a pair's span id is read back
@@ -114,21 +108,20 @@ _SYNTAX = {
     XML_INDEXED: _Syntax(_xml_tags, re.compile(r"(</?[a-zA-Z]+>)"), "</", identity=True),
     DOUBLE_QUOTE: _Syntax(lambda i: ('"', '"'), re.compile('(")'), None,
                           fold=functools.partial(_LOCALE_QUOTE_RE.sub, '"')),
+    # tokens as they may come back: any word starting with a letter and ending in a
+    # digit, checked by lookbehind (a lazy \w*?\d+ backtracks quadratically on digits)
+    PLACEHOLDER: _Syntax(None, re.compile(r"((?<!\w)[^\W\d]\w*(?<=\d)(?!\w))"), None,
+                         identity=True),
 }
 
-# per scheme, the marker map of the most spans yet: the map of n spans is its
-# first n entries, so the table holds only as many entries as the longest sentence.
-# Threads may race to grow it; whichever table is stored last is still correct.
-_MAPS: dict[str, tuple[tuple[int, str, str], ...]] = dict.fromkeys(_SYNTAX, ())
+SCHEME_KINDS = tuple(_SYNTAX)
 
 
+@functools.lru_cache(maxsize=1024)
 def _marker_map(kind: str, n: int) -> tuple[tuple[int, str, str], ...]:
     """(span id, open, close) of spans 0..n-1 under the wrapping scheme `kind`."""
-    table = _MAPS[kind]
-    if len(table) < n:
-        tokens = _SYNTAX[kind].tokens
-        table = _MAPS[kind] = table + tuple([(i, *tokens(i)) for i in range(len(table), n)])
-    return table[:n]
+    tokens = _SYNTAX[kind].tokens
+    return tuple([(i, *tokens(i)) for i in range(n)])
 
 
 _bounds = attrgetter("start", "end")  # span -> (start, end), without a Python-level call
@@ -136,7 +129,7 @@ _bounds = attrgetter("start", "end")  # span -> (start, end), without a Python-l
 
 def carries_identity(scheme: MarkerScheme) -> bool:
     """True if the markers name their span, so labels need no matching."""
-    return scheme.kind == PLACEHOLDER or _SYNTAX[scheme.kind].identity
+    return _SYNTAX[scheme.kind].identity
 
 
 def insert_markers(sentence: AnnotatedSentence, scheme: MarkerScheme) -> MarkedText:
@@ -386,12 +379,8 @@ def strip_markers(text: str, scheme: MarkerScheme) -> str:
     Doubled spaces created by removal are collapsed; result is trimmed.
     Text containing no markers is returned unchanged.
     """
-    if scheme.kind == PLACEHOLDER:
-        # placeholder tokens are content words in the output
-        stripped = _PLACEHOLDER_RE.sub("", text)
-    else:
-        syntax = _SYNTAX[scheme.kind]
-        stripped = syntax.token_re.sub("", syntax.fold(text))
+    syntax = _SYNTAX[scheme.kind]
+    stripped = syntax.token_re.sub("", syntax.fold(text))
     if stripped == text:
         return text
     return re.sub(r" {2,}", " ", stripped).strip()

@@ -297,8 +297,15 @@ class HttpBackend:
                         origin_req_host=req.origin_req_host, unverifiable=True)
                 return super().redirect_request(req, fp, code, msg, headers, newurl)
 
-            # Python 3.10's handler has no 308 entry
-            http_error_308 = urllib.request.HTTPRedirectHandler.http_error_302
+            def http_error_302(self, req, fp, code, msg, headers):
+                try:
+                    return super().http_error_302(req, fp, code, msg, headers)
+                except ValueError as e:  # a Location urllib cannot parse, as http://[::1/x
+                    fp.close()
+                    raise urllib.error.URLError(f"redirect ({code}) to a bad location: {e}")
+
+            # the base class binds these to its own 302 handler; Python 3.10's has no 308
+            http_error_301 = http_error_303 = http_error_307 = http_error_308 = http_error_302
 
         return urllib.request.build_opener(RepostOnRedirect)
 
@@ -387,7 +394,8 @@ def translate(request: TranslateRequest, backend,
     send = functools.partial(_checked_reply, backend)
     with contextlib.ExitStack() as stack:
         replies = map(send, batches)  # lazy: a batch is sent once the one before is stored
-        if len(batches) > 1 and max_in_flight > 1:
+        # an inner cache appends as it is sent to: a chain sends from this thread, in batch order
+        if len(batches) > 1 and max_in_flight > 1 and not isinstance(backend, CacheBackend):
             # imported here: concurrent.futures costs every process that never pools
             from concurrent.futures import ThreadPoolExecutor
 

@@ -33,7 +33,9 @@ from spanbridge.translate import (
     CacheBackend,
     LexiconBackend,
     LexiconBackendConfig,
+    TranslateRequest,
     TranslationCache,
+    warm_cache,
 )
 
 TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
@@ -62,6 +64,49 @@ def _parallel_corpus(n: int, seed: int) -> tuple[str, str, str]:
     return core.emit_jsonl(sentences), "".join(translations), "".join(lines)
 
 
+def _eszett_target(sentence: core.AnnotatedSentence, i: int, lexicon: dict[str, str]) -> str:
+    """The reversed translation of an entity sentence, in which every 3rd
+    sentence has "Straße" before each entity and all but every 4th have every
+    entity but one in capitals, so that only case folding matches them."""
+    tokens = [lexicon.get(t, t) for t in reversed(sentence.text.split(" "))]
+    entities = [k for k, t in enumerate(tokens) if t.startswith("tgt")]
+    if i % 4:
+        for k in entities[1:]:
+            tokens[k] = tokens[k].upper()
+    if i % 3 == 0:
+        for k in reversed(entities):
+            tokens.insert(k, "Straße")
+    return " ".join(tokens)
+
+
+# a stray I- tag opening a sentence and a label change inside a run, which
+# --lenient-bio reads as B- tags
+STRAY_CONLL = """-DOCSTART-\tO
+
+alpha\tI-PER
+bravo\tO
+charlie\tB-LOC
+delta\tI-LOC
+echo\tI-ORG
+fox\tO
+
+golf\tB-PER
+hotel\tI-PER
+kilo\tO
+"""
+
+# defaults that the command line overrides in part: the threshold of 1 would
+# drop far more sentences than the 0.9 given on the command line
+PROJECT_CFG = """# project defaults; flags on the command line win
+backend = lexicon
+lexicon = lexicon.json
+reorder = reverse
+drop_unmatched = true
+offline = false
+threshold = 1
+"""
+
+
 def inputs() -> dict[str, str]:
     """The files every command directory starts with."""
     entity, token_map = make_entity_corpus(300, 7)
@@ -75,6 +120,15 @@ def inputs() -> dict[str, str]:
     # the brackets MT input of the first half of the entity corpus
     warm = [t for s, m in zip(entity[:150], marked) for t in (m, *s.span_texts())]
     parallel, parallel_tgt, parallel_align = _parallel_corpus(400, 5)
+    # an empty sentence, one without spans and one already holding a bracket
+    plain = entity[:20] + [
+        core.AnnotatedSentence("", ()), core.AnnotatedSentence("alpha bravo", ()),
+        core.AnnotatedSentence("a [sic] note by Anna", (core.LabeledSpan(0, 16, 20, "PER"),))]
+    # the marked relation corpus under each scheme, every 2nd line with a locale quote
+    hyps = {f"hyp-{kind}.txt": "".join(
+        (m.replace('"', "«", 1) if i % 2 else m) + "\n" for i, m in
+        enumerate(insert_markers(s, MarkerScheme(kind)).text for s in relations[:100]))
+        for kind in ("xml", "quotes", "placeholder")}
     return {
         "entity.jsonl": core.emit_jsonl(entity),
         "entity-tgt.txt": "".join(
@@ -92,6 +146,15 @@ def inputs() -> dict[str, str]:
         "parallel.jsonl": parallel,
         "parallel-tgt.txt": parallel_tgt,
         "parallel.align": parallel_align,
+        "plain.jsonl": core.emit_jsonl(plain),
+        "stray.conll": STRAY_CONLL,
+        "project.cfg": PROJECT_CFG,
+        "eszett.jsonl": core.emit_jsonl(entity[:80]),
+        "eszett-tgt.txt": "".join(_eszett_target(s, i, lexicon) + "\n"
+                                  for i, s in enumerate(entity[:80])),
+        **hyps,
+        "ref-relations.txt": "".join(s.text.rsplit(" ", i % 3)[0] + "\n"
+                                     for i, s in enumerate(relations[:100])),
     }
 
 
@@ -161,6 +224,20 @@ def _project_qa_faults() -> int:
     return 0
 
 
+def _warm_cache_chain() -> int:
+    """warm_cache into an outer cache through an inner cache that a reversing
+    lexicon fills; the inner one already holds every 3rd line of warm.txt.
+    Prints each call's (new entries, errors)."""
+    with open("warm.txt", encoding="utf-8") as f:
+        texts = tuple(dict.fromkeys(f.read().split("\n")[:-1]))
+    with open("lexicon.json", encoding="utf-8") as f:
+        lexicon = LexiconBackend(LexiconBackendConfig(json.load(f), reorder="reverse"))
+    print(warm_cache([TranslateRequest(texts[::3], "src", "tgt")], lexicon, "inner.jsonl"))
+    inner = CacheBackend(TranslationCache("inner.jsonl"), lexicon)
+    print(warm_cache([TranslateRequest(texts, "src", "tgt")], inner, "outer.jsonl"))
+    return 0
+
+
 def commands() -> dict:
     """Command id -> the steps run in one directory: argv lists for cli.run,
     or a function returning an exit code."""
@@ -191,6 +268,39 @@ def commands() -> dict:
     table["warm-cache-twice-then-project-offline"] = [warm, warm, [
         "project", "--in", "entity.jsonl", "--out", "out.jsonl", "--report", "report.json",
         "--backend", "cache", "--cache", "cache.jsonl", "--offline"]]
+    entity = ["project", "--in", "entity.jsonl", "--out", "out.jsonl", "--report", "report.json"]
+    table["project-default-backend"] = [[
+        "project", "--in", "plain.jsonl", "--out", "out.jsonl", "--report", "report.json"]]
+    # criterion 10: the same files as project-entity-brackets-reverse
+    table["project-entity-brackets-reverse-jobs-8"] = [[
+        *entity, "--scheme", "brackets", *lexicon, "--reorder", "reverse", "--jobs", "8"]]
+    table["project-entity-brackets-reverse-sequential"] = [[
+        *entity, *lexicon, "--reorder", "reverse", "--matcher", "sequential"]]
+    relations = ["project", "--in", "relations.jsonl", "--out", "out.jsonl",
+                 "--report", "report.json", *lexicon, "--reorder", "reverse"]
+    for scheme in ("brackets", "xml"):  # the projection equals the padded one; the marks do not
+        table[f"project-relations-{scheme}-reverse-no-pad"] = [
+            [*relations, "--scheme", scheme, "--no-pad"],
+            ["mark", "--in", "relations.jsonl", "--out", "marked.jsonl", "--scheme", scheme,
+             "--no-pad"]]
+    table["project-relations-brackets-reverse-threshold-drop"] = [[
+        *relations, "--threshold", "0.9", "--drop-unmatched"]]
+    table["project-config-file"] = [[
+        "--config", "project.cfg", "project", "--in", "relations.jsonl", "--out", "out.jsonl",
+        "--report", "report.json", "--threshold", "0.9"]]
+    conll = ["--in", "stray.conll", "--format", "conll", "--lenient-bio", "--out", "out.jsonl"]
+    table["project-conll-lenient"] = [["project", *conll, *lexicon, "--reorder", "reverse"]]
+    table["mark-conll-lenient"] = [["mark", *conll]]
+    ftdata = ["build-ftdata", "--src", "eszett.jsonl", "--tgt", "eszett-tgt.txt", *lexicon]
+    table["build-ftdata-eszett"] = [
+        [*ftdata, "--out", "pairs-cased.tsv", "--case-sensitive", "--sort", "ascending",
+         "--k", "40"],
+        [*ftdata, "--out", "pairs.tsv"]]
+    for scheme in ("xml", "quotes", "placeholder"):
+        table[f"bleu-strip-{scheme}"] = [[
+            "bleu", "--hyp", f"hyp-{scheme}.txt", "--ref", "ref-relations.txt", "--max-n", "2",
+            "--strip-scheme", scheme]]
+    table["warm-cache-chain"] = [_warm_cache_chain]
     table["emit-squad"] = [_squad]
     table["project-qa"] = [_project_qa]
     table["project-qa-filtered-failed"] = [_project_qa_faults]

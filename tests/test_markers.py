@@ -17,7 +17,7 @@ from spanbridge.markers import (
     mark_ranges,
     strip_markers,
 )
-from spanbridge.markers import _MAPS, _PLACEHOLDER_RE, _SYNTAX
+from spanbridge.markers import _SYNTAX, _marker_map
 
 CHURCHILL = AnnotatedSentence(
     "Churchill was born in England in 1874 .",
@@ -120,20 +120,28 @@ class TestInsert:
         assert [(i, result.clean_text[s:e]) for i, s, e in result.found_spans] == \
             [(0, "a"), (1, "b")]
 
-    def test_marker_maps_are_slices_of_one_table(self):
-        # a 40-span sentence grows the table to tags aa..an; a 3-span map is its prefix
+    def test_marker_maps_are_shared_per_span_count(self):
+        # a 40-span sentence gets tags aa..an past z; a 3-span map is a 40-span map's prefix
         scheme = MarkerScheme("xml")
         long = AnnotatedSentence(" ".join("t" * 40),
                                  tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(40)))
         tokens = _SYNTAX["xml"].tokens
-        assert insert_markers(long, scheme).marker_map[26:] == tuple(
+        long_map = insert_markers(long, scheme).marker_map
+        assert long_map[26:] == tuple(
             (i, f"<a{c}>", f"</a{c}>") for i, c in enumerate("abcdefghijklmn", 26))
         short = insert_markers(CHURCHILL, scheme).marker_map
-        assert short == tuple((i, *tokens(i)) for i in range(3))
+        assert short == tuple((i, *tokens(i)) for i in range(3)) == long_map[:3]
         assert mark_ranges("ab cd", [(0, 2), (3, 5)], scheme) == "<a> ab </a> <b> cd </b>"
-        # one tuple per scheme, as long as the longest map asked for
-        assert isinstance(_MAPS["xml"], tuple) and len(_MAPS["xml"]) >= 40
-        assert _MAPS["xml"][:40] == tuple((i, *tokens(i)) for i in range(40))
+        # one tuple per scheme and span count, built once
+        assert _marker_map("xml", 40) is long_map
+        assert insert_markers(CHURCHILL, scheme).marker_map is short
+        assert _marker_map.cache_info().maxsize == 1024
+
+    def test_one_table_entry_per_scheme(self):
+        assert SCHEME_KINDS == tuple(_SYNTAX) == ("brackets", "xml", "quotes", "placeholder")
+        # each token pattern has the one group that split() keeps
+        assert [_SYNTAX[kind].token_re.groups for kind in SCHEME_KINDS] == [1, 1, 1, 1]
+        assert [_SYNTAX[kind].identity for kind in SCHEME_KINDS] == [False, True, False, True]
 
     def test_xml_tag_alphabet_past_z(self):
         spans = tuple(LabeledSpan(i, 2 * i, 2 * i + 1, "X") for i in range(28))
@@ -272,7 +280,7 @@ class TestStrip:
     @given(st.text(alphabet="aZж_中文019٣٤０５ .,-'", max_size=40))
     @settings(max_examples=2000)
     def test_placeholder_pattern_matches_the_reference(self, text):
-        assert ([m.span() for m in _PLACEHOLDER_RE.finditer(text)]
+        assert ([m.span() for m in _SYNTAX["placeholder"].token_re.finditer(text)]
                 == [m.span() for m in self.REFERENCE_PLACEHOLDER_RE.finditer(text)])
 
     def test_placeholder_strip_of_a_long_digit_run(self):

@@ -398,7 +398,8 @@ class _Handler(BaseHTTPRequestHandler):
     bad_body = None  # when set, failing calls answer 200 with this body instead of 500
     short_body = False  # when set, failing calls declare a longer body than they send
     raw_body = content_type = last_path = None  # of the last request
-    redirect = None  # when set, a POST to /translate gets this status and Location /moved
+    redirect = None  # when set, a POST to /translate gets this status and Location `location`
+    location = "/moved"
 
     def do_POST(self):
         cls = type(self)
@@ -408,7 +409,7 @@ class _Handler(BaseHTTPRequestHandler):
         cls.last_path = self.path
         if cls.redirect is not None and self.path == "/translate":
             self.send_response(cls.redirect)
-            self.send_header("Location", "/moved")
+            self.send_header("Location", cls.location)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -443,6 +444,7 @@ def http_server():
     _Handler.bad_body = None
     _Handler.short_body = False
     _Handler.redirect = None
+    _Handler.location = "/moved"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
@@ -642,6 +644,16 @@ class TestHttp:
         resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
         # the test server answers no GET; each attempt posts once to /translate only
         assert [i.status for i in resp.items] == ["BackendError: HTTP 501"] * 2
+        assert (_Handler.calls, _Handler.last_path) == (2, "/translate")
+
+    @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+    def test_redirect_to_an_unparsable_location_names_the_redirect(self, http_server, code):
+        _Handler.redirect, _Handler.location = code, "http://[::1/x"
+        backend = HttpBackend(http_server, timeout_ms=5000, retries=2, backoff_ms=1)
+        resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
+        assert [i.status for i in resp.items] == [
+            f"BackendError: <urlopen error redirect ({code}) to a bad location: "
+            f"Invalid IPv6 URL>"] * 2
         assert (_Handler.calls, _Handler.last_path) == (2, "/translate")
 
     @pytest.mark.parametrize("setting, message", [
@@ -931,6 +943,20 @@ class TestCacheBeforeBatching:
         assert upstream.waits == [True] * 3
         assert resp.outputs() == list(texts)
         assert _inputs(path) == list(texts)
+
+    def test_a_cache_chain_records_the_inner_cache_in_batch_order(self, tmp_path):
+        class SlowerEarlier:
+            def translate(self, request):
+                k = int(request.items[0][1:]) // 32  # batch k starts with t(32k)
+                threading.Event().wait(0.05 * (4 - k))  # in flight together, batch 0 ends last
+                return IdentityBackend().translate(request)
+
+        inner, outer = tmp_path / "inner.jsonl", tmp_path / "outer.jsonl"
+        texts = tuple(f"t{i}" for i in range(128))  # four batches
+        backend = CacheBackend(TranslationCache(str(inner)), SlowerEarlier())
+        assert warm_cache([TranslateRequest(texts, "en", "de")], backend, str(outer)) == (128, 0)
+        assert _inputs(outer) == list(texts)
+        assert inner.read_bytes() == outer.read_bytes()
 
     def test_misses_fill_whole_batches(self, tmp_path):
         path = tmp_path / "c.jsonl"
