@@ -250,41 +250,35 @@ def spans_from_bio(tokens: list[str], tags: list[str], lenient: bool = False) ->
     """
     if len(tokens) != len(tags):
         raise FormatError(f"length mismatch: {len(tokens)} tokens vs {len(tags)} tags")
-    spans: list[LabeledSpan] = []
-    cur_label = None
-    cur_first = 0  # the run's first token
-    cur_end = 0
+    return _decode_bio(tokens, tags, lenient, "token {}".format)
+
+
+def _decode_bio(tokens, tags, lenient: bool, where) -> list[LabeledSpan]:
+    """spans_from_bio without its length check; where(i) names token i in a FormatError."""
     bounds = token_bounds(tokens)
-
-    def close_run():
-        nonlocal cur_label
-        if cur_label is not None:
+    spans: list[LabeledSpan] = []
+    run = None  # the open run's label; it spans from token `first` to offset `end`
+    first = end = 0
+    for i, tag in enumerate([*tags, "O"]):  # the final O closes the last run
+        label = tag[2:]
+        if label == run and tag.startswith("I-"):
+            end = bounds[i][1]
+            continue
+        if tag != "O" and not tag.startswith("B-"):
+            if not tag.startswith("I-"):
+                raise FormatError(f"bad BIO tag {tag!r} at {where(i)}")
+            if not lenient:
+                raise FormatError(f"label change inside run at {where(i)}" if run is not None
+                                  else f"I-{label} without preceding B-{label} at {where(i)}")
+        if run is not None:
             try:
-                spans.append(LabeledSpan(len(spans), bounds[cur_first][0], cur_end, cur_label))
-            except FormatError as e:  # the label is empty or holds whitespace
-                raise FormatError(f"{e} at token {cur_first}") from None
-            cur_label = None
-
-    for i, ((_, tok_end), tag) in enumerate(zip(bounds, tags)):
+                spans.append(LabeledSpan(len(spans), bounds[first][0], end, run))
+            except FormatError as e:  # an empty or whitespace label, or only empty tokens
+                raise FormatError(f"{e} at {where(first)}") from None
         if tag == "O":
-            close_run()
-        elif tag.startswith("B-"):
-            close_run()
-            cur_label, cur_first, cur_end = tag[2:], i, tok_end
-        elif tag.startswith("I-"):
-            label = tag[2:]
-            if cur_label == label:
-                cur_end = tok_end
-            elif lenient:
-                close_run()
-                cur_label, cur_first, cur_end = label, i, tok_end
-            elif cur_label is None:
-                raise FormatError(f"I-{label} without preceding B-{label} at token {i}")
-            else:
-                raise FormatError(f"label change inside run at token {i}")
+            run = None
         else:
-            raise FormatError(f"bad BIO tag {tag!r} at token {i}")
-    close_run()
+            run, first, end = label, i, bounds[i][1]
     return spans
 
 
@@ -350,22 +344,12 @@ def parse_conll(text: str, lenient: bool = False) -> list[AnnotatedSentence]:
     tokens: list[str] = []
     tags: list[str] = []
     lines: list[int] = []
-
-    def flush():
-        nonlocal tokens, tags, lines
-        if tokens:
-            try:
-                spans = spans_from_bio(tokens, tags, lenient=lenient)
-            except FormatError as e:
-                # spans_from_bio reports a token index; translate it to a line number
-                msg, at, index = str(e).rpartition(" at token ")
-                raise FormatError(f"{msg} at line {lines[int(index)]}" if at else str(e)) from None
-            sentences.append(AnnotatedSentence(" ".join(tokens), tuple(spans)))
-        tokens, tags, lines = [], [], []
-
-    for lineno, line in enumerate(text.split("\n"), start=1):
+    for lineno, line in enumerate([*text.split("\n"), ""], start=1):  # "" ends the last sentence
         if not line.strip():
-            flush()
+            if tokens:
+                spans = _decode_bio(tokens, tags, lenient, lambda i: f"line {lines[i]}")
+                sentences.append(AnnotatedSentence(" ".join(tokens), spans))
+                tokens, tags, lines = [], [], []
             continue
         if line.startswith("-DOCSTART-"):
             continue
@@ -377,7 +361,6 @@ def parse_conll(text: str, lenient: bool = False) -> list[AnnotatedSentence]:
         tokens.append(parts[0])
         tags.append(parts[1])
         lines.append(lineno)
-    flush()
     return sentences
 
 

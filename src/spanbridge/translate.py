@@ -257,7 +257,8 @@ class CacheBackend:
 
 class HttpBackend:
     """POST {base_url}/translate with {"texts","src_lang","tgt_lang"};
-    expects {"translations": [...]}. Retries with exponential backoff, capped.
+    expects {"translations": [...]}. Retries with exponential backoff, capped,
+    except after an HTTP status below 500 other than 408 and 429.
     A 307 or 308 redirect is followed with the same POST.
     The base URL must start with http:// or https://, and at least one attempt,
     a timeout in (0, MAX_TIMEOUT_MS] and a backoff of 0 or more must be allowed."""
@@ -333,6 +334,8 @@ class HttpBackend:
             except urllib.error.HTTPError as e:
                 e.close()  # it holds the response socket
                 last_error = f"HTTP {e.code}"
+                if e.code < 500 and e.code not in (408, 429):  # resending gets the same answer
+                    break
                 continue
             except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)

@@ -95,6 +95,12 @@ hotel\tI-PER
 kilo\tO
 """
 
+# strict reading stops at the first fault: the label change at echo, and a
+# run with a bad label that starts on line 5 and is closed on line 7
+LABEL_CHANGE_CONLL = STRAY_CONLL.replace("alpha\tI-PER", "alpha\tB-PER")
+BAD_LABEL_CONLL = LABEL_CHANGE_CONLL.replace("charlie\tB-LOC\ndelta\tI-LOC\necho\tI-ORG",
+                                             "charlie\tB-a b\ndelta\tI-a b\necho\tO")
+
 # defaults that the command line overrides in part: the threshold of 1 would
 # drop far more sentences than the 0.9 given on the command line
 PROJECT_CFG = """# project defaults; flags on the command line win
@@ -148,6 +154,8 @@ def inputs() -> dict[str, str]:
         "parallel.align": parallel_align,
         "plain.jsonl": core.emit_jsonl(plain),
         "stray.conll": STRAY_CONLL,
+        "label-change.conll": LABEL_CHANGE_CONLL,
+        "bad-label.conll": BAD_LABEL_CONLL,
         "project.cfg": PROJECT_CFG,
         "eszett.jsonl": core.emit_jsonl(entity[:80]),
         "eszett-tgt.txt": "".join(_eszett_target(s, i, lexicon) + "\n"
@@ -291,6 +299,8 @@ def commands() -> dict:
     conll = ["--in", "stray.conll", "--format", "conll", "--lenient-bio", "--out", "out.jsonl"]
     table["project-conll-lenient"] = [["project", *conll, *lexicon, "--reorder", "reverse"]]
     table["mark-conll-lenient"] = [["mark", *conll]]
+    table["conll-strict-errors"] = [["stats", "--in", name, "--format", "conll"] for name in
+                                    ("stray.conll", "label-change.conll", "bad-label.conll")]
     ftdata = ["build-ftdata", "--src", "eszett.jsonl", "--tgt", "eszett-tgt.txt", *lexicon]
     table["build-ftdata-eszett"] = [
         [*ftdata, "--out", "pairs-cased.tsv", "--case-sensitive", "--sort", "ascending",

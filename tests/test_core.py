@@ -183,6 +183,124 @@ class TestBioSpans:
         assert bio_from_spans(tokens, spans) == tags
 
 
+def _reference_spans_from_bio(tokens, tags, lenient=False):
+    """spans_from_bio as it was before the shared BIO decoder: a closure closes
+    each run and names positions as token indices."""
+    if len(tokens) != len(tags):
+        raise FormatError(f"length mismatch: {len(tokens)} tokens vs {len(tags)} tags")
+    spans = []
+    cur_label = None
+    cur_first = 0
+    cur_end = 0
+    bounds = token_bounds(tokens)
+
+    def close_run():
+        nonlocal cur_label
+        if cur_label is not None:
+            try:
+                spans.append(LabeledSpan(len(spans), bounds[cur_first][0], cur_end, cur_label))
+            except FormatError as e:
+                raise FormatError(f"{e} at token {cur_first}") from None
+            cur_label = None
+
+    for i, ((_, tok_end), tag) in enumerate(zip(bounds, tags)):
+        if tag == "O":
+            close_run()
+        elif tag.startswith("B-"):
+            close_run()
+            cur_label, cur_first, cur_end = tag[2:], i, tok_end
+        elif tag.startswith("I-"):
+            label = tag[2:]
+            if cur_label == label:
+                cur_end = tok_end
+            elif lenient:
+                close_run()
+                cur_label, cur_first, cur_end = label, i, tok_end
+            elif cur_label is None:
+                raise FormatError(f"I-{label} without preceding B-{label} at token {i}")
+            else:
+                raise FormatError(f"label change inside run at token {i}")
+        else:
+            raise FormatError(f"bad BIO tag {tag!r} at token {i}")
+    close_run()
+    return spans
+
+
+def _reference_parse_conll(text, lenient=False):
+    """parse_conll as it was before the shared BIO decoder: it read the token
+    index back out of _reference_spans_from_bio's message to name the line."""
+    sentences = []
+    tokens, tags, lines = [], [], []
+
+    def flush():
+        nonlocal tokens, tags, lines
+        if tokens:
+            try:
+                spans = _reference_spans_from_bio(tokens, tags, lenient=lenient)
+            except FormatError as e:
+                msg, at, index = str(e).rpartition(" at token ")
+                raise FormatError(f"{msg} at line {lines[int(index)]}" if at else str(e)) from None
+            sentences.append(AnnotatedSentence(" ".join(tokens), tuple(spans)))
+        tokens, tags, lines = [], [], []
+
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            flush()
+            continue
+        if line.startswith("-DOCSTART-"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise FormatError(f"line {lineno}: expected 'token<TAB>tag', got {len(parts)} columns")
+        if " " in parts[0]:
+            raise FormatError(f"line {lineno}: token holds a space")
+        tokens.append(parts[0])
+        tags.append(parts[1])
+        lines.append(lineno)
+    flush()
+    return sentences
+
+
+def _result(fn, *args):
+    """fn(*args), or the message of the FormatError it raised."""
+    try:
+        return fn(*args)
+    except FormatError as e:
+        return "FormatError", str(e)
+
+
+# well-formed and broken tags: empty labels, labels holding whitespace, tags
+# without a B-/I- prefix, and tags holding the text a position is named by
+_BIO_TAGS = ["O", "B-X", "I-X", "B-Y", "I-Y", "B-", "I-", "B-a b", "I-a b", "B-X\r", "Q", "I",
+             "I-X at token 1", "Q at token 1"]
+# an empty token makes an empty span; a token holding a space, a line without
+# two columns and a blank line holding a tab are read before any tag
+_CONLL_LINES = st.one_of(
+    st.builds("{}\t{}".format, st.sampled_from(["x", "éé", ""]), st.sampled_from(_BIO_TAGS)),
+    st.sampled_from(["", "", "", "", "", "\t", "\t", "-DOCSTART-\tO", "-DOCSTART-\tO",
+                     "a b\tO", "x\tO\tO"]))
+
+
+class TestBioReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_spans_from_bio_equals_the_reference(self, data, lenient):
+        n = data.draw(st.integers(0, 8))
+        tokens = data.draw(st.lists(st.sampled_from(["x", "éé", "", "a b"]), min_size=n,
+                                    max_size=n + data.draw(st.sampled_from([0, 0, 0, 1]))))
+        tags = data.draw(st.lists(st.sampled_from(_BIO_TAGS), min_size=n, max_size=n))
+        assert _result(spans_from_bio, tokens, tags, lenient) == \
+            _result(_reference_spans_from_bio, tokens, tags, lenient)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.lists(_CONLL_LINES, max_size=14), st.sampled_from(["", "\n", "\n\n"]),
+           st.booleans())
+    def test_parse_conll_equals_the_reference(self, lines, end, lenient):
+        text = "\n".join(lines) + end
+        assert _result(parse_conll, text, lenient) == \
+            _result(_reference_parse_conll, text, lenient)
+
+
 SQUAD_FIXTURE = json.dumps(
     {
         "data": [

@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_entity_corpus
 from spanbridge import translate as translate_module
-from spanbridge.cli import EXIT_OK, run
+from spanbridge.cli import EXIT_OK, EXIT_PARTIAL, run
 from spanbridge.core import AnnotatedSentence, LabeledSpan, emit_jsonl, parse_jsonl
 from spanbridge.easyproject import project_corpus
 from spanbridge.ftdata import ParallelPair, build_ft_pairs
 from spanbridge.markers import VALID, MarkerScheme, extract_markers, insert_markers
 from spanbridge.translate import (
+    BATCH_SIZE,
     DEFAULT_BACKOFF_MS,
     DEFAULT_RETRIES,
     MAX_BACKOFF_MS,
@@ -509,6 +510,19 @@ class TestProjectCommandOverHttp:
                               for t in (insert_markers(s, scheme).text, *s.span_texts()))
         assert _inputs(tmp_path / "cache1.jsonl") == list(items)
 
+    def test_a_client_error_fails_every_sentence_after_one_post_per_batch(
+            self, tmp_path, http_server, corpus):
+        _Handler.fail_times, _Handler.fail_status = 10 ** 6, 404
+        code, _, report = self._project(tmp_path, "404",
+                                        ["--backend", "http", "--mt-url", http_server])
+        assert code == EXIT_PARTIAL
+        assert json.loads(report) == {"total": 20, "projected": 0, "filtered": 0, "failed": 20,
+                                      "reasons": {"BackendError": 20}}
+        scheme = MarkerScheme("brackets")
+        items = dict.fromkeys(t for s in corpus
+                              for t in (insert_markers(s, scheme).text, *s.span_texts()))
+        assert _Handler.calls == -(-len(items) // BATCH_SIZE)
+
 
 class TestHttp:
     def test_basic(self, http_server):
@@ -529,6 +543,26 @@ class TestHttp:
         resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
         assert len(resp.items) == 2
         assert all(not i.ok and "HTTP 500" in i.status for i in resp.items)
+
+    @pytest.mark.parametrize("status", [400, 404, 413])
+    def test_a_client_error_ends_the_attempts_without_a_wait(self, http_server, monkeypatch,
+                                                             status):
+        _Handler.fail_times, _Handler.fail_status = 99, status
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        backend = HttpBackend(http_server, timeout_ms=5000)
+        resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
+        assert [i.status for i in resp.items] == [f"BackendError: HTTP {status}"] * 2
+        assert (_Handler.calls, sleeps) == (1, [])
+
+    @pytest.mark.parametrize("status", [408, 429])
+    def test_a_timeout_or_rate_limit_answer_is_retried(self, http_server, monkeypatch, status):
+        _Handler.fail_times, _Handler.fail_status = 99, status
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
+        backend = HttpBackend(http_server, timeout_ms=5000, retries=3)
+        resp = backend.translate(TranslateRequest(("a",), "en", "de"))
+        assert [i.status for i in resp.items] == [f"BackendError: HTTP {status}"]
+        assert _Handler.calls == 3
 
     @pytest.mark.parametrize("retries, backoff_ms, waits", [
         (12, 500, [0.5, 1, 2, 4, 8, 16] + [30] * 5),
