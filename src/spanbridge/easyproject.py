@@ -114,7 +114,8 @@ def assign_labels_fuzzy(
     dropped (None), depending on cfg.on_no_match.
 
     Equal strings are exactly the pairs with ratio 1.0, so they are settled
-    first without scoring; ratios are computed only for the pairs left.
+    first without scoring; ratios are computed only for the pairs left, and
+    nothing is scored or sorted when no span is left.
     """
     n = len(bracketed_texts)
     if cfg.mode == MATCH_SEQUENTIAL:  # positional; no mentions are translated for it
@@ -135,6 +136,8 @@ def assign_labels_fuzzy(
             if equal:
                 cand_for[equal.pop(0)] = c
                 used_cand[c] = True
+        if None not in cand_for:  # equal strings settled every span: nothing left to score
+            return Assignment(tuple(cand_for), False)
         # sort by descending ratio; ties broken by source span (candidate) order
         scored = sorted(
             ((fuzzy_ratio(bracketed_texts[t], candidate_mentions[c]), c, t)

@@ -255,11 +255,24 @@ class CacheBackend:
         return translate(request, self, max_in_flight=1)
 
 
+@functools.cache
+def _bad_redirect() -> type[OSError]:
+    """The URLError HttpBackend raises for a redirect to a Location urllib cannot
+    parse; made on first use, as urllib.error costs every command that never posts."""
+    import urllib.error
+
+    class BadRedirect(urllib.error.URLError):
+        pass
+
+    return BadRedirect
+
+
 class HttpBackend:
     """POST {base_url}/translate with {"texts","src_lang","tgt_lang"};
     expects {"translations": [...]}. Retries with exponential backoff, capped,
-    except after an HTTP status below 500 other than 408 and 429.
-    A 307 or 308 redirect is followed with the same POST.
+    except after an HTTP status below 500 other than 408 and 429 or a redirect
+    to a Location that cannot be parsed. A 307 or 308 redirect is followed with
+    the same POST.
     The base URL must start with http:// or https://, and at least one attempt,
     a timeout in (0, MAX_TIMEOUT_MS] and a backoff of 0 or more must be allowed."""
 
@@ -303,7 +316,7 @@ class HttpBackend:
                     return super().http_error_302(req, fp, code, msg, headers)
                 except ValueError as e:  # a Location urllib cannot parse, as http://[::1/x
                     fp.close()
-                    raise urllib.error.URLError(f"redirect ({code}) to a bad location: {e}")
+                    raise _bad_redirect()(f"redirect ({code}) to a bad location: {e}")
 
             # the base class binds these to its own 302 handler; Python 3.10's has no 308
             http_error_301 = http_error_303 = http_error_307 = http_error_308 = http_error_302
@@ -337,6 +350,9 @@ class HttpBackend:
                 if e.code < 500 and e.code not in (408, 429):  # resending gets the same answer
                     break
                 continue
+            except _bad_redirect() as e:  # each attempt is sent to the same bad location
+                last_error = str(e)
+                break
             except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)
                 continue

@@ -30,7 +30,14 @@ from spanbridge.easyproject import (
 from spanbridge.ftdata import FtDataConfig, ParallelPair, build_ft_pairs
 from spanbridge.markers import MarkerScheme, insert_markers, strip_markers
 from spanbridge.metrics import corpus_bleu, projection_rate
-from spanbridge.translate import IdentityBackend, LexiconBackend, LexiconBackendConfig
+from spanbridge.translate import (
+    CacheBackend,
+    IdentityBackend,
+    LexiconBackend,
+    LexiconBackendConfig,
+    TranslateRequest,
+    TranslationCache,
+)
 
 
 def _ok(n, message):
@@ -297,3 +304,39 @@ def test_criterion_10_determinism(tmp_path):
         runs.append((out.read_bytes(), rep.read_bytes()))
     assert runs[0] == runs[1]
     _ok(10, "criterion-1 and criterion-3 runs are byte-identical with --jobs 1 and --jobs 8")
+
+
+class _Recording:
+    """Passes each batch to `upstream` and records the batch's items."""
+
+    def __init__(self, upstream):
+        self.upstream = upstream
+        self.batches = []
+
+    def translate(self, request):
+        self.batches.append(request.items)
+        return self.upstream.translate(request)
+
+
+def test_criterion_10_determinism_through_a_cache(tmp_path):
+    # criterion-3 configuration behind a half-warm cache: hits, misses and appends
+    sentences, token_map = make_entity_corpus(200, seed=301)
+    scheme = MarkerScheme("brackets")
+    items = list(dict.fromkeys(
+        t for s in sentences for t in (insert_markers(s, scheme).text, *s.span_texts())))
+    lexicon = LexiconBackend(LexiconBackendConfig(token_map, reorder="reverse"))
+    warm = lexicon.translate(TranslateRequest(items[::2], "src", "tgt")).outputs()
+    runs = []
+    for jobs in (1, 8):
+        path = tmp_path / f"cache-{jobs}.jsonl"
+        TranslationCache(str(path)).put("src", "tgt", list(zip(items[::2], warm)))
+        upstream = _Recording(lexicon)
+        projected, report = project_corpus(
+            sentences, CacheBackend(TranslationCache(str(path)), upstream), scheme, jobs=jobs)
+        runs.append((emit_jsonl(projected), json.dumps(report.to_json(), sort_keys=True),
+                     path.read_bytes(), sorted(upstream.batches)))
+    assert len(items[1::2]) > 300
+    assert sum(map(len, runs[0][3])) == len(items[1::2])
+    assert runs[0] == runs[1]
+    _ok(10, f"{len(items[1::2])} misses through a cache give the same output, report, "
+            f"cache file and upstream items with --jobs 1 and --jobs 8")

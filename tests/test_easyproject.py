@@ -187,6 +187,20 @@ class TestAssignLabels:
         assert not result.low_confidence
         assert calls == []
 
+    def test_spans_all_settled_by_equal_strings_need_no_sort(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(easyproject, "sorted",
+                            lambda *args, **kwargs: calls.append(args) or sorted(*args, **kwargs),
+                            raising=False)
+        texts, mentions = ["York", "Anna", "Anna", "Bob"], ["Bob", "Anna", "York", "Anna"]
+        result = assign_labels_fuzzy(texts, mentions, MatcherConfig())
+        assert result == easyproject.Assignment((2, 1, 3, 0), False)
+        assert calls == []
+        # one unsettled span is scored and sorted as before
+        result = assign_labels_fuzzy(["York", "Ana"], ["Anna", "York"], MatcherConfig())
+        assert result == easyproject.Assignment((1, 0), False)
+        assert len(calls) == 1
+
     def test_permutation_recovery_exhaustive_oracle(self):
         # greedy assignment recovers the max-total-ratio assignment when
         # candidates are a permutation with all cross ratios < 1

@@ -681,14 +681,39 @@ class TestHttp:
         assert (_Handler.calls, _Handler.last_path) == (2, "/translate")
 
     @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
-    def test_redirect_to_an_unparsable_location_names_the_redirect(self, http_server, code):
+    def test_redirect_to_an_unparsable_location_names_the_redirect(self, http_server,
+                                                                   monkeypatch, code):
         _Handler.redirect, _Handler.location = code, "http://[::1/x"
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
         backend = HttpBackend(http_server, timeout_ms=5000, retries=2, backoff_ms=1)
         resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
         assert [i.status for i in resp.items] == [
             f"BackendError: <urlopen error redirect ({code}) to a bad location: "
             f"Invalid IPv6 URL>"] * 2
-        assert (_Handler.calls, _Handler.last_path) == (2, "/translate")
+        # every attempt would be redirected to the same bad location
+        assert (_Handler.calls, _Handler.last_path, sleeps) == (1, "/translate", [])
+
+    def test_a_certificate_failure_is_retried(self, monkeypatch):
+        import ssl
+        import urllib.error
+        import urllib.request
+
+        attempts, sleeps = [], []
+
+        def failing_open(opener, request, *args, **kwargs):
+            attempts.append(request.full_url)
+            raise urllib.error.URLError(ssl.SSLCertVerificationError(1, "certificate expired"))
+
+        monkeypatch.setattr(urllib.request.OpenerDirector, "open", failing_open)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        backend = HttpBackend("https://127.0.0.1:9", timeout_ms=5000, retries=3)
+        resp = backend.translate(TranslateRequest(("a", "b"), "en", "de"))
+        # its reason is a ValueError, as a bad redirect's is, but only the redirect ends early
+        assert [i.status for i in resp.items] == [
+            "BackendError: <urlopen error certificate expired>"] * 2
+        assert attempts == ["https://127.0.0.1:9/translate"] * 3
+        assert sleeps == [0.5, 1]
 
     @pytest.mark.parametrize("setting, message", [
         ({"retries": 0}, "retries must be at least 1, got 0"),
@@ -791,6 +816,32 @@ class TestBatching:
     def test_list_and_tuple_items_accepted(self):
         for items in (["a", "b"], ("a", "b")):
             assert TranslateRequest(items, "en", "de").items == ("a", "b")
+
+    @given(st.lists(st.integers(0, 80), max_size=200), st.integers(1, 9), st.integers(1, 40),
+           st.sampled_from(["plain", "cached", "chained"]))
+    @settings(max_examples=100, deadline=None)
+    def test_batches_are_the_misses_cut_every_batch_size(self, numbers, in_flight, batch_size,
+                                                         kind):
+        texts = tuple(f"t{x}" for x in numbers)
+        cached = [f"t{x}" for x in dict.fromkeys(numbers) if x % 2 == 0]
+        upstream = CountingBackend()
+        with tempfile.TemporaryDirectory() as tmp:
+            backend = upstream
+            for depth in range(("plain", "cached", "chained").index(kind)):
+                # each cache of a chain holds the same even-numbered items
+                cache = TranslationCache(os.path.join(tmp, f"c{depth}.jsonl"))
+                cache.put("en", "de", [(t, t) for t in cached])
+                backend = CacheBackend(cache, backend)
+            with patch.object(translate_module, "BATCH_SIZE", batch_size):
+                resp = translate(TranslateRequest(texts, "en", "de"), backend,
+                                 max_in_flight=in_flight)
+        assert resp.outputs() == list(texts)
+        misses = [t for t in dict.fromkeys(texts) if kind == "plain" or t not in cached]
+        batches = [tuple(misses[i:i + batch_size]) for i in range(0, len(misses), batch_size)]
+        # batches in flight together may reach the upstream in any order; a chain sends in order
+        assert sorted(upstream.requests) == sorted(batches)
+        if in_flight == 1 or kind == "chained":
+            assert upstream.requests == batches
 
 
 class CountingBackend:
