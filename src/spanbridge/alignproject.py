@@ -8,6 +8,7 @@ outputs always keep source-equal span counts, and with them every relation.
 
 from __future__ import annotations
 
+import functools
 from itertools import accumulate
 from operator import itemgetter
 
@@ -32,21 +33,31 @@ class AlignedPair:
                 raise FormatError(f"alignment link {i}-{j} out of range")
 
 
+@functools.lru_cache(maxsize=4096)
+def _link(token: str) -> tuple[int, int] | None:
+    """The (i, j) link of one "i-j" token, or None if it is malformed. Aligner
+    output repeats a few hundred distinct tokens, so each is parsed once and
+    every line holding it shares one tuple."""
+    left, sep, right = token.partition("-")
+    # isdecimal(), unlike isdigit(), holds only for digits int() reads ("²" is not one)
+    if not sep or not left.isdecimal() or not right.isdecimal():
+        return None
+    return int(left), int(right)
+
+
 def parse_pharaoh(line: str, n_src: int, n_tgt: int) -> frozenset[tuple[int, int]]:
     """Parse whitespace-separated "i-j" pairs into a deduplicated link set."""
     links = set()
     for pos, token in enumerate(line.split()):
-        left, sep, right = token.partition("-")
-        # isdecimal(), unlike isdigit(), holds only for digits int() reads ("²" is not one)
-        if not sep or not left.isdecimal() or not right.isdecimal():
+        link = _link(token)
+        if link is None:
             raise FormatError(f"malformed alignment pair {token!r} at position {pos}")
-        i, j = int(left), int(right)
-        if i >= n_src or j >= n_tgt:
+        if link[0] >= n_src or link[1] >= n_tgt:
             raise FormatError(
                 f"alignment pair {token!r} at position {pos} out of range "
                 f"({n_src} source / {n_tgt} target tokens)"
             )
-        links.add((i, j))
+        links.add(link)
     return frozenset(links)
 
 

@@ -188,6 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--case-sensitive", action="store_true")
     p.add_argument("--sort", default="descending", choices=["descending", "ascending"])
     _add_backend_flags(p)
+    p.add_argument("--jobs", type=_positive_int, default=tr.DEFAULT_MAX_IN_FLIGHT,
+                   help="batches in flight, at least 1")
 
     p = sub.add_parser("stats", help="corpus statistics as JSON")
     _add_input_flags(p)
@@ -327,7 +329,7 @@ def _cmd_build_ftdata(args) -> int:
     )
     pairs = [ftdata.ParallelPair(s, t) for s, t in zip(src_sentences, tgt_lines)]
     out = ftdata.build_ft_pairs(pairs, backend, cfg,
-                                src_lang=args.src_lang, tgt_lang=args.tgt_lang)
+                                src_lang=args.src_lang, tgt_lang=args.tgt_lang, jobs=args.jobs)
     _atomic_write(args.out, "".join(f"{s}\t{t}\n" for s, t in out))
     return EXIT_OK
 

@@ -90,6 +90,7 @@ def build_ft_pairs(
     cfg: FtDataConfig | None = None,
     src_lang: str = "src",
     tgt_lang: str = "tgt",
+    jobs: int = DEFAULT_MAX_IN_FLIGHT,
 ) -> list[tuple[str, str]]:
     """Build (marked_src, marked_tgt) training pairs, at most cfg.k of them.
 
@@ -99,13 +100,14 @@ def build_ft_pairs(
     or target already holds a bracket is skipped, like a pair with no
     matched entity, since its markers could not be told apart. The cyclic
     collector is off throughout (core.gc_paused): cycles the backend makes
-    are freed after it returns.
+    are freed after it returns. `jobs` is the number of translation batches
+    in flight; the output is the same for any value.
     """
     cfg = cfg or FtDataConfig()
     scheme = MarkerScheme(SQUARE_BRACKET)
 
     replies = translate_each([pair.src.span_texts() for pair in pairs], backend,
-                             src_lang, tgt_lang, DEFAULT_MAX_IN_FLIGHT)
+                             src_lang, tgt_lang, jobs)
 
     multi: list[tuple[str, str]] = []
     single: list[tuple[int, str, str]] = []  # (src_len, marked_src, marked_tgt)

@@ -266,6 +266,8 @@ def commands() -> dict:
         "--alignments", "parallel.align", "--out", "out.jsonl", "--report", "report.json"]]
     table["build-ftdata"] = [["build-ftdata", "--src", "entity.jsonl", "--tgt",
                               "entity-tgt.txt", "--out", "pairs.tsv", *lexicon]]
+    # criterion 10: the same file as build-ftdata
+    table["build-ftdata-jobs-8"] = [[*table["build-ftdata"][0], "--jobs", "8"]]
     table["stats-jsonl"] = [["stats", "--in", "relations.jsonl"]]
     table["stats-conll"] = [["stats", "--in", "relations.conll", "--format", "conll"]]
     table["rate"] = [["rate", "--report", "rate-in.json"]]

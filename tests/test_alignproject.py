@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_corpus, project_token_range
+from spanbridge import alignproject
 from spanbridge.alignproject import (
     AlignedPair,
     parse_pharaoh,
@@ -13,6 +14,23 @@ from spanbridge.alignproject import (
 from spanbridge.core import (AnnotatedSentence, FormatError, LabeledSpan, RelationLink,
                              bio_from_spans, span_token_ranges, token_bounds)
 from spanbridge.metrics import FILTERED, PROJECTED, ProjectionOutcome
+
+
+def _reference_parse_pharaoh(line, n_src, n_tgt):
+    """parse_pharaoh with every token parsed where it stands, no memo."""
+    links = set()
+    for pos, token in enumerate(line.split()):
+        left, sep, right = token.partition("-")
+        if not sep or not left.isdecimal() or not right.isdecimal():
+            raise FormatError(f"malformed alignment pair {token!r} at position {pos}")
+        i, j = int(left), int(right)
+        if i >= n_src or j >= n_tgt:
+            raise FormatError(
+                f"alignment pair {token!r} at position {pos} out of range "
+                f"({n_src} source / {n_tgt} target tokens)"
+            )
+        links.add((i, j))
+    return frozenset(links)
 
 
 def _reference_span_token_ranges(tokens, spans):
@@ -136,6 +154,47 @@ class TestParsePharaoh:
 
     def test_decimal_digits_of_other_scripts_are_read(self):
         assert parse_pharaoh("٠-١ २-0", 3, 3) == {(0, 1), (2, 0)}
+
+    def test_lines_share_one_link_tuple(self):
+        # what keeps a corpus of repeated tokens small: one (0, 1) for every line
+        first = next(link for link in parse_pharaoh("0-1 2-0", 3, 3) if link == (0, 1))
+        second = next(link for link in parse_pharaoh("1-1 0-1", 2, 2) if link == (0, 1))
+        assert first is second
+
+    # indices 0..6 against 1..8 tokens a side: in range or not, as n_src and n_tgt fall
+    _TOKENS = ([f"{i}-{j}" for i in range(7) for j in range(7)]
+               + ["3-", "-4", "a-b", "1--2", "1-2-3", "²-1", "1-²", "٣-٤", "२-0"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=st.lists(st.sampled_from(_TOKENS), max_size=12),
+           seps=st.lists(st.sampled_from([" ", "  ", "\t", " \u3000"]), min_size=13, max_size=13),
+           n_src=st.integers(1, 8), n_tgt=st.integers(1, 8))
+    def test_cold_and_warm_equal_the_reference(self, tokens, seps, n_src, n_tgt):
+        line = "".join(sep + token for sep, token in zip(seps, tokens)) + seps[-1]
+        try:
+            expected = _reference_parse_pharaoh(line, n_src, n_tgt)
+        except FormatError as e:
+            expected = str(e)
+        alignproject._link.cache_clear()
+        for _ in ("cold", "warm"):
+            try:
+                got = parse_pharaoh(line, n_src, n_tgt)
+            except FormatError as e:
+                got = str(e)
+            assert got == expected
+
+    def test_results_hold_past_the_memo_bound(self):
+        # 80 * 80 distinct tokens are more than the memo keeps, so early ones are evicted
+        lines = [" ".join(f"{i}-{j}" for j in range(80)) for i in range(80)]
+        for _ in range(2):
+            for line in lines:
+                assert parse_pharaoh(line, 80, 80) == _reference_parse_pharaoh(line, 80, 80)
+        info = alignproject._link.cache_info()
+        assert info.currsize == info.maxsize < 80 * 80
+        with pytest.raises(FormatError) as e:
+            parse_pharaoh(lines[0], 80, 79)
+        assert str(e.value) == "alignment pair '0-79' at position 79 out of range " \
+                               "(80 source / 79 target tokens)"
 
 
 class TestProjectSpan:

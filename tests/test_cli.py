@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_corpus, make_entity_corpus
-from spanbridge import cli, easyproject, metrics, translate as tr
+from spanbridge import cli, easyproject, ftdata, metrics, translate as tr
 from spanbridge.cli import EXIT_FATAL, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, build_parser, run
 from spanbridge.core import AnnotatedSentence, LabeledSpan, RelationLink, emit_jsonl, parse_jsonl
 from spanbridge.markers import MarkerScheme, insert_markers
@@ -574,6 +574,33 @@ class TestAlignProjectCommand:
             "error: line 2: a line break in the source text would split pairs.tsv\n"
         assert not out.exists()
 
+    def test_build_ftdata_jobs_determinism(self, tmp_path):
+        # criterion 10: 120 sentences of 2..5 entities are about 14 batches of 32 items
+        sentences, token_map = make_entity_corpus(120, seed=9)
+        src = tmp_path / "src.jsonl"
+        src.write_text(emit_jsonl(sentences), encoding="utf-8")
+        # every third target misses its last entity, so single-entity pairs are sorted too
+        tgt_lines = [" ".join(token_map.get(t, t) for t in s.text.split(" ")[::-1][n % 3 == 0:])
+                     for n, s in enumerate(sentences)]
+        (tmp_path / "tgt.txt").write_text("".join(t + "\n" for t in tgt_lines), encoding="utf-8")
+        lex = tmp_path / "lex.json"
+        lex.write_text(json.dumps(token_map), encoding="utf-8")
+        outputs = []
+        for jobs in ("1", "8"):
+            out = tmp_path / f"pairs{jobs}.tsv"
+            assert run(["build-ftdata", "--src", str(src), "--tgt", str(tmp_path / "tgt.txt"),
+                        "--out", str(out), "--k", "100", "--backend", "lexicon",
+                        "--lexicon", str(lex), "--jobs", jobs]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 100
+
+    def test_build_ftdata_jobs_defaults_to_the_translate_default(self):
+        args = build_parser().parse_args(["build-ftdata", "--src", "x", "--tgt", "y",
+                                          "--out", "z"])
+        jobs = inspect.signature(ftdata.build_ft_pairs).parameters["jobs"].default
+        assert args.jobs == jobs == tr.DEFAULT_MAX_IN_FLIGHT
+
 
 class TestMetricsCommands:
     def test_stats(self, tmp_path, corpus_file, capsys):
@@ -660,12 +687,14 @@ class TestMetricsCommands:
 @pytest.mark.parametrize("command", [
     ["bleu", "--hyp", "missing.txt", "--ref", "missing.txt", "--max-n"],
     ["build-ftdata", "--src", "missing.jsonl", "--tgt", "missing.txt", "--out", "o", "--k"],
+    ["build-ftdata", "--src", "missing.jsonl", "--tgt", "missing.txt", "--out", "o", "--jobs"],
     # no URL is set, so no backend would ever check these
     ["project", "--in", "missing.jsonl", "--out", "o", "--backend", "cache", "--cache", "c.jsonl",
      "--offline", "--retries"],
     ["project", "--in", "missing.jsonl", "--out", "o", "--backend", "cache", "--cache", "c.jsonl",
      "--offline", "--timeout-ms"],
-], ids=["bleu-max-n", "build-ftdata-k", "project-retries", "project-timeout-ms"])
+], ids=["bleu-max-n", "build-ftdata-k", "build-ftdata-jobs", "project-retries",
+        "project-timeout-ms"])
 @pytest.mark.parametrize("value, problem", [("0", "must be at least 1, got 0"),
                                             ("-3", "must be at least 1, got -3"),
                                             ("x", "invalid int value: 'x'")],
