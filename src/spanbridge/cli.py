@@ -26,7 +26,8 @@ class UsageError(ValueError):
 
 
 def _atomic_write(path: str, content: str):
-    """Write via a temp file in the same directory, then rename, with open(path, "w")'s mode."""
+    """Write via a temp file in the same directory, then rename, with open(path, "w")'s mode.
+    An OSError names the path as given, not the temp file."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".spanbridge-{os.urandom(8).hex()}")
     try:
         with open(tmp, "x", encoding="utf-8") as f:
@@ -34,9 +35,11 @@ def _atomic_write(path: str, content: str):
                 shutil.copymode(path, tmp)
             f.write(content)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from None
         raise
 
 

@@ -17,6 +17,7 @@ import random
 import re
 import threading
 import time
+import urllib.error
 from collections.abc import Iterable, Mapping
 
 from .core import decode_line, encode_line, record
@@ -255,16 +256,38 @@ class CacheBackend:
         return translate(request, self, max_in_flight=1)
 
 
+class _BadRedirect(urllib.error.URLError):
+    """Raised for a redirect to a Location urllib cannot parse."""
+
+
 @functools.cache
-def _bad_redirect() -> type[OSError]:
-    """The URLError HttpBackend raises for a redirect to a Location urllib cannot
-    parse; made on first use, as urllib.error costs every command that never posts."""
-    import urllib.error
+def _opener():
+    """The one opener every HttpBackend posts through, built on the first POST:
+    urllib.request costs every command that never posts."""
+    import urllib.request
 
-    class BadRedirect(urllib.error.URLError):
-        pass
+    class RepostOnRedirect(urllib.request.HTTPRedirectHandler):
+        """On a 307 or 308, which keep the method, send the same POST to
+        the new location; urllib's own handler refuses to."""
 
-    return BadRedirect
+        def redirect_request(self, req, fp, code, msg, headers, newurl):
+            if code in (307, 308):
+                return urllib.request.Request(
+                    newurl, data=req.data, headers=req.headers,
+                    origin_req_host=req.origin_req_host, unverifiable=True)
+            return super().redirect_request(req, fp, code, msg, headers, newurl)
+
+        def http_error_302(self, req, fp, code, msg, headers):
+            try:
+                return super().http_error_302(req, fp, code, msg, headers)
+            except ValueError as e:  # a Location urllib cannot parse, as http://[::1/x
+                fp.close()
+                raise _BadRedirect(f"redirect ({code}) to a bad location: {e}")
+
+        # the base class binds these to its own 302 handler; Python 3.10's has no 308
+        http_error_301 = http_error_303 = http_error_307 = http_error_308 = http_error_302
+
+    return urllib.request.build_opener(RepostOnRedirect)
 
 
 class HttpBackend:
@@ -273,8 +296,9 @@ class HttpBackend:
     except after an HTTP status below 500 other than 408 and 429 or a redirect
     to a Location that cannot be parsed. A 307 or 308 redirect is followed with
     the same POST.
-    The base URL must start with http:// or https://, and at least one attempt,
-    a timeout in (0, MAX_TIMEOUT_MS] and a backoff of 0 or more must be allowed."""
+    The base URL must start with http:// or https:// and hold no query or fragment,
+    and at least one attempt, a timeout in (0, MAX_TIMEOUT_MS] and a backoff of 0
+    or more must be allowed."""
 
     def __init__(self, base_url: str, timeout_ms: int = 30_000,
                  retries: int = DEFAULT_RETRIES, backoff_ms: int = DEFAULT_BACKOFF_MS):
@@ -282,6 +306,8 @@ class HttpBackend:
             raise ValueError(f"MT URL {base_url!r} must start with http:// or https://")
         if not re.sub(r"^\w+://[^/?#]*", "", base_url).isascii():  # only a host may be IDN
             raise ValueError(f"MT URL {base_url!r} must be ASCII after its host")
+        if "?" in base_url or "#" in base_url:  # "/translate" is appended to the path
+            raise ValueError(f"MT URL {base_url!r} must have no query or fragment")
         if retries < 1:
             raise ValueError(f"retries must be at least 1, got {retries}")
         if timeout_ms <= 0:
@@ -295,37 +321,8 @@ class HttpBackend:
         self.retries = retries
         self.backoff = backoff_ms / 1000.0
 
-    @functools.cached_property
-    def _opener(self):
-        # imported here: urllib.request costs every command that never posts
-        import urllib.request
-
-        class RepostOnRedirect(urllib.request.HTTPRedirectHandler):
-            """On a 307 or 308, which keep the method, send the same POST to
-            the new location; urllib's own handler refuses to."""
-
-            def redirect_request(self, req, fp, code, msg, headers, newurl):
-                if code in (307, 308):
-                    return urllib.request.Request(
-                        newurl, data=req.data, headers=req.headers,
-                        origin_req_host=req.origin_req_host, unverifiable=True)
-                return super().redirect_request(req, fp, code, msg, headers, newurl)
-
-            def http_error_302(self, req, fp, code, msg, headers):
-                try:
-                    return super().http_error_302(req, fp, code, msg, headers)
-                except ValueError as e:  # a Location urllib cannot parse, as http://[::1/x
-                    fp.close()
-                    raise _bad_redirect()(f"redirect ({code}) to a bad location: {e}")
-
-            # the base class binds these to its own 302 handler; Python 3.10's has no 308
-            http_error_301 = http_error_303 = http_error_307 = http_error_308 = http_error_302
-
-        return urllib.request.build_opener(RepostOnRedirect)
-
     def translate(self, request: TranslateRequest) -> TranslateResponse:
         import http.client
-        import urllib.error
         import urllib.request
 
         body = json.dumps({
@@ -342,7 +339,7 @@ class HttpBackend:
                 time.sleep(wait)
                 wait = min(2 * wait, MAX_BACKOFF_MS / 1000)
             try:
-                with self._opener.open(post, timeout=self.timeout) as resp:
+                with _opener().open(post, timeout=self.timeout) as resp:
                     translations = json.loads(resp.read())["translations"]
             except urllib.error.HTTPError as e:
                 e.close()  # it holds the response socket
@@ -350,7 +347,7 @@ class HttpBackend:
                 if e.code < 500 and e.code not in (408, 429):  # resending gets the same answer
                     break
                 continue
-            except _bad_redirect() as e:  # each attempt is sent to the same bad location
+            except _BadRedirect as e:  # each attempt is sent to the same bad location
                 last_error = str(e)
                 break
             except (OSError, http.client.HTTPException) as e:

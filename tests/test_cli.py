@@ -138,6 +138,20 @@ class TestProjectCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "out"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, out, problem", [
+        ("mark", "missing/m.jsonl", "[Errno 2] No such file or directory"),
+        ("project", "out", "[Errno 21] Is a directory"),
+    ])
+    def test_an_unwritable_out_is_named_as_given(self, tmp_path, corpus_file, capsys,
+                                                 monkeypatch, command, out, problem):
+        (tmp_path / "out").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run([command, "--in", "in.jsonl", "--out", out]) == EXIT_FATAL
+        err = capsys.readouterr().err
+        assert err == f"fatal: {problem}: {out!r}\n"
+        assert ".spanbridge-" not in err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["in.jsonl", "out"]
+
     @pytest.mark.parametrize("flags, message", [
         (["--backend", "lexicon", "--reorder", "revrse"],
          "error: reorder must be none, reverse or seed:<int>, got 'revrse'\n"),
@@ -145,6 +159,8 @@ class TestProjectCommand:
          "error: reorder must be none, reverse or seed:<int>, got 'seed:x'\n"),
         (["--backend", "http"], "error: --backend http requires --mt-url or SPANBRIDGE_MT_URL\n"),
         (["--backend", "cache"], "error: --backend cache requires --cache PATH\n"),
+        (["--backend", "http", "--mt-url", "http://127.0.0.1:9/?k=v"],
+         "error: MT URL 'http://127.0.0.1:9/?k=v' must have no query or fragment\n"),
     ])
     def test_setting_that_never_works_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch,
                                              flags, message):

@@ -746,8 +746,23 @@ class TestHttp:
     def test_idn_host_accepted(self):
         assert HttpBackend("http://bücher.example/mt/").base_url == "http://bücher.example/mt"
 
+    @pytest.mark.parametrize("suffix", ["?", "#", "/?", "?a=b#c"])
+    def test_url_with_a_query_or_fragment_rejected_when_built(self, suffix):
+        # "/translate" is appended to the base URL, which would land in the query or fragment
+        url = f"http://127.0.0.1:9/mt{suffix}"
+        with pytest.raises(ValueError) as e:
+            HttpBackend(url)
+        assert str(e.value) == f"MT URL {url!r} must have no query or fragment"
+
+    def test_a_trailing_slash_posts_to_translate_under_the_path(self, http_server):
+        backend = HttpBackend(f"{http_server}/mt/", timeout_ms=5000)
+        assert backend.translate(TranslateRequest(("ab",), "en", "de")).outputs() == ["AB"]
+        assert _Handler.last_path == "/mt/translate"
+
     def test_import_leaves_the_http_client_unloaded(self):
         run_fresh("import spanbridge, spanbridge.cli, sys; "
+                  "assert 'urllib.request' not in sys.modules; "
+                  "spanbridge.translate.HttpBackend('http://127.0.0.1:9'); "
                   "assert 'urllib.request' not in sys.modules")
 
 
