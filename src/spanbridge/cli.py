@@ -51,6 +51,15 @@ def _read(path: str) -> str:
             raise UsageError(f"{path}: {e}") from None
 
 
+def _read_json(path: str, name: str):
+    """The JSON value in the file at `path`; a parse error is prefixed with `name`,
+    as the callers' type errors are."""
+    try:
+        return json.loads(_read(path))
+    except json.JSONDecodeError as e:
+        raise UsageError(f"{name}: {e}") from None
+
+
 def _read_lines(path: str) -> list[str]:
     """Lines of a plain-text file, read with universal newlines: "\n", "\r\n" and a lone
     "\r" end a line; str.splitlines() would also break one at U+0085, U+2028 and the like."""
@@ -91,7 +100,7 @@ def _backend_from_args(args):
     if args.backend == "lexicon":
         token_map = {}
         if args.lexicon:
-            token_map = json.loads(_read(args.lexicon))
+            token_map = _read_json(args.lexicon, f"--lexicon {args.lexicon}")
             if type(token_map) is not dict:
                 raise UsageError(f"--lexicon {args.lexicon}: expected a JSON object, "
                                  f"got {type(token_map).__name__}")
@@ -359,7 +368,7 @@ def _cmd_bleu(args) -> int:
 
 
 def _cmd_rate(args) -> int:
-    report = json.loads(_read(args.report))
+    report = _read_json(args.report, args.report)
     if not (isinstance(report, dict)
             and all(type(report.get(key)) is int for key in ("total", "projected"))
             and 0 <= report["projected"] <= report["total"]):

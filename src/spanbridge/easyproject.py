@@ -138,15 +138,14 @@ def assign_labels_fuzzy(
                 used_cand[c] = True
         if None not in cand_for:  # equal strings settled every span: nothing left to score
             return Assignment(tuple(cand_for), False)
-        # sort by descending ratio; ties broken by source span (candidate) order
+        # by descending ratio, then source span (candidate) order
         scored = sorted(
-            ((fuzzy_ratio(bracketed_texts[t], candidate_mentions[c]), c, t)
-             for t in range(n) if cand_for[t] is None
-             for c in range(n) if not used_cand[c]),
-            key=lambda x: (-x[0], x[1], x[2]),
+            (-fuzzy_ratio(bracketed_texts[t], candidate_mentions[c]), c, t)
+            for t in range(n) if cand_for[t] is None
+            for c in range(n) if not used_cand[c]
         )
-        for ratio, c, t in scored:
-            if ratio <= cfg.threshold:
+        for neg_ratio, c, t in scored:
+            if -neg_ratio <= cfg.threshold:
                 break
             if cand_for[t] is None and not used_cand[c]:
                 cand_for[t] = c

@@ -10,6 +10,8 @@ length-sorted and the output is truncated to the pair budget.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .core import AnnotatedSentence, gc_paused, record
 from .easyproject import translate_each
 from .markers import SQUARE_BRACKET, MarkerScheme, PreexistingMarkerError, mark_ranges
@@ -135,7 +137,8 @@ def build_ft_pairs(
         else:
             single.append((len(pair.src.text), *marked))
 
-    single.sort(key=lambda x: (-x[0] if cfg.length_sort == SORT_DESCENDING else x[0]))
+    # the sort is stable under reverse too, so equal lengths keep their input order
+    single.sort(key=itemgetter(0), reverse=cfg.length_sort == SORT_DESCENDING)
     out = multi + [(s, t) for _, s, t in single]
     return out[: cfg.k]
 

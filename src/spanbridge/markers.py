@@ -7,12 +7,12 @@ pure and thread-safe.
 Each scheme is one entry in `_SYNTAX`. Brackets, xml and quotes wrap each
 span in an open and a close token. Span ids run 0..n-1, so a wrapping scheme's
 marker map depends only on the span count, and one cached map serves each
-scheme and count. Their extraction reads the marker pairs from one split of
-the translation into text and tokens. Placeholder replaces each span with a
-`{label}{id}` word and finds it again by exact match, so
-`insert_markers` refuses a span followed directly by a digit: the digit would
-run on from its token. All insertion, and placeholder extraction, go through
-one region splice, `_splice`.
+scheme and count. Their extraction reads the marker pairs by position from
+one split of the translation into text and tokens: intact markers alternate
+open, close. Placeholder replaces each span with a `{label}{id}` word and
+finds it again by exact match, so `insert_markers` refuses a span followed
+directly by a digit: the digit would run on from its token. All insertion,
+and placeholder extraction, go through one region splice, `_splice`.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ class _Syntax:
 
     tokens: Callable[[int], tuple[str, str]] | None  # span id -> (open, close); None: no pair
     token_re: re.Pattern  # every marker token, known or not, as group 1: split() keeps it
-    close_prefix: str | None  # a token starting with this closes a pair; None: tokens alternate
+    close_prefix: str | None  # a token starting with this closes a pair; None: tokens are alike
     identity: bool = False  # tokens name their span, so a pair's span id is read back
     fold: Callable[[str], str] = lambda text: text  # applied before any token is read
 
@@ -259,23 +259,6 @@ def _tag_fragments(
             for m in _TAG_FRAGMENT_RE.finditer(text, first.start()) if m[m.lastindex] in index]
 
 
-def _tag_damage(
-    text: str, tokens: list[str], known: set[str], expected: tuple[tuple[int, str, str], ...],
-) -> ExtractionResult | None:
-    """An unknown tag, or a garbled fragment of an expected tag such as "<e，"
-    or a bare "/e>"; None if the tags are intact."""
-    for tok in tokens:
-        if tok not in known:
-            return ExtractionResult(text, (), COUNT_MISMATCH, f"unknown tag {tok}")
-    fragments = _tag_fragments(text, expected)
-    if not fragments:
-        return None
-    # the diagnostic names the first damaged tag of `expected`, opening before closing
-    _, _, offset = min((i, kind, m.start()) for i, kind, m in fragments)
-    return ExtractionResult(
-        text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {offset}")
-
-
 def extract_markers(
     translated: str, scheme: MarkerScheme, expected: tuple[tuple[int, str, str], ...]
 ) -> ExtractionResult:
@@ -298,56 +281,49 @@ def extract_markers(
     parts = syntax.token_re.split(text)
     tokens = parts[1::2]
 
-    # anonymous markers map to no id, so every pair reads back as None
-    open_for: dict[str, int] = {}
-    close_for: dict[str, int] = {}
     if syntax.identity:
         open_for = {open_tok: span_id for span_id, open_tok, _ in expected}
         close_for = {close_tok: span_id for span_id, _, close_tok in expected}
-        damage = _tag_damage(text, tokens, open_for.keys() | close_for.keys(), expected)
-        if damage is not None:
-            return damage
+        for tok in tokens:
+            if tok not in open_for and tok not in close_for:
+                return ExtractionResult(text, (), COUNT_MISMATCH, f"unknown tag {tok}")
+        # a garbled fragment of an expected tag, such as "<e，" or a bare "/e>"; the
+        # diagnostic names the first damaged tag of `expected`, opening before closing
+        if fragments := _tag_fragments(text, expected):
+            _, _, offset = min((i, kind, m.start()) for i, kind, m in fragments)
+            return ExtractionResult(
+                text, (), STRUCTURE_ERROR, f"malformed marker fragment at offset {offset}")
 
-    ids: list[int | None] = []  # marker id of each complete pair
-    pieces: list[str] = []  # text before each pair's open token, then its stripped inner text
-    pending = -1  # index of the open token waiting for its close, or -1
-    close_prefix = syntax.close_prefix
-    for j, tok in enumerate(tokens):
-        is_open = pending < 0 if close_prefix is None else not tok.startswith(close_prefix)
-        if is_open:
-            if pending >= 0:
+    # intact markers alternate open, close: token j closes a pair exactly when j is
+    # odd. Quote tokens are all alike, so only their position tells them apart.
+    if (close_prefix := syntax.close_prefix) is not None:
+        identity = syntax.identity
+        for j, tok in enumerate(tokens):
+            closes = tok.startswith(close_prefix)
+            if closes != (j % 2 == 1):
+                return ExtractionResult(text, (), STRUCTURE_ERROR, (
+                    f"closing marker {tok!r} without open" if closes
+                    else f"marker {tok!r} opened inside another pair"))
+            if closes and identity and close_for[tok] != open_for[tokens[j - 1]]:
                 return ExtractionResult(
-                    text, (), STRUCTURE_ERROR, f"marker {tok!r} opened inside another pair"
-                )
-            pending = j
-        else:
-            if pending < 0:
-                return ExtractionResult(
-                    text, (), STRUCTURE_ERROR, f"closing marker {tok!r} without open"
-                )
-            marker_id = open_for.get(tokens[pending])
-            if close_for.get(tok) != marker_id:
-                return ExtractionResult(
-                    text, (), STRUCTURE_ERROR, f"close tag {tok} does not match open tag"
-                )
-            ids.append(marker_id)
-            # a pair's tokens are adjacent (j is pending + 1), so parts[2j] is its inner
-            # text; drop padding plus any whitespace variation the MT system introduced
-            pieces.append(parts[2 * pending])
-            pieces.append(parts[2 * j].strip(" "))
-            pending = -1
+                    text, (), STRUCTURE_ERROR, f"close tag {tok} does not match open tag")
 
     n_expected = len(expected)
-    if pending >= 0 or len(ids) != n_expected:
+    if len(tokens) != 2 * n_expected:
         return ExtractionResult(
             text, (), COUNT_MISMATCH,
             f"expected {2 * n_expected} markers forming {n_expected} pairs, "
-            f"found {len(tokens)} markers ({len(ids)} complete pairs)",
+            f"found {len(tokens)} markers ({len(tokens) // 2} complete pairs)",
         )
+    # anonymous markers map to no id, so every pair reads back as None
+    ids = [open_for[tok] for tok in tokens[::2]] if syntax.identity else [None] * n_expected
     if syntax.identity and sorted(ids) != sorted(span_id for span_id, _, _ in expected):
         return ExtractionResult(text, (), COUNT_MISMATCH, "tag identities do not match")
-    pieces.append(parts[-1])
-    # pieces alternate outside and inner text, so the running length gives both bounds
+    # parts[::2] alternates outside and inner text, so the running length gives both
+    # bounds of each pair; inner text drops padding plus any whitespace variation the
+    # MT system introduced
+    pieces = parts[::2]
+    pieces[1::2] = [inner.strip(" ") for inner in pieces[1::2]]
     bounds = accumulate(map(len, pieces))
     return ExtractionResult("".join(pieces), tuple(zip(ids, bounds, bounds)), VALID)
 

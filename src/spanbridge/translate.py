@@ -18,6 +18,7 @@ import re
 import threading
 import time
 import urllib.error
+import urllib.parse
 from collections.abc import Iterable, Mapping
 
 from .core import decode_line, encode_line, record
@@ -296,9 +297,9 @@ class HttpBackend:
     except after an HTTP status below 500 other than 408 and 429 or a redirect
     to a Location that cannot be parsed. A 307 or 308 redirect is followed with
     the same POST.
-    The base URL must start with http:// or https:// and hold no query or fragment,
-    and at least one attempt, a timeout in (0, MAX_TIMEOUT_MS] and a backoff of 0
-    or more must be allowed."""
+    The base URL must start with http:// or https://, hold no query or fragment
+    and give urlsplit a valid host and port, and at least one attempt, a timeout
+    in (0, MAX_TIMEOUT_MS] and a backoff of 0 or more must be allowed."""
 
     def __init__(self, base_url: str, timeout_ms: int = 30_000,
                  retries: int = DEFAULT_RETRIES, backoff_ms: int = DEFAULT_BACKOFF_MS):
@@ -308,6 +309,10 @@ class HttpBackend:
             raise ValueError(f"MT URL {base_url!r} must be ASCII after its host")
         if "?" in base_url or "#" in base_url:  # "/translate" is appended to the path
             raise ValueError(f"MT URL {base_url!r} must have no query or fragment")
+        try:  # a bad port or IPv6 host fails every attempt alike
+            urllib.parse.urlsplit(base_url).port
+        except ValueError as e:
+            raise ValueError(f"MT URL {base_url!r} has a bad host or port: {e}") from None
         if retries < 1:
             raise ValueError(f"retries must be at least 1, got {retries}")
         if timeout_ms <= 0:

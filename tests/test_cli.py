@@ -161,6 +161,14 @@ class TestProjectCommand:
         (["--backend", "cache"], "error: --backend cache requires --cache PATH\n"),
         (["--backend", "http", "--mt-url", "http://127.0.0.1:9/?k=v"],
          "error: MT URL 'http://127.0.0.1:9/?k=v' must have no query or fragment\n"),
+        (["--backend", "http", "--mt-url", "http://[::1"],
+         "error: MT URL 'http://[::1' has a bad host or port: Invalid IPv6 URL\n"),
+        (["--backend", "http", "--mt-url", "http://127.0.0.1:abc"],
+         "error: MT URL 'http://127.0.0.1:abc' has a bad host or port: "
+         "Port could not be cast to integer value as 'abc'\n"),
+        (["--backend", "http", "--mt-url", "http://127.0.0.1:99999"],
+         "error: MT URL 'http://127.0.0.1:99999' has a bad host or port: "
+         "Port out of range 0-65535\n"),
     ])
     def test_setting_that_never_works_exit_1(self, tmp_path, corpus_file, capsys, monkeypatch,
                                              flags, message):
@@ -211,6 +219,22 @@ class TestProjectCommand:
                     "--backend", "lexicon", "--lexicon", str(lex)])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == message.format(path=lex)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("lexicon, problem", [
+        ('{"a":\n', "Expecting value: line 2 column 1 (char 6)"),
+        ("{'a': 'b'}", "Expecting property name enclosed in double quotes: "
+                       "line 1 column 2 (char 1)"),
+    ])
+    def test_malformed_lexicon_json_names_the_file(self, tmp_path, corpus_file, capsys,
+                                                   lexicon, problem):
+        path, _ = corpus_file
+        lex = tmp_path / "lex.json"
+        lex.write_text(lexicon, encoding="utf-8")
+        code = run(["project", "--in", str(path), "--out", str(tmp_path / "o"),
+                    "--backend", "lexicon", "--lexicon", str(lex)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --lexicon {lex}: {problem}\n"
         assert not (tmp_path / "o").exists()
 
     def test_meta_must_be_an_object_with_free_form_values(self, tmp_path, capsys):
@@ -667,6 +691,17 @@ class TestMetricsCommands:
         report.write_text(content, encoding="utf-8")
         assert run(["rate", "--report", str(report)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {report}: not a projection report\n"
+
+    @pytest.mark.parametrize("content, problem", [
+        ('{"total":\n', "Expecting value: line 2 column 1 (char 10)"),
+        ("", "Expecting value: line 1 column 1 (char 0)"),
+        ('{"total": 2} x', "Extra data: line 1 column 14 (char 13)"),
+    ])
+    def test_rate_of_malformed_json_names_the_report(self, tmp_path, capsys, content, problem):
+        report = tmp_path / "r.json"
+        report.write_text(content, encoding="utf-8")
+        assert run(["rate", "--report", str(report)]) == EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {report}: {problem}\n")
 
     def test_rate_of_an_empty_report_is_undefined(self, tmp_path, capsys):
         report = tmp_path / "r.json"

@@ -139,6 +139,13 @@ class TestBuildFtPairs:
         lengths = [len(s) for s, _ in out]
         assert lengths == sorted(lengths)
 
+    @pytest.mark.parametrize("sort, order", [("descending", "LabcS"), ("ascending", "SabcL")])
+    def test_equal_lengths_keep_their_input_order(self, sort, order):
+        texts = {"a": "E a", "L": "E long", "b": "E b", "S": "E", "c": "E c"}
+        pairs = [_pair(text, ["E"], text) for text in texts.values()]
+        out = build_ft_pairs(pairs, IdentityBackend(), FtDataConfig(k=10, length_sort=sort))
+        assert [s for s, _ in out] == [f"[ E ]{texts[key][1:]}" for key in order]
+
     def test_backend_error_skips_entity_only(self):
         class HalfBroken:
             def translate(self, request):

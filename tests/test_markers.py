@@ -174,6 +174,21 @@ class TestExtract:
         result = extract_markers("[a] [b", scheme, expected)
         assert result.status == COUNT_MISMATCH
 
+    @pytest.mark.parametrize("kind,text,n_spans,found", [
+        ("xml", "<a>", 1, "found 1 markers (0 complete pairs)"),
+        ("xml", "<a> x </a> <b>", 2, "found 3 markers (1 complete pairs)"),
+        ("xml", "<a> x </a> <a>", 1, "found 3 markers (1 complete pairs)"),
+        ("brackets", "x [ y", 1, "found 1 markers (0 complete pairs)"),
+        ("brackets", "[ x ] y [", 1, "found 3 markers (1 complete pairs)"),
+        ("quotes", '" x " y "', 2, "found 3 markers (1 complete pairs)"),
+    ])
+    def test_a_lone_trailing_open_marker_is_a_count_error(self, kind, text, n_spans, found):
+        scheme = MarkerScheme(kind)
+        expected = tuple((i, *_SYNTAX[kind].tokens(i)) for i in range(n_spans))
+        result = extract_markers(text, scheme, expected)
+        assert (result.status, result.diagnostic) == (COUNT_MISMATCH, (
+            f"expected {2 * n_spans} markers forming {n_spans} pairs, {found}"))
+
     def test_nested_structure_error(self):
         scheme = MarkerScheme("brackets")
         expected = ((0, "[", "]"), (1, "[", "]"))

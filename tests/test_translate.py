@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import tempfile
 import threading
 import time
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from unittest.mock import patch
 
 import pytest
@@ -754,6 +755,18 @@ class TestHttp:
             HttpBackend(url)
         assert str(e.value) == f"MT URL {url!r} must have no query or fragment"
 
+    @pytest.mark.parametrize("url", ["http://[::1", "http://[::1/mt", "http://127.0.0.1:abc",
+                                     "http://127.0.0.1:99999/mt", "http://h:-1"])
+    def test_url_with_a_bad_host_or_port_rejected_when_built(self, url):
+        # every attempt would fail alike, and an unclosed IPv6 host would raise out of
+        # translate() instead of failing its items
+        with pytest.raises(ValueError, match=r"^MT URL .* has a bad host or port: "):
+            HttpBackend(url)
+
+    @pytest.mark.parametrize("url", ["http://[::1]:9/mt", "http://127.0.0.1:", "https://h:443"])
+    def test_url_with_a_good_or_empty_port_accepted(self, url):
+        assert HttpBackend(url).base_url == url
+
     def test_a_trailing_slash_posts_to_translate_under_the_path(self, http_server):
         backend = HttpBackend(f"{http_server}/mt/", timeout_ms=5000)
         assert backend.translate(TranslateRequest(("ab",), "en", "de")).outputs() == ["AB"]
@@ -1139,3 +1152,89 @@ class TestCacheBeforeBatching:
         assert (report.failed, dict(report.reasons).get("BackendError", 0)) == (sum(hit), sum(hit))
         assert [p.text for p in projected] == [s.text for s, h in zip(sentences, hit) if not h]
         assert recorded == items[::2] + [t for t in misses if t not in upstream.faulted]
+
+
+class TestKilledWarmCache:
+    """`spanbridge warm-cache` in a child process, killed with SIGKILL while the
+    stub stalls on batch k: the cache keeps the k batches stored before it."""
+
+    N_BATCHES = 5
+
+    @pytest.fixture
+    def stub(self):
+        """A local MT stub that echoes each batch of "t{i}" texts whose items all lie
+        below `answered` and holds any other batch open until the test ends."""
+        release = threading.Event()
+
+        class Stub(BaseHTTPRequestHandler):
+            answered = 0
+            stalled = 0
+            received: list[str] = []
+
+            def do_POST(self):
+                texts = json.loads(self.rfile.read(int(self.headers["Content-Length"])))["texts"]
+                if any(int(t[1:]) >= Stub.answered for t in texts):
+                    Stub.stalled += 1
+                    release.wait(60)
+                    return  # closed without a reply
+                Stub.received += texts
+                out = json.dumps({"translations": texts}).encode()
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(out)))
+                self.end_headers()
+                self.wfile.write(out)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Stub)
+        server.daemon_threads = True
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        Stub.url = f"http://127.0.0.1:{server.server_port}"
+        yield Stub
+        release.set()
+        server.shutdown()
+        server.server_close()
+
+    def _warm(self, tmp_path, url, cache):
+        return ["warm-cache", "--in", str(tmp_path / "in.txt"), "--backend", "http",
+                "--mt-url", url, "--cache-out", str(cache), "--timeout-ms", "60000"]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_a_killed_run_keeps_its_first_batches_and_a_rerun_completes_them(
+            self, tmp_path, stub, monkeypatch, capsys, k):
+        monkeypatch.delenv("SPANBRIDGE_MT_URL", raising=False)
+        texts = [f"t{i}" for i in range(self.N_BATCHES * BATCH_SIZE)]
+        (tmp_path / "in.txt").write_text("".join(f"{t}\n" for t in texts), encoding="utf-8")
+        cache = tmp_path / "killed.jsonl"
+        stub.answered = k * BATCH_SIZE
+        src = os.path.dirname(os.path.dirname(os.path.abspath(translate_module.__file__)))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "spanbridge", *self._warm(tmp_path, stub.url, cache)],
+            env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            # stalled on batch k with batches 0..k-1 appended: nothing more can be written
+            deadline = time.monotonic() + 30
+            while not (stub.stalled and k * BATCH_SIZE == (
+                    cache.read_bytes().count(b"\n") if cache.exists() else 0)):
+                assert child.poll() is None, child.communicate()
+                assert time.monotonic() < deadline, "the child never reached the stall"
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.communicate()
+        assert child.returncode == -signal.SIGKILL
+
+        assert len(TranslationCache(str(cache))) == k * BATCH_SIZE
+        if k:
+            assert _inputs(cache) == texts[:k * BATCH_SIZE]
+        # a rerun sends only the rest and writes what an uninterrupted run writes
+        stub.answered, stub.received = len(texts), []
+        assert run(self._warm(tmp_path, stub.url, cache)) == EXIT_OK
+        assert json.loads(capsys.readouterr().out) == {
+            "new_entries": len(texts) - k * BATCH_SIZE, "errors": 0}
+        assert sorted(stub.received, key=lambda t: int(t[1:])) == texts[k * BATCH_SIZE:]
+        whole = tmp_path / "whole.jsonl"
+        assert run(self._warm(tmp_path, stub.url, whole)) == EXIT_OK
+        assert cache.read_bytes() == whole.read_bytes()
